@@ -14,9 +14,9 @@ from .analysis import (
     white_noise_gain,
 )
 from .beamformer import (
+    BankReport,
     BeamformerBank,
     BeamformerWeights,
-    DesignSpec,
     KktReport,
     design_bank,
     design_delay_and_sum,
@@ -25,8 +25,8 @@ from .beamformer import (
     design_superdirective,
     load_bank,
     save_bank,
+    verify_bank,
     verify_kkt,
-    wng_constraint_matrix,
     wng_constraint_value,
 )
 from .dsp import (

@@ -6,18 +6,21 @@ white-noise-gain floor written as the quadratic constraint
 c = h^H Psi h <= 0 with Psi = I - g g^H * M / ||g||^2. On the
 distortionless manifold the constraint set is a ball, so the KKT system
 reduces exactly to diagonal loading: h(eps) = (Phi + eps I)^{-1} g,
-normalized. ||h(eps)||^2 is non-increasing in eps, which makes c(eps)
-monotone and a bisection on eps exact. The solver therefore returns the
-global optimum, certifiable after the fact through verify_kkt.
+normalized (Cox, Zeskind & Owen, IEEE TASSP 1987). ||h(eps)||^2 is
+non-increasing in eps, which makes c(eps) monotone and a bisection on eps
+exact; the result is certifiable after the fact through verify_kkt. One
+batched kernel diagonalizes each covariance once and bisects the loading
+in its eigenbasis (Li, Stoica & Wang, IEEE TSP 2003); it works row by row,
+so a single design (a batch of one) does not depend on its batch.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DataError,
@@ -25,6 +28,7 @@ from .errors import (
     IllConditionedError,
     ParseError,
     SolverError,
+    raise_first,
 )
 from .geometry import (
     SOUND_SPEED,
@@ -34,24 +38,28 @@ from .geometry import (
     SteeringVector,
     _direction_from_dict,
     _direction_to_dict,
-    steering_vector,
+    steering_matrix,
 )
 from .noise_model import (
     NoiseCovariance,
     PointNoiseSpec,
-    composite_covariance,
-    diffuse_covariance_sinc,
-    regularize,
+    add_point_noises,
+    check_covariances,
+    diffuse_covariances,
+    regularize_stack,
 )
 
 WNG_TOLERANCE = 1e-8
 MAX_BISECTION_STEPS = 60
 LOADING_CAP_SCALE = 1e6
 DISTORTIONLESS_TOL = 1e-6
+SLACKNESS_BOUND = 1e-8
 
 BANK_MAGIC = "beambank-bank-v1"
 
 METHODS = ("delay_and_sum", "superdirective", "mvdr", "nlcmv")
+# verify's invariants, in the order a failure is reported within one design
+INVARIANTS = ("distortionless", "wng-feasibility", "kkt-stationarity", "kkt-slackness")
 
 
 @dataclass(frozen=True)
@@ -85,46 +93,27 @@ class BeamformerWeights:
         return self.weights.shape[0]
 
 
-@dataclass(frozen=True)
-class DesignSpec:
-    """One design task: method, look direction, null set, frequency grid."""
-
-    method: str
-    look: DirectionSpec
-    nulls: tuple = ()
-    frequencies: np.ndarray = field(default_factory=lambda: np.array([1000.0]))
-    sound_speed: float = SOUND_SPEED
-    wng_tolerance: float = WNG_TOLERANCE
-    wng_margin: float = 1.0
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise DataError(f"unknown method '{self.method}', expected one of {METHODS}")
-        freqs = np.asarray(self.frequencies, dtype=float)
-        if freqs.ndim != 1 or freqs.shape[0] < 1:
-            raise DataError("frequency grid must be a non-empty 1-D array")
-        if freqs[0] < 0 or np.any(np.diff(freqs) <= 0):
-            raise DataError("frequency grid must be non-negative and strictly increasing")
-        if not self.wng_margin > 0:
-            raise DataError(f"wng margin {self.wng_margin} must be > 0")
-        object.__setattr__(self, "nulls", tuple(self.nulls))
-        object.__setattr__(self, "frequencies", freqs)
-
-
-def wng_constraint_matrix(g: SteeringVector, margin: float = 1.0) -> np.ndarray:
-    """Psi = I - g g^H * M / (margin * ||g||^2); c = h^H Psi h."""
-    e = g.entries
-    m = e.shape[0]
-    norm_sq = np.vdot(e, e).real
-    return np.eye(m, dtype=complex) - np.outer(e, e.conj()) * (m / (margin * norm_sq))
+def check_solver_settings(
+    wng_tolerance: float = WNG_TOLERANCE,
+    wng_margin: float = 1.0,
+    sound_speed: float = SOUND_SPEED,
+    error: type = DataError,
+) -> None:
+    """Raise ``error`` unless wng_margin > 0, wng_tolerance >= 0 and the
+    sound speed is finite and > 0."""
+    if not wng_margin > 0:
+        raise error(f"wng_margin {wng_margin} must be > 0")
+    if not wng_tolerance >= 0:
+        raise error(f"wng_tolerance {wng_tolerance} must be >= 0")
+    if not (math.isfinite(sound_speed) and sound_speed > 0):
+        raise error(f"sound_speed {sound_speed} must be finite and > 0")
 
 
 def wng_constraint_value(h: np.ndarray, g: SteeringVector, margin: float = 1.0) -> float:
     """Constraint value c = h^H Psi h; c <= 0 keeps white noise gain at or
     above margin * ||g||^2 / M (for distortionless h)."""
-    h = np.asarray(h, dtype=complex)
-    psi = wng_constraint_matrix(g, margin)
-    return float(np.vdot(h, psi @ h).real)
+    h = np.asarray(h, dtype=complex)[None]
+    return float(_wng(h, g.entries[None], _norm_sq(g.entries[None]), margin)[0])
 
 
 def _weights_of(h) -> np.ndarray:
@@ -133,59 +122,132 @@ def _weights_of(h) -> np.ndarray:
     return np.asarray(h, dtype=complex)
 
 
-def _check_steering(g: SteeringVector):
-    if float(np.vdot(g.entries, g.entries).real) <= 0.0:
-        raise DegenerateSteeringError("steering vector has zero norm")
+def _norm_sq(x: np.ndarray) -> np.ndarray:
+    return (x.real**2 + x.imag**2).sum(axis=-1)
 
 
-def _single_channel(g: SteeringVector) -> np.ndarray:
-    # distortionless with M = 1 forces conj(h) G = 1, i.e. the applied filter is 1/G
-    return np.array([1.0 / np.conj(g.entries[0])])
+def _wng(h, g, g_norm_sq, margin) -> np.ndarray:
+    """c = ||h||^2 - M |g^H h|^2 / (margin ||g||^2) = h^H Psi h, row by row."""
+    gh = (g.conj() * h).sum(axis=1)
+    return _norm_sq(h) - g.shape[1] * (gh.real**2 + gh.imag**2) / (margin * g_norm_sq)
 
 
-def _loaded_solve(matrix: np.ndarray, g: np.ndarray, eps: float) -> np.ndarray:
-    """h(eps) = (Phi + eps I)^{-1} g / (g^H (Phi + eps I)^{-1} g)."""
-    a = matrix if eps == 0.0 else matrix + eps * np.eye(matrix.shape[0])
-    try:
-        x = scipy.linalg.solve(a, g, assume_a="pos")
-    except np.linalg.LinAlgError as exc:
-        cond = float(np.linalg.cond(a))
-        raise IllConditionedError(
-            f"covariance solve failed (condition estimate {cond:.3e})"
-        ) from exc
-    denom = np.vdot(g, x)
-    if not np.isfinite(denom.real) or denom.real <= 0.0:
-        cond = float(np.linalg.cond(a))
-        raise IllConditionedError(
-            f"degenerate normalization g^H P^-1 g = {denom:.3e} "
-            f"(condition estimate {cond:.3e})"
+def _loaded_designs(matrices, bins, g, g_norm_sq, where, wng_tolerance=None, wng_margin=1.0):
+    """h(eps) = (A + eps I)^{-1} g / (g^H (A + eps I)^{-1} g) for N designs.
+
+    ``matrices`` is an (F, M, M) stack of regularized covariances, ``g`` the
+    (N, M) steering vectors and ``bins`` the covariance of each design.
+    Without a tolerance eps stays 0 (MVDR). With one, every design whose
+    c(0) > 0 gets its loading bracketed by tenfold steps and then bisected
+    until |c| <= tol and eps |c| <= tol, within a shared step budget; the
+    feasible side of the bracket is kept. Returns h, eps and the step counts.
+    """
+    n, m = g.shape
+    lam_f, u_f = np.linalg.eigh(matrices)
+    lam, u = lam_f[bins], u_f[bins]
+    # a positive definite A keeps the normalization g^H (A + eps I)^{-1} g
+    # finite and positive for every eps >= 0
+    raise_first(np.isfinite(lam).all(axis=1) & (lam[:, 0] > 0), IllConditionedError, lambda i: (
+        f"{where(i)}: degenerate normalization g^H P^-1 g: covariance eigenvalues "
+        f"span [{lam[i, 0]:.3e}, {lam[i, -1]:.3e}] after regularization"
+    ))
+    b = (u.conj() * g[:, :, None]).sum(axis=1)
+    p = b.real**2 + b.imag**2
+    eps = np.zeros(n)
+    steps = np.zeros(n, dtype=int)
+
+    if wng_tolerance is not None:
+        target = m / (wng_margin * g_norm_sq)
+
+        def c_at(idx, e):
+            w = p[idx] / (lam[idx] + e[:, None])
+            s1 = w.sum(axis=1)
+            return (w / (lam[idx] + e[:, None])).sum(axis=1) / s1**2 - target[idx]
+
+        trace = np.trace(matrices, axis1=-2, axis2=-1).real[bins]
+        cap = LOADING_CAP_SCALE * trace / m
+        lo, hi = np.zeros(n), trace / m * 1e-6
+        c = c_at(np.arange(n), eps)
+        # Unbracketed designs try hi and grow it tenfold; bracketed ones try
+        # the midpoint. c(eps) is monotone non-increasing and the
+        # delay-and-sum limit (eps -> inf) is strictly feasible, so a sign
+        # change must appear below the cap.
+        bracketed = np.zeros(n, dtype=bool)
+        run = np.flatnonzero(c > 0.0)
+        while run.size:
+            steps[run] += 1
+            was = bracketed[run]
+            trial = np.where(was, 0.5 * (lo[run] + hi[run]), hi[run])
+            c_trial = c_at(run, trial)
+            ok, grow = c_trial <= 0.0, (c_trial > 0.0) & ~was
+            hi[run[ok]], c[run[ok]], bracketed[run[ok]] = trial[ok], c_trial[ok], True
+            lo[run[~ok]] = trial[~ok]
+            c[run[grow]] = c_trial[grow]  # an unbracketed design reports its last trial
+            hi[run[grow]] *= 10.0
+            cr = np.abs(c[run])
+            done = bracketed[run] & (cr <= wng_tolerance) & (hi[run] * cr <= wng_tolerance)
+            run = run[~done & (steps[run] < MAX_BISECTION_STEPS) & ~(hi[run] > cap[run])]
+        raise_first(bracketed | (steps == 0), SolverError, lambda i: (
+            f"{where(i)}: internal solver failure: no feasible loading below cap "
+            f"{cap[i]:.3e} within {steps[i]} steps (c = {c[i]:.3e})"
+        ))
+        raise_first(c <= wng_tolerance, SolverError, lambda i: (
+            f"{where(i)}: internal solver failure: returned infeasible c = {c[i]:.3e}"
+        ))
+        eps = np.where(bracketed, hi, 0.0)
+
+    x = b / (lam + eps[:, None])
+    denom = (p / (lam + eps[:, None])).sum(axis=1)
+    h = (u * x[:, None, :]).sum(axis=2) / denom[:, None]
+    return h, eps, steps
+
+
+def _design_batch(method, phi, bins, g, where, wng_tolerance=WNG_TOLERANCE, wng_margin=1.0):
+    """N designs of one method sharing an (F, M, M) covariance stack ``phi``
+    (the diffuse one for superdirective). Returns (weights, objective,
+    loading, constraint, iterations); the constraint uses ``wng_margin``
+    for nlcmv and 1 otherwise."""
+    n, m = g.shape
+    g_norm_sq = _norm_sq(g)
+    raise_first(g_norm_sq > 0.0, DegenerateSteeringError,
+                lambda i: f"{where(i)}: steering vector has zero norm")
+    loading, iterations = np.zeros(n), np.zeros(n, dtype=int)
+    margin = wng_margin if method == "nlcmv" else 1.0
+    if m == 1:
+        # distortionless with M = 1 forces conj(h) G = 1, i.e. the applied filter is 1/G
+        h = 1.0 / np.conj(g)
+    elif method == "delay_and_sum":
+        h = g / g_norm_sq[:, None]
+    else:
+        h, loading, iterations = _loaded_designs(
+            regularize_stack(phi), bins, g, g_norm_sq, where,
+            wng_tolerance if method == "nlcmv" else None, wng_margin,
         )
-    return x / denom
+    err = np.abs((h.conj() * g).sum(axis=1) - 1.0)
+    raise_first(err <= DISTORTIONLESS_TOL, SolverError,
+                lambda i: f"{where(i)}: {method}: distortionless violated by {err[i]:.3e}")
+    objective = (h.conj() * (phi[bins] * h[:, None, :]).sum(axis=2)).sum(axis=1).real
+    return h, objective, loading, _wng(h, g, g_norm_sq, margin), iterations
 
 
-def _assert_distortionless(h: np.ndarray, g: SteeringVector, label: str):
-    err = abs(np.vdot(h, g.entries) - 1.0)
-    if err > DISTORTIONLESS_TOL:
-        raise SolverError(f"{label}: distortionless violated by {err:.3e}")
+def _single_design(method, phi, g: SteeringVector, **settings) -> BeamformerWeights:
+    """One design as a batch of one; ``phi`` None means the identity."""
+    m = g.num_mics
+    matrix = np.eye(m, dtype=complex) if phi is None else phi.matrix
+    if matrix.shape[0] != m:
+        raise DataError(f"{m}-channel steering vs {matrix.shape[0]}-channel covariance")
+    h, objective, loading, constraint, iterations = _design_batch(
+        method, matrix[None], np.zeros(1, dtype=int), g.entries[None],
+        lambda i: f"{g.frequency:g} Hz", **settings,
+    )
+    return BeamformerWeights(g.frequency, h[0], float(objective[0]), float(loading[0]),
+                             float(constraint[0]), int(iterations[0]))
 
 
 def design_delay_and_sum(g: SteeringVector, phi: NoiseCovariance | None = None) -> BeamformerWeights:
-    """Matched-filter weights h = g / ||g||^2; maximal white noise gain."""
-    _check_steering(g)
-    if g.num_mics == 1:
-        h = _single_channel(g)
-    else:
-        h = g.entries / np.vdot(g.entries, g.entries).real
-    _assert_distortionless(h, g, "delay_and_sum")
-    objective = float(np.vdot(h, phi.matrix @ h).real) if phi is not None else float(
-        np.vdot(h, h).real
-    )
-    return BeamformerWeights(
-        frequency=g.frequency,
-        weights=h,
-        objective=objective,
-        constraint=wng_constraint_value(h, g),
-    )
+    """Matched-filter weights h = g / ||g||^2; maximal white noise gain.
+    The objective is taken against ``phi``, or is ||h||^2 without one."""
+    return _single_design("delay_and_sum", phi, g)
 
 
 def design_mvdr(phi: NoiseCovariance, g: SteeringVector) -> BeamformerWeights:
@@ -195,20 +257,7 @@ def design_mvdr(phi: NoiseCovariance, g: SteeringVector) -> BeamformerWeights:
     noise_model.regularize). No white-noise-gain constraint is applied;
     the diagnostics still record the constraint value.
     """
-    _check_steering(g)
-    if g.num_mics != phi.num_mics:
-        raise DataError(f"{g.num_mics}-channel steering vs {phi.num_mics}-channel covariance")
-    if g.num_mics == 1:
-        h = _single_channel(g)
-    else:
-        h = _loaded_solve(regularize(phi).matrix, g.entries, 0.0)
-    _assert_distortionless(h, g, "mvdr")
-    return BeamformerWeights(
-        frequency=g.frequency,
-        weights=h,
-        objective=float(np.vdot(h, phi.matrix @ h).real),
-        constraint=wng_constraint_value(h, g),
-    )
+    return _single_design("mvdr", phi, g)
 
 
 def design_superdirective(phi_dd: NoiseCovariance, g: SteeringVector) -> BeamformerWeights:
@@ -230,95 +279,16 @@ def design_nlcmv(
     loading * |c| <= wng_tolerance so complementary slackness certifies,
     within a fixed step budget; the feasible bracket side is returned.
     """
-    _check_steering(g)
-    if g.num_mics != phi_total.num_mics:
-        raise DataError(
-            f"{g.num_mics}-channel steering vs {phi_total.num_mics}-channel covariance"
-        )
-    if g.num_mics == 1:
-        h = _single_channel(g)
-        return BeamformerWeights(
-            frequency=g.frequency,
-            weights=h,
-            objective=float(np.vdot(h, phi_total.matrix @ h).real),
-            constraint=wng_constraint_value(h, g, wng_margin),
-        )
-
-    matrix = regularize(phi_total).matrix
-    trace = float(np.trace(matrix).real)
-    m = g.num_mics
-    cap = LOADING_CAP_SCALE * trace / m
-
-    h = _loaded_solve(matrix, g.entries, 0.0)
-    c = wng_constraint_value(h, g, wng_margin)
-    if c <= 0.0:
-        out = BeamformerWeights(
-            frequency=g.frequency,
-            weights=h,
-            objective=float(np.vdot(h, phi_total.matrix @ h).real),
-            constraint=c,
-        )
-        _assert_distortionless(h, g, "nlcmv")
-        return out
-
-    # c(0) > 0: expand a bracket geometrically, then bisect. c(eps) is
-    # monotone non-increasing, and the delay-and-sum limit (eps -> inf)
-    # is strictly feasible, so a sign change must appear below the cap.
-    steps = 0
-    lo, c_lo = 0.0, c
-    hi = trace / m * 1e-6
-    c_hi = None
-    while steps < MAX_BISECTION_STEPS:
-        steps += 1
-        h_hi = _loaded_solve(matrix, g.entries, hi)
-        c_hi = wng_constraint_value(h_hi, g, wng_margin)
-        if c_hi <= 0.0:
-            break
-        lo, c_lo = hi, c_hi
-        hi *= 10.0
-        if hi > cap:
-            raise SolverError(
-                f"internal solver failure: no feasible loading below cap {cap:.3e} "
-                f"at {g.frequency} Hz (c = {c_hi:.3e})"
-            )
-    if c_hi is None or c_hi > 0.0:
-        raise SolverError(
-            f"internal solver failure: bracket expansion exhausted {steps} steps "
-            f"at {g.frequency} Hz"
-        )
-
-    best_eps, best_h, best_c = hi, h_hi, c_hi
-    while steps < MAX_BISECTION_STEPS:
-        if abs(best_c) <= wng_tolerance and best_eps * abs(best_c) <= wng_tolerance:
-            break
-        steps += 1
-        mid = 0.5 * (lo + hi)
-        h_mid = _loaded_solve(matrix, g.entries, mid)
-        c_mid = wng_constraint_value(h_mid, g, wng_margin)
-        if c_mid <= 0.0:
-            hi, best_eps, best_h, best_c = mid, mid, h_mid, c_mid
-        else:
-            lo = mid
-
-    _assert_distortionless(best_h, g, "nlcmv")
-    if best_c > wng_tolerance:
-        raise SolverError(
-            f"internal solver failure: returned infeasible c = {best_c:.3e} "
-            f"at {g.frequency} Hz"
-        )
-    return BeamformerWeights(
-        frequency=g.frequency,
-        weights=best_h,
-        objective=float(np.vdot(best_h, phi_total.matrix @ best_h).real),
-        loading=best_eps,
-        constraint=best_c,
-        iterations=steps,
+    check_solver_settings(wng_tolerance, wng_margin)
+    return _single_design(
+        "nlcmv", phi_total, g, wng_tolerance=wng_tolerance, wng_margin=wng_margin
     )
 
 
 @dataclass(frozen=True)
 class KktReport:
-    """Post-hoc optimality certificate for one constrained design."""
+    """Post-hoc optimality certificate for one constrained design, or, with
+    array fields, for every design of a bank (see :func:`verify_bank`)."""
 
     stationarity_residual: float
     stationarity_bound: float
@@ -328,23 +298,39 @@ class KktReport:
     slackness_bound: float
 
     @property
-    def stationarity_ok(self) -> bool:
+    def stationarity_ok(self):
         return self.stationarity_residual <= self.stationarity_bound
 
     @property
-    def feasible(self) -> bool:
-        return (
-            self.distortionless_error <= DISTORTIONLESS_TOL
-            and self.constraint_value <= DISTORTIONLESS_TOL
+    def feasible(self):
+        return (self.distortionless_error <= DISTORTIONLESS_TOL) & (
+            self.constraint_value <= DISTORTIONLESS_TOL
         )
 
     @property
-    def slackness_ok(self) -> bool:
+    def slackness_ok(self):
         return self.slackness <= self.slackness_bound
 
     @property
-    def passed(self) -> bool:
-        return self.stationarity_ok and self.feasible and self.slackness_ok
+    def passed(self):
+        return self.stationarity_ok & self.feasible & self.slackness_ok
+
+
+def _kkt(h, loading, phi, bins, g, wng_margin, slackness_bound) -> KktReport:
+    """KKT certificates of N designs against an (F, M, M) covariance stack."""
+    a_h = (phi[bins] * h[:, None, :]).sum(axis=2) + loading[:, None] * h
+    g_norm_sq = _norm_sq(g)
+    lam = (g.conj() * a_h).sum(axis=1) / g_norm_sq
+    phi_norm = np.linalg.norm(phi, 2, axis=(-2, -1))[bins]
+    c = _wng(h, g, g_norm_sq, wng_margin)
+    return KktReport(
+        stationarity_residual=np.sqrt(_norm_sq(a_h - lam[:, None] * g)),
+        stationarity_bound=1e-6 * np.sqrt(_norm_sq(h)) * phi_norm,
+        distortionless_error=np.abs((h.conj() * g).sum(axis=1) - 1.0),
+        constraint_value=c,
+        slackness=np.abs(loading * c),
+        slackness_bound=slackness_bound,
+    )
 
 
 def verify_kkt(
@@ -352,7 +338,7 @@ def verify_kkt(
     phi_total: NoiseCovariance,
     g: SteeringVector,
     wng_margin: float = 1.0,
-    slackness_bound: float = 1e-8,
+    slackness_bound: float = SLACKNESS_BOUND,
 ) -> KktReport:
     """Check stationarity, feasibility, and complementary slackness of a
     constrained design against the supplied covariance.
@@ -362,42 +348,11 @@ def verify_kkt(
     solver added for conditioning shifts the residual by at most
     delta * ||h|| with delta <= 1e-6 * ||Phi||, inside the bound.
     """
-    h = result.weights
-    eps = result.loading
-    a_h = phi_total.matrix @ h + eps * h
-    e = g.entries
-    lam = np.vdot(e, a_h) / np.vdot(e, e).real
-    residual = float(np.linalg.norm(a_h - lam * e))
-    phi_norm = float(np.linalg.norm(phi_total.matrix, 2))
-    h_norm = float(np.linalg.norm(h))
-    c = wng_constraint_value(h, g, wng_margin)
-    return KktReport(
-        stationarity_residual=residual,
-        stationarity_bound=1e-6 * h_norm * phi_norm,
-        distortionless_error=float(abs(np.vdot(h, e) - 1.0)),
-        constraint_value=c,
-        slackness=float(abs(eps * c)),
-        slackness_bound=slackness_bound,
+    report = _kkt(
+        result.weights[None], np.array([result.loading]), phi_total.matrix[None],
+        np.zeros(1, dtype=int), g.entries[None], wng_margin, slackness_bound,
     )
-
-
-def _design_one(
-    method: str,
-    phi_dd: NoiseCovariance,
-    phi_total: NoiseCovariance,
-    g: SteeringVector,
-    wng_tolerance: float,
-    wng_margin: float,
-) -> BeamformerWeights:
-    if method == "delay_and_sum":
-        return design_delay_and_sum(g, phi_total)
-    if method == "superdirective":
-        return design_superdirective(phi_dd, g)
-    if method == "mvdr":
-        return design_mvdr(phi_total, g)
-    if method == "nlcmv":
-        return design_nlcmv(phi_total, g, wng_tolerance, wng_margin)
-    raise DataError(f"unknown method '{method}'")
+    return KktReport(**{k: float(np.ravel(v)[0]) for k, v in vars(report).items()})
 
 
 @dataclass
@@ -463,6 +418,36 @@ class BeamformerBank:
         return [d.label() for d in self.directions]
 
 
+def _bank_problem(geometry, directions, frequencies, nulls, sound_speed, atfs):
+    """A bank's inputs: the diffuse and design covariances, (F, M, M) each,
+    checked Hermitian and PSD; the look steering vectors, (F * (K+1), M)
+    bin-major, from ``atfs`` when given (nulls always use the analytic
+    model); and the bin of each design."""
+    m = geometry.num_mics
+    if atfs is None:
+        g = np.stack(
+            [steering_matrix(geometry, d, frequencies, sound_speed) for d in directions], axis=1
+        )
+    else:
+        if atfs.num_mics != m:
+            raise DataError(f"ATF set is {atfs.num_mics}-channel, geometry has {m}")
+        rows = [atfs.index_of(d) for d in directions]
+        g = atfs.vectors[rows][:, atfs.frequency_indices(frequencies)].swapaxes(0, 1)
+        if not g.any(axis=-1).all():
+            raise DataError("ATF set holds an identically zero steering vector")
+    phi_dd = diffuse_covariances(geometry, frequencies, sound_speed)
+    phi_total = add_point_noises(phi_dd, list(nulls), geometry, frequencies, sound_speed)
+    check_covariances(phi_dd, frequencies)
+    check_covariances(phi_total, frequencies)
+    bins = np.repeat(np.arange(len(frequencies)), len(directions))
+    return phi_dd, phi_total, np.ascontiguousarray(g).reshape(-1, m), bins
+
+
+def _by_direction(x: np.ndarray, k1: int) -> np.ndarray:
+    """Per-design values in bin-major order, (F * (K+1), ...), as (K+1, F, ...)."""
+    return np.ascontiguousarray(np.reshape(x, (-1, k1) + x.shape[1:]).swapaxes(0, 1))
+
+
 def design_bank(
     geometry: ArrayGeometry,
     directions: list[DirectionSpec],
@@ -475,56 +460,40 @@ def design_bank(
     wng_margin: float = 1.0,
     atfs: AtfSet | None = None,
 ) -> BeamformerBank:
-    """Design one beamformer per direction per FFT bin.
+    """Design one beamformer per direction per FFT bin, all in one batch.
 
     Frequencies are the rfft bin centers for (fs, n_fft). Look steering
     vectors come from ``atfs`` when given (all directions and bins must be
     on its grid), else from the analytic model. Null steering always uses
-    the analytic model. Deterministic given identical inputs.
+    the analytic model. Every design equals, bit for bit, the single-design
+    function of its method applied to that bin's covariance and steering
+    vector. Deterministic given identical inputs.
     """
     if method not in METHODS:
         raise DataError(f"unknown method '{method}', expected one of {METHODS}")
+    check_solver_settings(wng_tolerance, wng_margin, sound_speed)
     near = [d for d in directions if d.is_near_field]
     if len(near) != 1 or len(directions) < 2:
         raise DataError("directions must be K >= 1 horizontal looks plus one mouth point")
     freqs = np.fft.rfftfreq(n_fft, 1.0 / fs)
-    k1, f_count, m = len(directions), freqs.shape[0], geometry.num_mics
-    weights = np.empty((k1, f_count, m), dtype=complex)
-    loading = np.zeros((k1, f_count))
-    constraint = np.zeros((k1, f_count))
-    iterations = np.zeros((k1, f_count), dtype=int)
-    objective = np.zeros((k1, f_count))
-
-    atf_index = {}
-    if atfs is not None:
-        if atfs.num_mics != m:
-            raise DataError(f"ATF set is {atfs.num_mics}-channel, geometry has {m}")
-        for di, d in enumerate(directions):
-            atf_index[di] = atfs.index_of(d)
-
-    for fi, f in enumerate(freqs):
-        phi_dd = diffuse_covariance_sinc(geometry, f, sound_speed)
-        phi_total = composite_covariance(phi_dd, list(nulls), geometry, sound_speed)
-        for di, direction in enumerate(directions):
-            if atfs is not None:
-                g = atfs.steering(atf_index[di], f)
-            else:
-                g = steering_vector(geometry, direction, f, sound_speed)
-            try:
-                w = _design_one(method, phi_dd, phi_total, g, wng_tolerance, wng_margin)
-            except SolverError as exc:
-                raise SolverError(f"{direction.label()} at {f:.1f} Hz: {exc}") from exc
-            weights[di, fi] = w.weights
-            loading[di, fi] = w.loading
-            constraint[di, fi] = w.constraint
-            iterations[di, fi] = w.iterations
-            objective[di, fi] = w.objective
-
+    phi_dd, phi_total, g, bins = _bank_problem(
+        geometry, directions, freqs, nulls, sound_speed, atfs
+    )
+    k1 = len(directions)
+    h, objective, loading, constraint, iterations = (_by_direction(x, k1) for x in _design_batch(
+        method,
+        phi_dd if method == "superdirective" else phi_total,
+        bins,
+        g,
+        lambda i: f"{directions[i % k1].label()} at {freqs[i // k1]:.1f} Hz",
+        wng_tolerance,
+        wng_margin,
+    ))
     return BeamformerBank(
         geometry=geometry,
         directions=list(directions),
         frequencies=freqs,
-        weights=weights,
+        weights=h,
         fs=int(fs),
         n_fft=int(n_fft),
         method=method,
@@ -538,6 +507,51 @@ def design_bank(
         iterations=iterations,
         objective=objective,
     )
+
+
+@dataclass(frozen=True)
+class BankReport:
+    """:func:`verify_bank`'s findings: the KKT certificate of every design,
+    with (K+1, F) arrays as fields. Every bank must be distortionless; only
+    nlcmv banks are held to the WNG and KKT invariants."""
+
+    bank: BeamformerBank
+    kkt: KktReport
+
+    def first_failure(self) -> tuple | None:
+        """The first failed invariant as (name, direction, frequency in Hz,
+        value), scanning bins, then directions, then INVARIANTS; or None."""
+        k = self.kkt
+        checks = [(k.distortionless_error, DISTORTIONLESS_TOL)]
+        if self.bank.method == "nlcmv":
+            checks += [(k.constraint_value, DISTORTIONLESS_TOL),
+                       (k.stationarity_residual, k.stationarity_bound),
+                       (k.slackness, k.slackness_bound)]
+        hits = np.argwhere(np.stack([~(v <= b) for v, b in checks]).transpose(2, 1, 0))
+        if not hits.size:
+            return None
+        fi, di, which = hits[0]
+        return (INVARIANTS[which], self.bank.directions[di],
+                float(self.bank.frequencies[fi]), float(checks[which][0][di, fi]))
+
+
+def verify_bank(bank: BeamformerBank, atfs: AtfSet | None = None) -> BankReport:
+    """Recompute every design's invariants (see :func:`verify_kkt`) from the
+    bank's own settings. ``atfs`` is the steering set a bank with
+    atf_source 'file' was designed from."""
+    check_solver_settings(bank.wng_tolerance, bank.wng_margin, bank.sound_speed)
+    _, phi_total, g, bins = _bank_problem(
+        bank.geometry, bank.directions, bank.frequencies, bank.nulls, bank.sound_speed, atfs
+    )
+    k1, f_count, m = bank.weights.shape
+    loading = np.zeros((k1, f_count)) if bank.loading is None else bank.loading
+    flat = _kkt(
+        bank.weights.swapaxes(0, 1).reshape(-1, m), loading.T.reshape(-1), phi_total,
+        bins, g, bank.wng_margin, SLACKNESS_BOUND,
+    )
+    return BankReport(bank, KktReport(**{
+        k: _by_direction(v, k1) if np.ndim(v) else v for k, v in vars(flat).items()
+    }))
 
 
 def save_bank(bank: BeamformerBank, path) -> None:
@@ -603,6 +617,8 @@ def load_bank(path) -> BeamformerBank:
         fs = int(header["fs"])
         n_fft = int(header["n_fft"])
         method = str(header["method"])
+        if method not in METHODS:
+            raise ValueError(f"unknown method '{method}', expected one of {METHODS}")
         nulls = tuple(
             PointNoiseSpec(
                 direction=_direction_from_dict(item["direction"]),
@@ -616,7 +632,8 @@ def load_bank(path) -> BeamformerBank:
         wng_margin = float(header.get("wng_margin", 1.0))
         atf_source = str(header.get("atf_source", "freefield"))
         diag = header.get("diagnostics") or {}
-    except (KeyError, TypeError, ValueError) as exc:
+        check_solver_settings(wng_tolerance, wng_margin, sound_speed)
+    except (KeyError, TypeError, ValueError, DataError) as exc:
         raise ParseError(f"{path}: bad bank header field: {exc}") from exc
     freqs = np.fft.rfftfreq(n_fft, 1.0 / fs)
     expected = len(directions) * freqs.shape[0] * geometry.num_mics

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import beam_pattern, export_pattern
-from .beamformer import design_bank, load_bank, save_bank, verify_kkt
+from .beamformer import design_bank, load_bank, save_bank, verify_bank
 from .config import (
     dataset_settings,
     design_settings,
@@ -42,8 +42,7 @@ from .features import (
     normalize,
     save_stats,
 )
-from .geometry import BUILTIN_GEOMETRIES, import_atfs, steering_vector
-from .noise_model import composite_covariance, diffuse_covariance_sinc
+from .geometry import BUILTIN_GEOMETRIES, import_atfs
 from .simulate import ClipSource, NoiseSource, build_dataset, generate_rir_ism
 
 _LOG = logging.getLogger("beambank")
@@ -76,9 +75,9 @@ config keys (YAML mapping; angles in degrees, distances in meters):
                   alpha defaults to 10, psd to 1, no range = far field
   fs              sample rate in Hz, default 16000
   n_fft           FFT size, default 512 (one design per rfft bin)
-  sound_speed     m/s, default 343.0
-  wng_tolerance   white-noise-gain constraint tolerance, default 1e-8
-  wng_margin      tightening factor on the WNG floor, default 1.0
+  sound_speed     m/s, finite and > 0, default 343.0
+  wng_tolerance   white-noise-gain constraint tolerance, >= 0, default 1e-8
+  wng_margin      tightening factor on the WNG floor, > 0, default 1.0
 
 relative paths in the config resolve against the config file's directory.
 """
@@ -92,7 +91,7 @@ config keys (distances in meters):
   geometry / geometry_file / subset, position
                   a named array placed with its origin at 'position'
   fs              sample rate in Hz, default 16000
-  sound_speed     m/s, default 343.0
+  sound_speed     m/s, finite and > 0, default 343.0
 
 per-wall absorption is ordered (x=0, y=0, z=0, x=Lx, y=Ly, z=Lz).
 """
@@ -351,71 +350,28 @@ def cmd_verify(args) -> dict:
             )
         atfs = import_atfs(args.atfs)
 
-    is_nlcmv = bank.method == "nlcmv"
-    designs = 0
-    failure = None
-    worst_dist = 0.0
-    worst_ratio = 0.0
-    worst_constraint = float("-inf")
-    worst_slack = 0.0
-
-    def fail(name, direction, f, value):
-        nonlocal failure
-        if failure is None:
-            failure = {
-                "invariant": name,
-                "direction": direction.label(),
-                "frequency_hz": f,
-                "value": value,
-            }
-
-    for fi, f in enumerate(bank.frequencies):
-        f = float(f)
-        phi_dd = diffuse_covariance_sinc(bank.geometry, f, bank.sound_speed)
-        phi_total = composite_covariance(
-            phi_dd, list(bank.nulls), bank.geometry, bank.sound_speed
-        )
-        for di, direction in enumerate(bank.directions):
-            designs += 1
-            if atfs is not None:
-                g = atfs.steering(atfs.index_of(direction), f)
-            else:
-                g = steering_vector(bank.geometry, direction, f, bank.sound_speed)
-            entry = bank.entry(di, fi)
-            dist = float(abs(np.vdot(entry.weights, g.entries) - 1.0))
-            worst_dist = max(worst_dist, dist)
-            if dist > 1e-6:
-                fail("distortionless", direction, f, dist)
-            if not is_nlcmv:
-                continue
-            report = verify_kkt(entry, phi_total, g, bank.wng_margin)
-            ratio = report.stationarity_residual / max(report.stationarity_bound, 1e-300)
-            worst_ratio = max(worst_ratio, ratio)
-            worst_constraint = max(worst_constraint, report.constraint_value)
-            worst_slack = max(worst_slack, report.slackness)
-            if report.constraint_value > 1e-6:
-                fail("wng-feasibility", direction, f, report.constraint_value)
-            if not report.stationarity_ok:
-                fail("kkt-stationarity", direction, f, report.stationarity_residual)
-            if not report.slackness_ok:
-                fail("kkt-slackness", direction, f, report.slackness)
-
+    report = verify_bank(bank, atfs)
+    failure = report.first_failure()
+    kkt = report.kkt if bank.method == "nlcmv" else None
     summary = {
         "command": "verify",
         "bank": str(args.bank),
         "method": bank.method,
-        "designs": designs,
+        "designs": int(report.kkt.distortionless_error.size),
         "passed": failure is None,
-        "failed_invariant": None if failure is None else failure["invariant"],
-        "max_distortionless_error": worst_dist,
-        "max_stationarity_ratio": worst_ratio if is_nlcmv else None,
-        "max_constraint": worst_constraint if is_nlcmv else None,
-        "max_slackness": worst_slack if is_nlcmv else None,
+        "failed_invariant": None if failure is None else failure[0],
+        "max_distortionless_error": float(report.kkt.distortionless_error.max()),
+        "max_stationarity_ratio": None if kkt is None else float(
+            (kkt.stationarity_residual / np.maximum(kkt.stationarity_bound, 1e-300)).max()
+        ),
+        "max_constraint": None if kkt is None else float(kkt.constraint_value.max()),
+        "max_slackness": None if kkt is None else float(kkt.slackness.max()),
     }
     if failure is not None:
+        name, direction, frequency, value = failure
         print(
-            "beambank verify: invariant '{invariant}' failed at {direction} @ "
-            "{frequency_hz:g} Hz (value {value:.3e})".format(**failure),
+            f"beambank verify: invariant '{name}' failed at {direction.label()} @ "
+            f"{frequency:g} Hz (value {value:.3e})",
             file=sys.stderr,
         )
         summary["_exit"] = 3

@@ -19,7 +19,7 @@ import os
 import numpy as np
 import yaml
 
-from .beamformer import METHODS, WNG_TOLERANCE
+from .beamformer import METHODS, WNG_TOLERANCE, check_solver_settings
 from .errors import ConfigError
 from .geometry import (
     BUILTIN_GEOMETRIES,
@@ -64,8 +64,7 @@ RIR_KEYS = frozenset(
 )
 GEOMETRY_ENTRY_KEYS = frozenset({"geometry", "geometry_file", "subset", "proportion"})
 DATASET_KEYS = frozenset(
-    {"geometries", "clips_dir", "noise_dir", "count", "fs", "seed", "workers",
-     "out_dir", "sound_speed"}
+    {"geometries", "clips_dir", "noise_dir", "count", "fs", "seed", "workers", "out_dir"}
 )
 
 
@@ -239,6 +238,12 @@ def design_settings(cfg: dict, base_dir=".") -> dict:
     n_fft = _as_int(cfg.get("n_fft", 512), "n_fft")
     if fs <= 0 or n_fft <= 0 or n_fft % 2:
         raise ConfigError(f"fs {fs} must be positive and n_fft {n_fft} positive and even")
+    solver = {
+        "sound_speed": _as_float(cfg.get("sound_speed", SOUND_SPEED), "sound_speed"),
+        "wng_tolerance": _as_float(cfg.get("wng_tolerance", WNG_TOLERANCE), "wng_tolerance"),
+        "wng_margin": _as_float(cfg.get("wng_margin", 1.0), "wng_margin"),
+    }
+    check_solver_settings(**solver, error=ConfigError)
     return {
         "geometry": geometry_from_config(cfg, base_dir),
         "directions": directions_from_config(cfg),
@@ -246,11 +251,7 @@ def design_settings(cfg: dict, base_dir=".") -> dict:
         "nulls": nulls_from_config(cfg),
         "fs": fs,
         "n_fft": n_fft,
-        "sound_speed": _as_float(cfg.get("sound_speed", SOUND_SPEED), "sound_speed"),
-        "wng_tolerance": _as_float(
-            cfg.get("wng_tolerance", WNG_TOLERANCE), "wng_tolerance"
-        ),
-        "wng_margin": _as_float(cfg.get("wng_margin", 1.0), "wng_margin"),
+        **solver,
         "atf_file": (
             os.path.join(base_dir, str(cfg["atf_file"])) if atf_source == "file" else None
         ),
@@ -293,12 +294,14 @@ def rir_settings(cfg: dict, base_dir=".") -> dict:
             raise ConfigError("rir config needs 'position' (array origin) with a geometry")
         geometry = geometry_from_config(cfg, base_dir)
         mics = geometry.mics + _vector3(cfg["position"], "position")
+    sound_speed = _as_float(cfg.get("sound_speed", SOUND_SPEED), "sound_speed")
+    check_solver_settings(sound_speed=sound_speed, error=ConfigError)
     return {
         "room": room,
         "source": source,
         "mics": mics,
         "fs": _as_int(cfg.get("fs", 16000), "fs"),
-        "sound_speed": _as_float(cfg.get("sound_speed", SOUND_SPEED), "sound_speed"),
+        "sound_speed": sound_speed,
     }
 
 

@@ -4,6 +4,16 @@ Every error carries an exit code so the CLI can map failures onto its
 documented exit-code contract (1 usage/config, 2 data, 3 numerical).
 """
 
+import numpy as np
+
+
+def raise_first(ok, error: type, describe) -> None:
+    """Raise ``error(describe(i))`` for the first index i at which the
+    boolean array ``ok`` is False (a NaN comparison counts as False)."""
+    bad = np.flatnonzero(~np.asarray(ok))
+    if bad.size:
+        raise error(describe(int(bad[0])))
+
 
 class BeambankError(Exception):
     """Base class for all package errors."""

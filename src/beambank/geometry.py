@@ -24,6 +24,7 @@ from .errors import (
     GridMismatchError,
     InvalidSubsetError,
     ParseError,
+    raise_first,
 )
 
 MIN_MIC_SEPARATION = 1e-6
@@ -147,13 +148,7 @@ def far_field_atf(
     """Free-field plane-wave steering vector; all entries have magnitude 1."""
     if direction.is_near_field:
         raise DataError("far_field_atf requires a direction without a range")
-    if frequency < 0:
-        raise DataError("frequency must be non-negative")
-    u = direction.unit_vector()
-    # arrival delay relative to the origin; mics closer to the source lead
-    tau = -(geometry.mics @ u) / sound_speed
-    entries = np.exp(-2j * np.pi * frequency * tau)
-    return SteeringVector(frequency=float(frequency), entries=entries)
+    return steering_vector(geometry, direction, frequency, sound_speed)
 
 
 def near_field_atf(
@@ -164,16 +159,7 @@ def near_field_atf(
 ) -> SteeringVector:
     """Point-source steering vector with 1/r amplitude, normalized so the
     closest microphone has magnitude 1."""
-    if frequency < 0:
-        raise DataError("frequency must be non-negative")
-    p = np.asarray(point, dtype=float)
-    d = np.linalg.norm(geometry.mics - p[None, :], axis=1)
-    if d.min() <= MIN_SOURCE_DISTANCE:
-        raise DegenerateSourceError(
-            f"source point {p.tolist()} is within {MIN_SOURCE_DISTANCE} m of a microphone"
-        )
-    d_ref = d.min()
-    entries = (d_ref / d) * np.exp(-2j * np.pi * frequency * d / sound_speed)
+    entries = _steering_rows(geometry, [frequency], sound_speed, point=point)[0]
     return SteeringVector(frequency=float(frequency), entries=entries)
 
 
@@ -184,9 +170,40 @@ def steering_vector(
     sound_speed: float = SOUND_SPEED,
 ) -> SteeringVector:
     """Far- or near-field steering vector depending on the direction spec."""
+    entries = steering_matrix(geometry, direction, [frequency], sound_speed)[0]
+    return SteeringVector(frequency=float(frequency), entries=entries)
+
+
+def steering_matrix(
+    geometry: ArrayGeometry,
+    direction: DirectionSpec,
+    frequencies,
+    sound_speed: float = SOUND_SPEED,
+) -> np.ndarray:
+    """The (F, M) steering entries of one direction on a frequency grid; row
+    i equals steering_vector(..., frequencies[i], ...).entries bit for bit."""
     if direction.is_near_field:
-        return near_field_atf(geometry, direction.point(), frequency, sound_speed)
-    return far_field_atf(geometry, direction, frequency, sound_speed)
+        return _steering_rows(geometry, frequencies, sound_speed, point=direction.point())
+    return _steering_rows(geometry, frequencies, sound_speed, unit=direction.unit_vector())
+
+
+def _steering_rows(geometry, frequencies, sound_speed, unit=None, point=None) -> np.ndarray:
+    """exp(-j omega tau) per frequency and mic: plane-wave delays toward
+    ``unit``, or absolute delays and 1/r amplitudes from a source ``point``.
+    Every entry is an element-wise function of its own inputs only."""
+    freqs = np.asarray(frequencies, dtype=float).reshape(-1, 1)
+    if np.any(freqs < 0):
+        raise DataError("frequency must be non-negative")
+    if point is None:
+        # arrival delay relative to the origin; mics closer to the source lead
+        return np.exp(-2j * np.pi * freqs * (-(geometry.mics @ unit) / sound_speed))
+    p = np.asarray(point, dtype=float)
+    d = np.linalg.norm(geometry.mics - p[None, :], axis=1)
+    if d.min() <= MIN_SOURCE_DISTANCE:
+        raise DegenerateSourceError(
+            f"source point {p.tolist()} is within {MIN_SOURCE_DISTANCE} m of a microphone"
+        )
+    return (d.min() / d) * np.exp(-2j * np.pi * freqs * d / sound_speed)
 
 
 @dataclass
@@ -218,12 +235,16 @@ class AtfSet:
         return self.vectors.shape[2]
 
     def frequency_index(self, frequency: float) -> int:
-        hits = np.flatnonzero(np.abs(self.frequencies - frequency) <= 1e-6)
-        if hits.size == 0:
-            raise GridMismatchError(
-                f"frequency {frequency} Hz not on the ATF grid; interpolation unsupported"
-            )
-        return int(hits[0])
+        return int(self.frequency_indices([frequency])[0])
+
+    def frequency_indices(self, frequencies) -> np.ndarray:
+        """Grid index of each frequency (first grid point within 1e-6 Hz)."""
+        freqs = np.asarray(frequencies, dtype=float)
+        hits = np.abs(self.frequencies[None, :] - freqs[:, None]) <= 1e-6
+        raise_first(hits.any(axis=1), GridMismatchError, lambda i: (
+            f"frequency {freqs[i]} Hz not on the ATF grid; interpolation unsupported"
+        ))
+        return hits.argmax(axis=1)
 
     def index_of(self, direction: DirectionSpec, tol: float = 1e-9) -> int:
         for i, d in enumerate(self.directions):
@@ -248,10 +269,9 @@ def freefield_atfs(
 ) -> AtfSet:
     """Build an AtfSet from the analytic free-field model."""
     freqs = np.asarray(frequencies, dtype=float)
-    vecs = np.empty((len(directions), freqs.shape[0], geometry.num_mics), dtype=complex)
-    for di, direction in enumerate(directions):
-        for fi, f in enumerate(freqs):
-            vecs[di, fi] = steering_vector(geometry, direction, f, sound_speed).entries
+    vecs = np.array(
+        [steering_matrix(geometry, d, freqs, sound_speed) for d in directions], dtype=complex
+    ).reshape(len(directions), freqs.shape[0], geometry.num_mics)
     return AtfSet(
         geometry_id=geometry.id, directions=list(directions), frequencies=freqs, vectors=vecs
     )

@@ -13,8 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DataError
-from .geometry import SOUND_SPEED, ArrayGeometry, AtfSet, DirectionSpec, steering_vector
+from .errors import DataError, raise_first
+from .geometry import SOUND_SPEED, ArrayGeometry, AtfSet, DirectionSpec, steering_matrix
 
 HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-9
@@ -57,13 +57,7 @@ class NoiseCovariance:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DataError("covariance must be a square matrix")
-        scale = max(1.0, float(np.abs(np.trace(m))))
-        herm_err = float(np.max(np.abs(m - m.conj().T)))
-        if herm_err > HERMITIAN_TOL * scale:
-            raise DataError(f"covariance not Hermitian (max asymmetry {herm_err:.3e})")
-        min_eig = float(np.linalg.eigvalsh(m).min())
-        if min_eig < -PSD_TOL * scale:
-            raise DataError(f"covariance not PSD (min eigenvalue {min_eig:.3e})")
+        check_covariances(m[None], [self.frequency])
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -72,18 +66,58 @@ class NoiseCovariance:
         return self.matrix.shape[0]
 
 
-def diffuse_covariance_sinc(
-    geometry: ArrayGeometry, frequency: float, sound_speed: float = SOUND_SPEED
-) -> NoiseCovariance:
-    """Spherically isotropic diffuse field: coherence sinc(omega*d/c) between
-    microphones at distance d, unit diagonal."""
-    if frequency < 0:
+def check_covariances(matrices: np.ndarray, frequencies) -> None:
+    """Raise DataError unless every matrix of an (F, M, M) stack is Hermitian
+    and positive semi-definite, both within a tolerance relative to its trace."""
+    scale = np.maximum(1.0, np.abs(np.trace(matrices, axis1=-2, axis2=-1)))
+    herm_err = np.abs(matrices - matrices.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
+    raise_first(herm_err <= HERMITIAN_TOL * scale, DataError, lambda i: (
+        f"covariance at {frequencies[i]:g} Hz not Hermitian (max asymmetry {herm_err[i]:.3e})"
+    ))
+    min_eig = np.linalg.eigvalsh(matrices)[:, 0]
+    raise_first(min_eig >= -PSD_TOL * scale, DataError, lambda i: (
+        f"covariance at {frequencies[i]:g} Hz not PSD (min eigenvalue {min_eig[i]:.3e})"
+    ))
+
+
+def diffuse_covariances(
+    geometry: ArrayGeometry, frequencies, sound_speed: float = SOUND_SPEED
+) -> np.ndarray:
+    """Spherically isotropic diffuse field on a frequency grid, shape (F, M, M):
+    coherence sinc(omega*d/c) between microphones at distance d, unit diagonal."""
+    freqs = np.asarray(frequencies, dtype=float)
+    if np.any(freqs < 0):
         raise DataError("frequency must be non-negative")
     diffs = geometry.mics[:, None, :] - geometry.mics[None, :, :]
     dist = np.linalg.norm(diffs, axis=-1)
     # np.sinc(t) = sin(pi t)/(pi t); we need sin(x)/x with x = omega d / c
-    matrix = np.sinc(2.0 * frequency * dist / sound_speed)
-    return NoiseCovariance(frequency=float(frequency), matrix=matrix.astype(complex))
+    return np.sinc(2.0 * freqs[:, None, None] * dist / sound_speed).astype(complex)
+
+
+def add_point_noises(
+    matrices: np.ndarray,
+    points: list[PointNoiseSpec],
+    geometry: ArrayGeometry,
+    frequencies,
+    sound_speed: float = SOUND_SPEED,
+) -> np.ndarray:
+    """A copy of an (F, M, M) covariance stack plus psd*weight*g g^H for each
+    point noise. Point steering vectors use the analytic free-field/point model."""
+    out = np.array(matrices, dtype=complex)
+    for spec in points:
+        g = steering_matrix(geometry, spec.direction, frequencies, sound_speed)
+        scale = np.array([spec.weight * spec.psd_at(f) for f in frequencies])
+        out += scale[:, None, None] * (g[:, :, None] * g.conj()[:, None, :])
+    return out
+
+
+def diffuse_covariance_sinc(
+    geometry: ArrayGeometry, frequency: float, sound_speed: float = SOUND_SPEED
+) -> NoiseCovariance:
+    """Spherically isotropic diffuse field at one frequency (see
+    :func:`diffuse_covariances`)."""
+    matrix = diffuse_covariances(geometry, [frequency], sound_speed)[0]
+    return NoiseCovariance(frequency=float(frequency), matrix=matrix)
 
 
 def diffuse_covariance_from_atfs(atfs: AtfSet, frequency: float) -> NoiseCovariance:
@@ -112,25 +146,28 @@ def composite_covariance(
     geometry: ArrayGeometry,
     sound_speed: float = SOUND_SPEED,
 ) -> NoiseCovariance:
-    """Diffuse covariance plus sum of psd*weight*g g^H over point noises.
-
-    Point steering vectors use the analytic free-field/point model.
-    """
+    """Diffuse covariance plus sum of psd*weight*g g^H over point noises
+    (see :func:`add_point_noises`)."""
     if diffuse.num_mics != geometry.num_mics:
         raise DataError(
             f"covariance is {diffuse.num_mics}-channel, geometry has {geometry.num_mics}"
         )
-    matrix = np.array(diffuse.matrix, dtype=complex)
     f = diffuse.frequency
-    for spec in points:
-        g = steering_vector(geometry, spec.direction, f, sound_speed).entries
-        matrix += (spec.weight * spec.psd_at(f)) * np.outer(g, g.conj())
+    matrix = add_point_noises(diffuse.matrix[None], points, geometry, [f], sound_speed)[0]
     return NoiseCovariance(frequency=f, matrix=matrix)
 
 
 def regularization_level(cov: NoiseCovariance) -> float:
     """The diagonal-loading floor used before inversion: 1e-6 * trace / M."""
     return REGULARIZATION_SCALE * float(np.trace(cov.matrix).real) / cov.num_mics
+
+
+def regularize_stack(matrices: np.ndarray) -> np.ndarray:
+    """:func:`regularize`'s rule applied to each matrix of an (F, M, M) stack."""
+    m = matrices.shape[-1]
+    delta = REGULARIZATION_SCALE * np.trace(matrices, axis1=-2, axis2=-1).real / m
+    lift = np.linalg.eigvalsh(matrices)[:, 0] < 0.5 * delta
+    return np.where(lift[:, None, None], matrices + delta[:, None, None] * np.eye(m), matrices)
 
 
 def regularize(cov: NoiseCovariance) -> NoiseCovariance:
@@ -140,9 +177,5 @@ def regularize(cov: NoiseCovariance) -> NoiseCovariance:
     the floor, which makes the operation idempotent: once loaded, a
     second call returns the input unchanged.
     """
-    delta = regularization_level(cov)
-    min_eig = float(np.linalg.eigvalsh(cov.matrix).min())
-    if min_eig >= 0.5 * delta:
-        return cov
-    matrix = cov.matrix + delta * np.eye(cov.num_mics)
+    matrix = regularize_stack(cov.matrix[None])[0]
     return NoiseCovariance(frequency=cov.frequency, matrix=matrix)

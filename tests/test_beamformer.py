@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from beambank.errors import DataError
+from beambank.config import design_settings, load_config
+from beambank.errors import DataError, IllConditionedError
 from beambank.beamformer import (
     BeamformerWeights,
     design_bank,
@@ -15,13 +16,16 @@ from beambank.beamformer import (
     design_superdirective,
     load_bank,
     save_bank,
+    verify_bank,
     verify_kkt,
     wng_constraint_value,
 )
 from beambank.geometry import (
     ArrayGeometry,
+    AtfSet,
     DirectionSpec,
     SteeringVector,
+    freefield_atfs,
     steering_vector,
 )
 from beambank.noise_model import (
@@ -206,6 +210,23 @@ class TestNlcmv:
         with pytest.raises(DataError):
             design_nlcmv(phi, g)
 
+    @pytest.mark.parametrize(
+        "settings", [{"wng_margin": 0.0}, {"wng_margin": -1.0}, {"wng_tolerance": -1.0}]
+    )
+    def test_out_of_range_settings_rejected(self, rng, settings):
+        phi, g = _random_instance(rng, 3)
+        with pytest.raises(DataError):
+            design_nlcmv(phi, g, **settings)
+
+    @pytest.mark.parametrize("design", [design_nlcmv, design_mvdr])
+    def test_zero_covariance_is_ill_conditioned(self, design):
+        """A zero covariance has no normalization; the solver says so
+        instead of returning nan weights (numpy warnings fail the suite)."""
+        phi = NoiseCovariance(frequency=1000.0, matrix=np.zeros((3, 3)))
+        g = SteeringVector(frequency=1000.0, entries=np.ones(3, dtype=complex))
+        with pytest.raises(IllConditionedError):
+            design(phi, g)
+
 
 def _small_bank(glasses5, method="nlcmv", nulls=(), n_fft=64):
     directions = [
@@ -282,3 +303,96 @@ class TestBank:
         path.write_bytes(data[:-16])
         with pytest.raises(DataError):
             load_bank(path)
+
+
+def _perturbed_atfs(geometry, directions, freqs, seed=5):
+    """Free-field steering times fixed per-mic gain and phase errors."""
+    ideal = freefield_atfs(geometry, directions, freqs)
+    r = np.random.default_rng(seed)
+    m = geometry.num_mics
+    error = np.exp(r.normal(0.0, 0.1, size=m) + 1j * r.normal(0.0, 0.05, size=m))
+    return AtfSet(
+        geometry_id=geometry.id, directions=list(directions), frequencies=ideal.frequencies,
+        vectors=ideal.vectors * error,
+    )
+
+
+def _nulled_config():
+    s = design_settings(load_config("configs/nulled_design.yaml"))
+    s.pop("atf_file")
+    return s
+
+
+def _small_settings(glasses5, method):
+    directions = [
+        DirectionSpec(azimuth=0.0, elevation=0.0),
+        DirectionSpec(azimuth=math.pi / 2, elevation=0.0),
+        MOUTH,
+    ]
+    nulls = (PointNoiseSpec(direction=DirectionSpec(azimuth=math.pi), weight=30.0),)
+    return dict(
+        geometry=glasses5, directions=directions, method=method, nulls=nulls,
+        fs=16000, n_fft=64,
+    )
+
+
+class TestBatchEquivalence:
+    """design_bank solves all designs in one batch; each must equal, bit for
+    bit, the single-design function on that bin's own inputs."""
+
+    @pytest.mark.parametrize("case", ["nulled_config", "atf_file", "mvdr"])
+    def test_bank_equals_single_designs(self, glasses5, case):
+        if case == "nulled_config":
+            s = _nulled_config()
+        else:
+            s = _small_settings(glasses5, "mvdr" if case == "mvdr" else "nlcmv")
+        freqs = np.fft.rfftfreq(s["n_fft"], 1.0 / s["fs"])
+        atfs = (
+            _perturbed_atfs(s["geometry"], s["directions"], freqs)
+            if case == "atf_file" else None
+        )
+        bank = design_bank(atfs=atfs, **s)
+        geometry, c = s["geometry"], s.get("sound_speed", 343.0)
+        for fi, f in enumerate(freqs):
+            phi = composite_covariance(
+                diffuse_covariance_sinc(geometry, f, c), list(s["nulls"]), geometry, c
+            )
+            for di, d in enumerate(s["directions"]):
+                g = (steering_vector(geometry, d, f, c) if atfs is None
+                     else atfs.steering(atfs.index_of(d), f))
+                if s["method"] == "mvdr":
+                    w = design_mvdr(phi, g)
+                else:
+                    w = design_nlcmv(phi, g, s.get("wng_tolerance", 1e-8),
+                                     s.get("wng_margin", 1.0))
+                assert w.weights.tobytes() == bank.weights[di, fi].tobytes(), (di, fi)
+                assert (w.objective, w.loading, w.constraint, w.iterations) == (
+                    bank.objective[di, fi], bank.loading[di, fi],
+                    bank.constraint[di, fi], bank.iterations[di, fi],
+                ), (di, fi)
+
+    def test_reference_bisection_counts(self):
+        s = design_settings(load_config("configs/reference_design.yaml"))
+        s.pop("atf_file")
+        bank = design_bank(**s)
+        assert int(bank.iterations.sum()) == 5959
+        assert int((bank.loading > 0).sum()) == 181
+
+    def test_verify_bank_matches_verify_kkt(self, glasses5):
+        s = _small_settings(glasses5, "nlcmv")
+        bank = design_bank(**s)
+        bank.weights[1, 5, 0] += 1e-3 * (1.0 + 1.0j)  # one failing design
+        report = verify_bank(bank)
+        kkt = report.kkt
+        for fi, f in enumerate(bank.frequencies):
+            phi = composite_covariance(
+                diffuse_covariance_sinc(glasses5, f), list(s["nulls"]), glasses5
+            )
+            for di, d in enumerate(s["directions"]):
+                one = verify_kkt(bank.entry(di, fi), phi, steering_vector(glasses5, d, f))
+                for name, value in vars(one).items():
+                    batch = getattr(kkt, name)
+                    assert (batch if np.ndim(batch) == 0 else batch[di, fi]) == value, name
+                assert bool(kkt.passed[di, fi]) == one.passed == ((di, fi) != (1, 5))
+        name, direction, frequency, _ = report.first_failure()
+        assert (name, direction, frequency) == ("distortionless", s["directions"][1], 1250.0)

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from beambank.beamformer import load_bank, save_bank
 from beambank.cli import main
 from beambank.dsp import read_wav, write_wav
 
@@ -84,6 +85,22 @@ class TestDesign:
         assert code == 1
         assert err.strip()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("wng_margin", 0), ("wng_margin", -1), ("wng_tolerance", -1),
+         ("sound_speed", 0), ("sound_speed", -343)],
+    )
+    def test_out_of_range_solver_setting_exits_1(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(f"geometry: reference_glasses_5\nn_fft: 64\n{key}: {value}\n")
+        code, summary, err = run(
+            capsys, "design", "--config", str(cfg), "--out", str(tmp_path / "x.bbk")
+        )
+        assert code == 1
+        assert summary is None
+        assert len(err.strip().splitlines()) == 1
+        assert key in err
+
     def test_usage_error_exits_1(self, capsys):
         assert main(["design", "--no-such-flag"]) == 1
         capsys.readouterr()
@@ -104,6 +121,32 @@ class TestVerify:
     def test_missing_bank_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "verify", "--bank", str(tmp_path / "none.bbk"))
         assert code == 2
+
+    def test_moved_weight_fails_with_one_line(self, bank_file, tmp_path, capsys):
+        bank = load_bank(bank_file)
+        bank.weights[2, 10, 0] += 1e-3 * (1.0 + 1.0j)
+        moved = tmp_path / "moved.bbk"
+        save_bank(bank, moved)
+        code, summary, err = run(capsys, "verify", "--bank", str(moved))
+        assert code == 3
+        assert summary["passed"] is False
+        assert summary["failed_invariant"] == "distortionless"
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert "'distortionless'" in lines[0]
+        assert "az180 @ 2500 Hz" in lines[0]
+
+    def test_unknown_method_exits_2(self, bank_file, tmp_path, capsys):
+        header, payload = bank_file.read_bytes().split(b"\n", 1)
+        doc = json.loads(header)
+        doc["method"] = "bogus"
+        bogus = tmp_path / "bogus.bbk"
+        bogus.write_bytes(json.dumps(doc).encode() + b"\n" + payload)
+        code, summary, err = run(capsys, "verify", "--bank", str(bogus))
+        assert code == 2
+        assert summary is None
+        assert len(err.strip().splitlines()) == 1
+        assert "bogus" in err
 
 
 class TestPattern:
@@ -213,6 +256,19 @@ class TestSceneAndDataset:
         rows = [json.loads(line) for line in open(manifest)]
         assert len(rows) == 1
         assert (out / rows[0]["audio_path"]).exists()
+
+    def test_sound_speed_key_exits_1(self, dataset_cfg, tmp_path, capsys):
+        """Scenes always render at the built-in sound speed, so a dataset
+        config may not set one."""
+        cfg = tmp_path / "with_speed.yaml"
+        cfg.write_text(dataset_cfg.read_text() + "sound_speed: 200.0\n")
+        code, summary, err = run(
+            capsys, "dataset", "--config", str(cfg), "--out", str(tmp_path / "d")
+        )
+        assert code == 1
+        assert summary is None
+        assert len(err.strip().splitlines()) == 1
+        assert "sound_speed" in err
 
     def test_dataset_respects_count_and_seed_flag(self, dataset_cfg, tmp_path, capsys):
         out1 = tmp_path / "d1"

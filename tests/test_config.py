@@ -15,6 +15,7 @@ from beambank.config import (
     nulls_from_config,
     resolve_int_setting,
     resolve_setting,
+    rir_settings,
     room_from_config,
 )
 from beambank.errors import ConfigError
@@ -186,6 +187,13 @@ class TestRoom:
     def test_unknown_key(self):
         with pytest.raises(ConfigError):
             room_from_config({"dimensions": [6, 5, 3], "rt60": 0.4})
+
+    @pytest.mark.parametrize("speed", [0.0, -343.0, float("inf")])
+    def test_rir_sound_speed_must_be_finite_positive(self, speed):
+        cfg = {"room": {"dimensions": [6, 5, 3]}, "source": [1, 1, 1],
+               "mics": [[2, 2, 1]], "sound_speed": speed}
+        with pytest.raises(ConfigError):
+            rir_settings(cfg)
 
 
 class TestDatasetSettings:
