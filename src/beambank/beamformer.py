@@ -16,12 +16,12 @@ so a single design (a batch of one) does not depend on its batch.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _container
 from .errors import (
     DataError,
     DegenerateSteeringError,
@@ -58,6 +58,8 @@ SLACKNESS_BOUND = 1e-8
 BANK_MAGIC = "beambank-bank-v1"
 
 METHODS = ("delay_and_sum", "superdirective", "mvdr", "nlcmv")
+# per-design solver diagnostics a bank carries, (K+1, F) each, and their dtypes
+_DIAGNOSTICS = {"loading": float, "constraint": float, "iterations": int, "objective": float}
 # verify's invariants, in the order a failure is reported within one design
 INVARIANTS = ("distortionless", "wng-feasibility", "kkt-stationarity", "kkt-slackness")
 
@@ -97,16 +99,34 @@ def check_solver_settings(
     wng_tolerance: float = WNG_TOLERANCE,
     wng_margin: float = 1.0,
     sound_speed: float = SOUND_SPEED,
+    fs: int = 16000,
+    n_fft: int = 512,
+    method: str = "nlcmv",
+    num_mics: int | None = None,
     error: type = DataError,
 ) -> None:
-    """Raise ``error`` unless wng_margin > 0, wng_tolerance >= 0 and the
-    sound speed is finite and > 0."""
+    """Raise ``error`` unless ``method`` is one of METHODS, wng_margin > 0,
+    wng_tolerance >= 0, the sound speed is finite and > 0, fs > 0 and
+    n_fft > 0 and even.
+
+    Given the mic count M, an nlcmv design also needs a reachable WNG
+    floor. By Cauchy-Schwarz no distortionless h has a white noise gain
+    above ||g||^2, so the floor margin * ||g||^2 / M needs margin < M; a
+    single mic's one distortionless design meets it up to margin 1.
+    """
+    if method not in METHODS:
+        raise error(f"unknown method '{method}', expected one of {METHODS}")
     if not wng_margin > 0:
         raise error(f"wng_margin {wng_margin} must be > 0")
+    reachable = num_mics is None or wng_margin < num_mics or wng_margin <= 1
+    if method == "nlcmv" and not reachable:
+        raise error(f"wng_margin {wng_margin} must be < the mic count {num_mics}")
     if not wng_tolerance >= 0:
         raise error(f"wng_tolerance {wng_tolerance} must be >= 0")
     if not (math.isfinite(sound_speed) and sound_speed > 0):
         raise error(f"sound_speed {sound_speed} must be finite and > 0")
+    if not (fs > 0 and n_fft > 0 and n_fft % 2 == 0):
+        raise error(f"fs {fs} must be positive and n_fft {n_fft} positive and even")
 
 
 def wng_constraint_value(h: np.ndarray, g: SteeringVector, margin: float = 1.0) -> float:
@@ -279,7 +299,7 @@ def design_nlcmv(
     loading * |c| <= wng_tolerance so complementary slackness certifies,
     within a fixed step budget; the feasible bracket side is returned.
     """
-    check_solver_settings(wng_tolerance, wng_margin)
+    check_solver_settings(wng_tolerance, wng_margin, num_mics=g.num_mics)
     return _single_design(
         "nlcmv", phi_total, g, wng_tolerance=wng_tolerance, wng_margin=wng_margin
     )
@@ -392,6 +412,10 @@ class BeamformerBank:
         expect = (len(self.directions), self.frequencies.shape[0], self.geometry.num_mics)
         if self.weights.shape != expect:
             raise DataError(f"bank weights shape {self.weights.shape}, expected {expect}")
+        for key in _DIAGNOSTICS:
+            value = getattr(self, key)
+            if value is not None and np.shape(value) != expect[:2]:
+                raise DataError(f"bank {key} shape {np.shape(value)}, expected {expect[:2]}")
 
     @property
     def num_directions(self) -> int:
@@ -469,9 +493,9 @@ def design_bank(
     function of its method applied to that bin's covariance and steering
     vector. Deterministic given identical inputs.
     """
-    if method not in METHODS:
-        raise DataError(f"unknown method '{method}', expected one of {METHODS}")
-    check_solver_settings(wng_tolerance, wng_margin, sound_speed)
+    check_solver_settings(
+        wng_tolerance, wng_margin, sound_speed, fs, n_fft, method, geometry.num_mics
+    )
     near = [d for d in directions if d.is_near_field]
     if len(near) != 1 or len(directions) < 2:
         raise DataError("directions must be K >= 1 horizontal looks plus one mouth point")
@@ -539,7 +563,8 @@ def verify_bank(bank: BeamformerBank, atfs: AtfSet | None = None) -> BankReport:
     """Recompute every design's invariants (see :func:`verify_kkt`) from the
     bank's own settings. ``atfs`` is the steering set a bank with
     atf_source 'file' was designed from."""
-    check_solver_settings(bank.wng_tolerance, bank.wng_margin, bank.sound_speed)
+    check_solver_settings(bank.wng_tolerance, bank.wng_margin, bank.sound_speed,
+                          bank.fs, bank.n_fft, bank.method, bank.num_mics)
     _, phi_total, g, bins = _bank_problem(
         bank.geometry, bank.directions, bank.frequencies, bank.nulls, bank.sound_speed, atfs
     )
@@ -557,17 +582,8 @@ def verify_bank(bank: BeamformerBank, atfs: AtfSet | None = None) -> BankReport:
 def save_bank(bank: BeamformerBank, path) -> None:
     """Write a bank: one JSON header line, then the (K+1, F, M) weights as
     little-endian complex128 (interleaved re/im float64); bit-exact."""
-    nulls = []
-    for spec in bank.nulls:
-        if callable(spec.psd):
-            raise DataError("cannot serialize a bank whose null psd is a callable")
-        nulls.append(
-            {
-                "direction": _direction_to_dict(spec.direction),
-                "weight": spec.weight,
-                "psd": spec.psd,
-            }
-        )
+    if any(callable(spec.psd) for spec in bank.nulls):
+        raise DataError("cannot serialize a bank whose null psd is a callable")
     header = {
         "magic": BANK_MAGIC,
         "geometry": {
@@ -578,91 +594,63 @@ def save_bank(bank: BeamformerBank, path) -> None:
         "fs": bank.fs,
         "n_fft": bank.n_fft,
         "method": bank.method,
-        "nulls": nulls,
+        "nulls": [
+            {"direction": _direction_to_dict(spec.direction), "weight": spec.weight,
+             "psd": spec.psd}
+            for spec in bank.nulls
+        ],
         "sound_speed": bank.sound_speed,
         "wng_tolerance": bank.wng_tolerance,
         "wng_margin": bank.wng_margin,
         "atf_source": bank.atf_source,
         "diagnostics": {
-            "loading": None if bank.loading is None else bank.loading.tolist(),
-            "constraint": None if bank.constraint is None else bank.constraint.tolist(),
-            "iterations": None if bank.iterations is None else bank.iterations.tolist(),
-            "objective": None if bank.objective is None else bank.objective.tolist(),
+            key: None if getattr(bank, key) is None else getattr(bank, key).tolist()
+            for key in _DIAGNOSTICS
         },
     }
-    payload = np.ascontiguousarray(bank.weights, dtype="<c16")
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(payload.tobytes())
+    _container.write(path, header, bank.weights, "<c16")
 
 
 def load_bank(path) -> BeamformerBank:
-    """Read a bank written by :func:`save_bank`."""
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        blob = fh.read()
-    try:
-        header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: bad bank header: {exc}") from exc
-    if header.get("magic") != BANK_MAGIC:
-        raise ParseError(f"{path}: not a bank file (missing magic)")
+    """Read a bank written by :func:`save_bank`; a malformed file, or one
+    whose settings fail :func:`check_solver_settings`, raises ParseError."""
+    header, flat = _container.read(path, BANK_MAGIC, "<c16")
     try:
         geometry = ArrayGeometry(
             id=str(header["geometry"]["id"]),
             mics=np.asarray(header["geometry"]["mics"], dtype=float),
         )
         directions = [_direction_from_dict(d) for d in header["directions"]]
-        fs = int(header["fs"])
-        n_fft = int(header["n_fft"])
-        method = str(header["method"])
-        if method not in METHODS:
-            raise ValueError(f"unknown method '{method}', expected one of {METHODS}")
-        nulls = tuple(
-            PointNoiseSpec(
-                direction=_direction_from_dict(item["direction"]),
-                weight=float(item["weight"]),
-                psd=float(item["psd"]),
-            )
-            for item in header.get("nulls", [])
-        )
-        sound_speed = float(header.get("sound_speed", SOUND_SPEED))
-        wng_tolerance = float(header.get("wng_tolerance", WNG_TOLERANCE))
-        wng_margin = float(header.get("wng_margin", 1.0))
-        atf_source = str(header.get("atf_source", "freefield"))
+        fs, n_fft, method = int(header["fs"]), int(header["n_fft"]), str(header["method"])
+        settings = {
+            "sound_speed": float(header.get("sound_speed", SOUND_SPEED)),
+            "wng_tolerance": float(header.get("wng_tolerance", WNG_TOLERANCE)),
+            "wng_margin": float(header.get("wng_margin", 1.0)),
+        }
+        check_solver_settings(**settings, fs=fs, n_fft=n_fft, method=method,
+                              num_mics=geometry.num_mics)
+        weights = _container.shaped(flat, (len(directions), n_fft // 2 + 1, geometry.num_mics))
         diag = header.get("diagnostics") or {}
-        check_solver_settings(wng_tolerance, wng_margin, sound_speed)
-    except (KeyError, TypeError, ValueError, DataError) as exc:
-        raise ParseError(f"{path}: bad bank header field: {exc}") from exc
-    freqs = np.fft.rfftfreq(n_fft, 1.0 / fs)
-    expected = len(directions) * freqs.shape[0] * geometry.num_mics
-    data = np.frombuffer(blob, dtype="<c16")
-    if data.shape[0] != expected:
-        raise ParseError(
-            f"{path}: payload holds {data.shape[0]} values, header implies {expected}"
+        return BeamformerBank(
+            geometry=geometry,
+            directions=directions,
+            frequencies=np.fft.rfftfreq(n_fft, 1.0 / fs),
+            weights=weights,
+            fs=fs,
+            n_fft=n_fft,
+            method=method,
+            nulls=tuple(
+                PointNoiseSpec(
+                    direction=_direction_from_dict(item["direction"]),
+                    weight=float(item["weight"]),
+                    psd=float(item["psd"]),
+                )
+                for item in header.get("nulls", [])
+            ),
+            atf_source=str(header.get("atf_source", "freefield")),
+            **settings,
+            **{key: None if diag.get(key) is None else np.asarray(diag[key], dtype=dtype)
+               for key, dtype in _DIAGNOSTICS.items()},
         )
-    weights = data.reshape(len(directions), freqs.shape[0], geometry.num_mics).copy()
-
-    def pick(key, dtype):
-        value = diag.get(key)
-        return None if value is None else np.asarray(value, dtype=dtype)
-
-    return BeamformerBank(
-        geometry=geometry,
-        directions=directions,
-        frequencies=freqs,
-        weights=weights,
-        fs=fs,
-        n_fft=n_fft,
-        method=method,
-        nulls=nulls,
-        sound_speed=sound_speed,
-        wng_tolerance=wng_tolerance,
-        wng_margin=wng_margin,
-        atf_source=atf_source,
-        loading=pick("loading", float),
-        constraint=pick("constraint", float),
-        iterations=pick("iterations", int),
-        objective=pick("objective", float),
-    )
+    except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError, DataError) as exc:
+        raise ParseError(f"{path}: bad bank: {exc}") from exc

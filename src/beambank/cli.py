@@ -73,11 +73,13 @@ config keys (YAML mapping; angles in degrees, distances in meters):
   method          delay_and_sum | superdirective | mvdr | nlcmv (default)
   nulls           list of {{azimuth, elevation, alpha, range, psd}};
                   alpha defaults to 10, psd to 1, no range = far field
-  fs              sample rate in Hz, default 16000
-  n_fft           FFT size, default 512 (one design per rfft bin)
+  fs              sample rate in Hz, > 0, default 16000
+  n_fft           FFT size, even and > 0, default 512 (one design per rfft
+                  bin)
   sound_speed     m/s, finite and > 0, default 343.0
   wng_tolerance   white-noise-gain constraint tolerance, >= 0, default 1e-8
-  wng_margin      tightening factor on the WNG floor, > 0, default 1.0
+  wng_margin      tightening factor on the WNG floor, > 0 and < the mic
+                  count, default 1.0
 
 relative paths in the config resolve against the config file's directory.
 """

@@ -19,7 +19,7 @@ import os
 import numpy as np
 import yaml
 
-from .beamformer import METHODS, WNG_TOLERANCE, check_solver_settings
+from .beamformer import WNG_TOLERANCE, check_solver_settings
 from .errors import ConfigError
 from .geometry import (
     BUILTIN_GEOMETRIES,
@@ -224,9 +224,6 @@ def design_settings(cfg: dict, base_dir=".") -> dict:
     that the caller pops and loads before designing.
     """
     check_keys(cfg, DESIGN_KEYS, "design config")
-    method = str(cfg.get("method", "nlcmv"))
-    if method not in METHODS:
-        raise ConfigError(f"method '{method}' not one of {METHODS}")
     atf_source = str(cfg.get("atf_source", "freefield"))
     if atf_source not in ("freefield", "file"):
         raise ConfigError("atf_source must be 'freefield' or 'file'")
@@ -234,23 +231,20 @@ def design_settings(cfg: dict, base_dir=".") -> dict:
         raise ConfigError("atf_source 'file' needs 'atf_file'")
     if atf_source == "freefield" and "atf_file" in cfg:
         raise ConfigError("'atf_file' given but atf_source is 'freefield'")
-    fs = _as_int(cfg.get("fs", 16000), "fs")
-    n_fft = _as_int(cfg.get("n_fft", 512), "n_fft")
-    if fs <= 0 or n_fft <= 0 or n_fft % 2:
-        raise ConfigError(f"fs {fs} must be positive and n_fft {n_fft} positive and even")
+    geometry = geometry_from_config(cfg, base_dir)
     solver = {
         "sound_speed": _as_float(cfg.get("sound_speed", SOUND_SPEED), "sound_speed"),
         "wng_tolerance": _as_float(cfg.get("wng_tolerance", WNG_TOLERANCE), "wng_tolerance"),
         "wng_margin": _as_float(cfg.get("wng_margin", 1.0), "wng_margin"),
+        "fs": _as_int(cfg.get("fs", 16000), "fs"),
+        "n_fft": _as_int(cfg.get("n_fft", 512), "n_fft"),
+        "method": str(cfg.get("method", "nlcmv")),
     }
-    check_solver_settings(**solver, error=ConfigError)
+    check_solver_settings(**solver, num_mics=geometry.num_mics, error=ConfigError)
     return {
-        "geometry": geometry_from_config(cfg, base_dir),
+        "geometry": geometry,
         "directions": directions_from_config(cfg),
-        "method": method,
         "nulls": nulls_from_config(cfg),
-        "fs": fs,
-        "n_fft": n_fft,
         **solver,
         "atf_file": (
             os.path.join(base_dir, str(cfg["atf_file"])) if atf_source == "file" else None

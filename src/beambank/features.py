@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _container
 from .errors import DataError, ParseError
 from .dsp import Spectrogram
 
@@ -52,12 +53,12 @@ def mel_center_frequencies(num_filters: int, fs: int) -> np.ndarray:
 
 
 def log_mel(channel: np.ndarray, fs: int, num_filters: int = NUM_MEL) -> np.ndarray:
-    """Natural-log mel energies of one channel's STFT, (frames, bins) ->
-    (frames, num_filters)."""
+    """Natural-log mel energies of STFT frames, (..., frames, bins) ->
+    (..., frames, num_filters); the filterbank is built once per call."""
     channel = np.asarray(channel)
-    if channel.ndim != 2:
-        raise DataError("log_mel expects (frames, bins)")
-    n_fft = 2 * (channel.shape[1] - 1)
+    if channel.ndim < 2:
+        raise DataError("log_mel expects (..., frames, bins)")
+    n_fft = 2 * (channel.shape[-1] - 1)
     bank = mel_filterbank(num_filters, n_fft, fs)
     power = np.abs(channel) ** 2
     return np.log(np.maximum(power @ bank.T, LOG_FLOOR))
@@ -97,11 +98,10 @@ def featurize_bank_output(spec: Spectrogram, direction_labels, num_filters: int 
     labels = list(direction_labels)
     if spec.num_channels != len(labels):
         raise DataError(f"{spec.num_channels} channels vs {len(labels)} direction labels")
-    mels = np.stack(
-        [log_mel(spec.data[k], spec.fs, num_filters) for k in range(spec.num_channels)], axis=1
-    )
     return FeatureTensor(
-        data=mels.astype(np.float32),
+        data=np.ascontiguousarray(
+            log_mel(spec.data, spec.fs, num_filters).swapaxes(0, 1), dtype=np.float32
+        ),
         frame_rate=spec.frame_rate,
         direction_labels=labels,
     )
@@ -225,38 +225,20 @@ def export_features(tensor: FeatureTensor, path) -> None:
         "direction_labels": list(tensor.direction_labels),
         "mel_convention": "htk-2595log10, power spectrum, natural log, floor 1e-10",
     }
-    payload = np.ascontiguousarray(tensor.data, dtype="<f4")
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(payload.tobytes())
+    _container.write(path, header, tensor.data, "<f4")
 
 
 def import_features(path) -> FeatureTensor:
     """Read a tensor written by :func:`export_features`."""
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        blob = fh.read()
+    header, flat = _container.read(path, FEATURE_MAGIC, "<f4")
     try:
-        header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: bad feature header: {exc}") from exc
-    if header.get("magic") != FEATURE_MAGIC:
-        raise ParseError(f"{path}: not a feature file (missing magic)")
-    try:
-        shape = tuple(int(v) for v in header["shape"])
-        labels = [str(v) for v in header["direction_labels"]]
-        frame_rate = float(header["frame_rate"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: bad feature header field: {exc}") from exc
-    data = np.frombuffer(blob, dtype="<f4")
-    if data.shape[0] != int(np.prod(shape)):
-        raise ParseError(
-            f"{path}: payload holds {data.shape[0]} values, header implies {int(np.prod(shape))}"
+        return FeatureTensor(
+            data=_container.shaped(flat, [int(v) for v in header["shape"]]),
+            frame_rate=float(header["frame_rate"]),
+            direction_labels=[str(v) for v in header["direction_labels"]],
         )
-    return FeatureTensor(
-        data=data.reshape(shape).copy(), frame_rate=frame_rate, direction_labels=labels
-    )
+    except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError, DataError) as exc:
+        raise ParseError(f"{path}: bad feature file: {exc}") from exc
 
 
 def save_stats(stats: CorpusStats, path) -> None:

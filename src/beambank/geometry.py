@@ -11,13 +11,13 @@ therefore carries a phase lead.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
 
+from . import _container
 from .errors import (
     DataError,
     DegenerateSourceError,
@@ -302,41 +302,20 @@ def export_atfs(atfs: AtfSet, path) -> None:
         "frequencies": atfs.frequencies.tolist(),
         "directions": [_direction_to_dict(d) for d in atfs.directions],
     }
-    payload = np.ascontiguousarray(atfs.vectors, dtype="<c16")
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(payload.tobytes())
+    _container.write(path, header, atfs.vectors, "<c16")
 
 
 def import_atfs(path) -> AtfSet:
     """Read an AtfSet written by :func:`export_atfs`; bit-exact round trip."""
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        blob = fh.read()
+    header, flat = _container.read(path, ATF_MAGIC, "<c16")
     try:
-        header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: bad ATF header: {exc}") from exc
-    if header.get("magic") != ATF_MAGIC:
-        raise ParseError(f"{path}: not an ATF file (missing magic)")
-    try:
-        m = int(header["num_mics"])
         freqs = np.asarray(header["frequencies"], dtype=float)
         directions = [_direction_from_dict(d) for d in header["directions"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: bad ATF header field: {exc}") from exc
-    expected = len(directions) * freqs.shape[0] * m
-    data = np.frombuffer(blob, dtype="<c16")
-    if data.shape[0] != expected:
-        raise ParseError(
-            f"{path}: payload holds {data.shape[0]} values, header implies {expected} "
-            f"({len(directions)} directions x {freqs.shape[0]} frequencies x {m} channels)"
-        )
-    vectors = data.reshape(len(directions), freqs.shape[0], m).copy()
-    return AtfSet(
-        geometry_id=str(header["id"]), directions=directions, frequencies=freqs, vectors=vectors
-    )
+        shape = (len(directions), len(freqs), int(header["num_mics"]))
+        return AtfSet(geometry_id=str(header["id"]), directions=directions,
+                      frequencies=freqs, vectors=_container.shaped(flat, shape))
+    except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError, DataError) as exc:
+        raise ParseError(f"{path}: bad ATF file: {exc}") from exc
 
 
 def save_geometry(geometry: ArrayGeometry, path) -> None:

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import scipy.signal
 
+from . import _container
 from ._accel import HALF_TAPS, add_pulses
 from .errors import DataError, ParseError
 from .geometry import SOUND_SPEED, ArrayGeometry
@@ -792,7 +793,7 @@ def build_dataset(
 
     rows.sort(key=lambda r: r["index"])
     manifest_path = out_dir / "manifest.jsonl"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    _container.replace(
+        manifest_path, [(json.dumps(row, sort_keys=True) + "\n").encode("utf-8") for row in rows]
+    )
     return manifest_path

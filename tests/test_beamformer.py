@@ -211,7 +211,9 @@ class TestNlcmv:
             design_nlcmv(phi, g)
 
     @pytest.mark.parametrize(
-        "settings", [{"wng_margin": 0.0}, {"wng_margin": -1.0}, {"wng_tolerance": -1.0}]
+        "settings",
+        [{"wng_margin": 0.0}, {"wng_margin": -1.0}, {"wng_tolerance": -1.0},
+         {"wng_margin": 3.0}],
     )
     def test_out_of_range_settings_rejected(self, rng, settings):
         phi, g = _random_instance(rng, 3)
@@ -257,6 +259,14 @@ class TestBank:
     def test_requires_mouth_direction(self, glasses5):
         with pytest.raises(DataError):
             design_bank(glasses5, [DirectionSpec(azimuth=0.0, elevation=0.0)], fs=16000, n_fft=64)
+
+    def test_unreachable_wng_margin_rejected_for_nlcmv(self, glasses5):
+        """No distortionless design of 5 mics reaches a WNG floor at margin 5;
+        the margin does not constrain other methods."""
+        directions = [DirectionSpec(azimuth=0.0, elevation=0.0), MOUTH]
+        with pytest.raises(DataError, match="wng_margin"):
+            design_bank(glasses5, directions, fs=16000, n_fft=64, wng_margin=5.0)
+        design_bank(glasses5, directions, method="mvdr", fs=16000, n_fft=64, wng_margin=5.0)
 
     def test_save_load_roundtrip_bit_exact(self, glasses5, tmp_path):
         nulls = (

@@ -88,7 +88,7 @@ class TestDesign:
     @pytest.mark.parametrize(
         "key, value",
         [("wng_margin", 0), ("wng_margin", -1), ("wng_tolerance", -1),
-         ("sound_speed", 0), ("sound_speed", -343)],
+         ("sound_speed", 0), ("sound_speed", -343), ("wng_margin", 5), ("wng_margin", 6)],
     )
     def test_out_of_range_solver_setting_exits_1(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "bad.yaml"
@@ -136,17 +136,30 @@ class TestVerify:
         assert "'distortionless'" in lines[0]
         assert "az180 @ 2500 Hz" in lines[0]
 
-    def test_unknown_method_exits_2(self, bank_file, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "mutate, named",
+        [
+            (lambda doc: {**doc, "method": "bogus"}, "bogus"),
+            (lambda doc: [doc], "not an object"),
+            (lambda doc: {**doc, "n_fft": 0}, "n_fft 0"),
+            (lambda doc: {**doc, "fs": 0}, "fs 0"),
+            (lambda doc: {**doc, "diagnostics": {
+                **doc["diagnostics"], "loading": doc["diagnostics"]["loading"][:2]}},
+             "loading shape (2, 33)"),
+        ],
+        ids=["bogus-method", "non-object", "n_fft-0", "fs-0", "loading-2-rows"],
+    )
+    def test_unknown_method_exits_2(self, bank_file, tmp_path, capsys, mutate, named):
+        """A header mutated to an unknown method, a non-object, an empty
+        frequency grid or a wrongly shaped diagnostics array exits 2."""
         header, payload = bank_file.read_bytes().split(b"\n", 1)
-        doc = json.loads(header)
-        doc["method"] = "bogus"
         bogus = tmp_path / "bogus.bbk"
-        bogus.write_bytes(json.dumps(doc).encode() + b"\n" + payload)
+        bogus.write_bytes(json.dumps(mutate(json.loads(header))).encode() + b"\n" + payload)
         code, summary, err = run(capsys, "verify", "--bank", str(bogus))
         assert code == 2
         assert summary is None
         assert len(err.strip().splitlines()) == 1
-        assert "bogus" in err
+        assert named in err
 
 
 class TestPattern:

@@ -94,6 +94,17 @@ class TestLogMel:
         assert tensor.data.dtype == np.float32
         assert tensor.direction_labels == ["az0", "az90", "mouth"]
 
+    def test_stack_equals_per_channel_loop(self, rng):
+        """One call on a (channels, frames, bins) stack equals the
+        per-channel calls bit for bit, and so does featurize's tensor."""
+        spec = stft(rng.standard_normal((3, 8000)), fs=16000, n_fft=512)
+        per_channel = np.stack([log_mel(spec.data[k], 16000) for k in range(3)])
+        np.testing.assert_array_equal(log_mel(spec.data, 16000), per_channel)
+        tensor = featurize_bank_output(spec, ["az0", "az90", "mouth"])
+        np.testing.assert_array_equal(
+            tensor.data, per_channel.swapaxes(0, 1).astype(np.float32)
+        )
+
     def test_label_count_must_match(self, rng):
         spec = stft(rng.standard_normal((3, 8000)), fs=16000, n_fft=512)
         with pytest.raises(DataError):
