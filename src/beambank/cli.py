@@ -270,20 +270,28 @@ def _manifest_wavs(manifest_path, geometry_id=None) -> tuple:
     root = Path(manifest_path).parent
     wavs, skipped = [], 0
     with open(manifest_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{manifest_path}: bad manifest line: {exc}") from exc
-            if not row.get("audio_path"):
-                raise DataError(f"{manifest_path}: manifest row without audio_path")
-            if geometry_id is not None and row.get("geometry_id") != geometry_id:
-                skipped += 1
-                continue
-            wavs.append(root / row["audio_path"])
+        try:
+            lines = list(fh)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{manifest_path}: manifest is not UTF-8: {exc}") from exc
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"{manifest_path}: bad manifest line: {exc}") from exc
+        if not isinstance(row, dict):
+            raise ParseError(
+                f"{manifest_path}: manifest line is a JSON {type(row).__name__}, not an object"
+            )
+        if not row.get("audio_path") or not isinstance(row["audio_path"], str):
+            raise DataError(f"{manifest_path}: manifest row without audio_path")
+        if geometry_id is not None and row.get("geometry_id") != geometry_id:
+            skipped += 1
+            continue
+        wavs.append(root / row["audio_path"])
     if not wavs:
         raise DataError(
             f"{manifest_path}: no scenes"

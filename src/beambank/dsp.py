@@ -1,4 +1,4 @@
-"""STFT analysis/synthesis and beamformer-bank application.
+"""STFT analysis/synthesis, beamformer-bank application, and WAV I/O.
 
 Square-root Hann on both sides (WOLA) so analysis*synthesis windows sum
 to one at 50% overlap; signals are center-padded by half a window so the
@@ -8,11 +8,12 @@ out[k, t, f] = h_k(f)^H x(t, f).
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io.wavfile
 
+from . import _container
 from ._accel import overlap_add
 from .errors import DataError, GridMismatchError
 
@@ -222,42 +223,115 @@ class BlockProcessor:
         return buf[:, :emit] / self.cola
 
 
+# WAVE format tags, and the tail every KSDATAFORMAT_SUBTYPE GUID shares
+_PCM, _FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def _riff_chunks(blob: memoryview, path):
+    """Yield (id, body) for each chunk of a little-endian RIFF WAVE file."""
+    if blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
+        raise DataError(f"{path}: not a little-endian RIFF WAVE file")
+    pos = 12
+    while pos < len(blob):
+        if pos + 8 > len(blob):
+            raise DataError(f"{path}: short chunk header at byte {pos}")
+        cid, size = struct.unpack_from("<4sI", blob, pos)
+        body = blob[pos + 8 : pos + 8 + size]
+        if len(body) < size:
+            raise DataError(f"{path}: {cid!r} chunk runs past the end of the file")
+        yield cid, body
+        pos += 8 + size + size % 2
+
+
+def _wav_format(body: memoryview, path) -> tuple[int, int, int, int]:
+    """(tag, channels, fs, bytes per sample) of a supported ``fmt `` chunk."""
+    if len(body) < 16:
+        raise DataError(f"{path}: fmt chunk of {len(body)} bytes")
+    tag, channels, fs, _, block_align, bits = struct.unpack_from("<HHIIHH", body)
+    if tag == _EXTENSIBLE and len(body) >= 40 and body[28:40] == _GUID_TAIL:
+        tag = int.from_bytes(body[24:28], "little")
+    width = block_align // channels if channels else 0
+    if not (
+        (tag == _PCM and width in (2, 3, 4) and 8 < bits <= 8 * width)
+        or (tag == _FLOAT and width in (4, 8) and bits == 8 * width)
+    ) or block_align != channels * width or fs == 0:
+        raise DataError(
+            f"{path}: unsupported WAV format (tag {tag:#x}, {channels} channels, "
+            f"{bits} bits in {block_align}-byte frames, {fs} Hz)"
+        )
+    return tag, channels, fs, width
+
+
 def read_wav(path, expected_fs: int | None = None) -> tuple[np.ndarray, int]:
     """Read a WAV file as (channels, samples) float64 in [-1, 1].
 
-    PCM16 is scaled by 1/32768; float32 passes through. A sample-rate
-    mismatch with ``expected_fs`` is an error; there is no resampling.
+    PCM of 16, 24 or 32 bits is scaled by 2^-(bits-1); float32 and float64
+    pass through. See docs/formats.md for the accepted subset; anything
+    else is a DataError. A sample-rate mismatch with ``expected_fs`` is an
+    error; there is no resampling.
     """
     try:
-        fs, data = scipy.io.wavfile.read(path)
-    except (ValueError, OSError) as exc:
+        with open(path, "rb") as fh:
+            blob = memoryview(fh.read())
+    except OSError as exc:
         raise DataError(f"cannot read WAV {path}: {exc}") from exc
+    fmt = None
+    for cid, body in _riff_chunks(blob, path):
+        if cid == b"fmt ":
+            fmt = _wav_format(body, path)
+        elif cid == b"data":
+            break
+    else:
+        raise DataError(f"{path}: no data chunk")
+    if fmt is None:
+        raise DataError(f"{path}: data chunk before the fmt chunk")
+    tag, channels, fs, width = fmt
+    if len(body) % (channels * width):
+        raise DataError(f"{path}: data chunk ends inside a sample frame")
     if expected_fs is not None and fs != expected_fs:
         raise DataError(
             f"{path}: sample rate {fs} != configured {expected_fs}; resampling unsupported"
         )
-    if data.dtype == np.int16:
-        audio = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.int32:
-        audio = data.astype(np.float64) / 2147483648.0
-    elif data.dtype in (np.float32, np.float64):
-        audio = data.astype(np.float64)
+    if tag == _FLOAT:
+        data, scale = np.frombuffer(body, f"<f{width}"), 1.0
+    elif width == 3:
+        # left-justify each 24-bit sample in an int32
+        wide = np.zeros((len(body) // 3, 4), np.uint8)
+        wide[:, 1:] = np.frombuffer(body, np.uint8).reshape(-1, 3)
+        data, scale = wide.view("<i4"), 2147483648.0
     else:
-        raise DataError(f"{path}: unsupported WAV sample format {data.dtype}")
-    if audio.ndim == 1:
-        audio = audio[None, :]
-    else:
-        audio = audio.T
-    return np.ascontiguousarray(audio), int(fs)
+        data, scale = np.frombuffer(body, f"<i{width}"), float(1 << (8 * width - 1))
+    # one pass that converts while it transposes: several times faster than
+    # astype() followed by a transposing copy
+    audio = np.ascontiguousarray(data.reshape(-1, channels).T, dtype=np.float64)
+    if scale != 1.0:
+        audio /= scale
+    return audio, fs
 
 
 def write_wav(path, audio, fs: int, pcm16: bool = False) -> None:
-    """Write (channels, samples) audio as float32 WAV (or PCM16)."""
-    x = _as_2d(audio).T
-    if x.shape[1] == 1:
-        x = x[:, 0]
+    """Write (channels, samples) audio as float32 WAV (or PCM16) through a
+    temporary file and a rename; docs/formats.md gives the exact layout."""
+    x = _as_2d(audio)
     if pcm16:
-        clipped = np.clip(x, -1.0, 32767.0 / 32768.0)
-        scipy.io.wavfile.write(path, int(fs), (clipped * 32768.0).round().astype(np.int16))
+        x = (np.clip(x, -1.0, 32767.0 / 32768.0) * 32768.0).round()
+    payload = np.ascontiguousarray(x.T, dtype="<i2" if pcm16 else "<f4")
+    channels, frames = x.shape
+    fs, width = int(fs), payload.itemsize
+    fmt = struct.pack(
+        "<HHIIHH", _PCM if pcm16 else _FLOAT, channels, fs,
+        fs * channels * width, channels * width, 8 * width,
+    )
+    if pcm16:
+        head = b"fmt " + struct.pack("<I", 16) + fmt
     else:
-        scipy.io.wavfile.write(path, int(fs), x.astype(np.float32))
+        # non-PCM: a cbSize of 0 and a fact chunk with the frame count
+        head = b"fmt " + struct.pack("<I", 18) + fmt + b"\0\0"
+        head += b"fact" + struct.pack("<II", 4, frames)
+    head += b"data" + struct.pack("<I", payload.nbytes)
+    size = 4 + len(head) + payload.nbytes
+    if size > 0xFFFFFFFF:
+        raise DataError(f"{path}: {payload.nbytes} bytes of audio exceed a RIFF file")
+    riff = b"RIFF" + struct.pack("<I", size) + b"WAVE" + head
+    _container.replace(path, (riff, payload.reshape(-1).view(np.uint8)))

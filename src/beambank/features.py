@@ -259,7 +259,7 @@ def load_stats(path) -> CorpusStats:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"{path}: {exc}") from exc
     try:
         count = int(doc["count"])

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.signal
 
 from . import _container
 from ._accel import HALF_TAPS, add_pulses
@@ -471,8 +470,30 @@ class ComposedScene:
     manifest: SceneManifest
 
 
+def _fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n: a real-FFT length with only small
+    prime factors."""
+    best = 1 << max(n - 1, 0).bit_length()
+    five = 1
+    while five < best:
+        odd = five
+        while odd < best:
+            size = odd
+            while size < n:
+                size *= 2
+            best = min(best, size)
+            odd *= 3
+        five *= 5
+    return best
+
+
 def _convolve_place(total: np.ndarray, clip: np.ndarray, rir: RIR, onset: int):
-    wet = scipy.signal.fftconvolve(clip[None, :], rir.taps, axes=1)
+    """Add ``clip`` convolved with each RIR channel into ``total`` from
+    ``onset`` on, through one zero-padded real FFT."""
+    n = clip.shape[0] + rir.taps.shape[1] - 1
+    size = _fast_len(n)
+    spectrum = np.fft.rfft(clip, size) * np.fft.rfft(rir.taps, size, axis=1)
+    wet = np.fft.irfft(spectrum, size, axis=1)[:, :n]
     end = min(onset + wet.shape[1], total.shape[1])
     total[:, onset:end] += wet[:, : end - onset]
 

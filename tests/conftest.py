@@ -1,8 +1,12 @@
-"""Shared fixtures: reference arrays, seeded RNGs, and tiny speech/noise corpora."""
+"""Shared fixtures: reference arrays, seeded RNGs, tiny speech/noise corpora,
+and a full disk for the atomic writers."""
+
+import errno
 
 import numpy as np
 import pytest
 
+from beambank import _container
 from beambank.dsp import write_wav
 from beambank.geometry import reference_glasses, reference_glasses_5
 
@@ -47,3 +51,36 @@ def corpus_dirs(tmp_path_factory):
     for i in range(2):
         write_wav(noise / f"noise{i}.wav", 0.05 * rng.standard_normal(fs * 2), fs)
     return clips, noise
+
+
+class _DiskFull:
+    """A binary file that accepts ``limit`` bytes, then fails like a full disk."""
+
+    def __init__(self, fh, limit: int):
+        self.fh, self.left = fh, limit
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, chunk):
+        self.fh.write(bytes(chunk[: self.left]))
+        self.left -= len(chunk)
+        if self.left < 0:
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.fixture()
+def disk_full(monkeypatch):
+    """Call with a byte count: every later atomic write fails like a full
+    disk after that many bytes, until ``monkeypatch.undo()``."""
+
+    def arm(limit: int):
+        monkeypatch.setattr(
+            _container, "open", lambda fd, mode: _DiskFull(open(fd, mode), limit),
+            raising=False,
+        )
+
+    return arm

@@ -3,10 +3,15 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import beambank
 from beambank.beamformer import load_bank, save_bank
 from beambank.cli import main
 from beambank.dsp import read_wav, write_wav
@@ -216,6 +221,22 @@ class TestApply:
         assert code == 2
 
 
+    @pytest.mark.parametrize("cut", [30, 44, 57])
+    def test_cut_input_exits_2_with_one_line(
+        self, bank_file, input_wav, tmp_path, capsys, cut
+    ):
+        bad = tmp_path / "cut.wav"
+        bad.write_bytes(input_wav.read_bytes()[:cut])
+        code, summary, err = run(
+            capsys, "apply", str(bad), "--bank", str(bank_file),
+            "--out", str(tmp_path / "o.wav"),
+        )
+        assert code == 2
+        assert summary is None
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o.wav").exists()
+
+
 class TestFeaturizeAndStats:
     def test_wav_to_features(self, bank_file, input_wav, tmp_path, capsys):
         out = tmp_path / "x.feat"
@@ -240,6 +261,39 @@ class TestFeaturizeAndStats:
         )
         assert code == 0
         assert summary["normalized"] is True
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            b"[1, 2]\n",
+            b'"scene.wav"\n',
+            b"\xff\xfe{}\n",
+            b'{"audio_path": 5, "geometry_id": ID}\n',
+        ],
+        ids=["list", "string", "not-utf8", "non-string-path"],
+    )
+    def test_malformed_manifest_exits_2(self, bank_file, tmp_path, capsys, blob):
+        manifest = tmp_path / "m.jsonl"
+        geometry_id = json.dumps(load_bank(bank_file).geometry.id).encode()
+        manifest.write_bytes(blob.replace(b"ID", geometry_id))
+        code, summary, err = run(
+            capsys, "featurize", str(manifest), "--bank", str(bank_file),
+            "--out", str(tmp_path / "feats"),
+        )
+        assert code == 2
+        assert summary is None
+        assert len(err.strip().splitlines()) == 1
+
+    def test_stats_file_not_utf8_exits_2(self, bank_file, input_wav, tmp_path, capsys):
+        stats = tmp_path / "stats.json"
+        stats.write_bytes(b"\xff\xfe{}")
+        code, summary, err = run(
+            capsys, "featurize", str(input_wav), "--bank", str(bank_file),
+            "--stats", str(stats), "--out", str(tmp_path / "x.feat"),
+        )
+        assert code == 2
+        assert summary is None
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestSceneAndDataset:
@@ -314,3 +368,19 @@ class TestSceneAndDataset:
         assert summary["files"] == 2
         assert summary["skipped_other_geometry"] == 0
         assert len(list(feat_dir.glob("*.feat"))) == 2
+
+
+def test_import_loads_no_scipy():
+    """The package and its CLI import only numpy, yaml and the standard
+    library: scipy alone used to add over a second to every command."""
+    env = dict(os.environ)
+    src = str(Path(beambank.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, beambank, beambank.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -3,7 +3,6 @@ and malformed files are rejected as data errors, and an interrupted write
 leaves the previous file in place."""
 
 import contextlib
-import errno
 import io
 import json
 
@@ -12,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beambank import _container
 from beambank.beamformer import design_bank, load_bank, save_bank
 from beambank.cli import main
 from beambank.config import default_mouth_direction
@@ -106,38 +104,16 @@ def test_non_object_header_is_a_parse_error(saved, name, value):
         FORMATS[name][1](bad)
 
 
-class _DiskFull:
-    """A binary file that accepts ``limit`` bytes, then fails like a full disk."""
-
-    def __init__(self, fh, limit: int):
-        self.fh, self.left = fh, limit
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-    def write(self, chunk):
-        self.fh.write(bytes(chunk[: self.left]))
-        self.left -= len(chunk)
-        if self.left < 0:
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-
 @pytest.mark.parametrize("name", list(FORMATS))
 def test_write_failing_in_the_payload_keeps_the_previous_file(
-    saved, name, tmp_path, monkeypatch
+    saved, name, tmp_path, monkeypatch, disk_full
 ):
     path, blob = saved[name]
     write, read = FORMATS[name]
     obj = read(path)
     target = tmp_path / f"out.{name}"
     target.write_bytes(b"previous contents")
-    monkeypatch.setattr(
-        _container, "open", lambda fd, mode: _DiskFull(open(fd, mode), len(blob) - 8),
-        raising=False,
-    )
+    disk_full(len(blob) - 8)
     with pytest.raises(OSError):
         write(obj, target)
     assert target.read_bytes() == b"previous contents"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from beambank.dsp import stft
-from beambank.errors import DataError
+from beambank.errors import DataError, ParseError
 from beambank.features import (
     CorpusStats,
     FeatureTensor,
@@ -159,6 +159,13 @@ class TestCorpusStats:
         # the file stores variance; m2 is reconstructed as variance * count
         np.testing.assert_allclose(back.variance, stats.variance, rtol=1e-12)
         assert back.count == stats.count
+
+    @pytest.mark.parametrize("blob", [b"\xff\xfe{}", b"[" * 100000], ids=["not-utf8", "deep"])
+    def test_undecodable_file_is_a_parse_error(self, tmp_path, blob):
+        path = tmp_path / "stats.json"
+        path.write_bytes(blob)
+        with pytest.raises(ParseError):
+            load_stats(path)
 
 
 class TestStackFrames:

@@ -8,11 +8,14 @@ import pytest
 
 from beambank.errors import DataError
 from beambank.simulate import (
+    RIR,
     ClipSource,
     NoiseSource,
     RoomSpec,
     SceneManifest,
     SceneSpec,
+    _convolve_place,
+    _fast_len,
     build_dataset,
     compose_scene,
     generate_rir_ism,
@@ -326,6 +329,45 @@ class TestComposeScene:
             spec = _spec_for(glasses5, rng)
         with pytest.raises(DataError):
             compose_scene(spec, glasses5, clips.load(0, fs), clips.load(1, fs), None, fs)
+
+
+class TestConvolvePlace:
+    def test_fast_len_is_the_least_5_smooth_length(self):
+        smooth = [n for n in range(1, 5000) if _is_5_smooth(n)]
+        for n in range(1, 4000):
+            assert _fast_len(n) == next(m for m in smooth if m >= n)
+
+    @pytest.mark.parametrize("onset", [0, 600])
+    def test_equals_direct_convolution_placed_at_onset(self, rng, onset):
+        """The 1076 output samples land from ``onset`` on, cut at the end of
+        ``total``; the FFT's zero padding adds nothing after them."""
+        clip = rng.standard_normal(1000)
+        taps = rng.standard_normal((3, 77))
+        total = np.zeros((3, 1500))
+        _convolve_place(total, clip, RIR("x", taps, 16000), onset)
+        direct = np.stack([np.convolve(clip, t) for t in taps])[:, : 1500 - onset]
+        end = onset + direct.shape[1]
+        np.testing.assert_allclose(total[:, onset:end], direct, atol=1e-12)
+        assert not total[:, :onset].any() and not total[:, end:].any()
+
+    @pytest.mark.parametrize("n_clip, mics, n_taps", [(16000, 5, 2048), (24001, 7, 3001)])
+    def test_bit_identical_to_scipy_fftconvolve(self, rng, n_clip, mics, n_taps):
+        signal = pytest.importorskip("scipy.signal")
+        fft = pytest.importorskip("scipy.fft")
+        for n in (1, 2, 7, 11, 13, 4097, 18048, 27001, 99991):
+            assert _fast_len(n) == fft.next_fast_len(n, real=True)
+        clip = rng.standard_normal(n_clip)
+        taps = rng.standard_normal((mics, n_taps))
+        total = np.zeros((mics, n_clip + n_taps - 1))
+        _convolve_place(total, clip, RIR("x", taps, 16000), 0)
+        np.testing.assert_array_equal(total, signal.fftconvolve(clip[None, :], taps, axes=1))
+
+
+def _is_5_smooth(n: int) -> bool:
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
 
 
 class TestMixNoise:
