@@ -14,6 +14,8 @@ from .geometry import SOUND_SPEED, ArrayGeometry, DirectionSpec, far_field_atf, 
 from .noise_model import NoiseCovariance
 
 EXPORT_DB_FLOOR = -80.0
+# finest beam-pattern azimuth step: 36000 points per sweep
+MIN_RESOLUTION_DEG = 0.01
 # numerical guard: 20*log10 of an exact null would be -inf
 _MAG_FLOOR = 1e-300
 
@@ -35,6 +37,19 @@ class BeamPattern:
         object.__setattr__(self, "response_db", db)
 
 
+def pattern_steps(resolution_deg: float, error: type = DataError) -> int:
+    """Azimuth count of a beam-pattern sweep. Raise ``error`` unless the
+    step lies in [MIN_RESOLUTION_DEG, 360] degrees and divides 360."""
+    if not MIN_RESOLUTION_DEG <= resolution_deg <= 360.0:
+        raise error(
+            f"resolution {resolution_deg} deg must be >= {MIN_RESOLUTION_DEG} and <= 360"
+        )
+    steps = 360.0 / resolution_deg
+    if abs(steps - round(steps)) > 1e-9:
+        raise error(f"resolution {resolution_deg} deg does not divide 360")
+    return int(round(steps))
+
+
 def beam_pattern(
     h,
     geometry: ArrayGeometry,
@@ -47,14 +62,11 @@ def beam_pattern(
     look-direction response (0 dB there).
 
     ``h`` is a weight array or BeamformerWeights. Without a look direction
-    the maximum response is the 0 dB reference. resolution_deg must divide
-    360; the grid covers (-180, 180] degrees.
+    the maximum response is the 0 dB reference. resolution_deg must pass
+    :func:`pattern_steps`; the grid covers (-180, 180] degrees.
     """
     w = _weights_of(h)
-    steps = 360.0 / resolution_deg
-    if abs(steps - round(steps)) > 1e-9:
-        raise DataError(f"resolution {resolution_deg} deg does not divide 360")
-    steps = int(round(steps))
+    steps = pattern_steps(resolution_deg)
     half = steps // 2
     azimuths = np.array([np.deg2rad((k - half + 1) * resolution_deg) for k in range(steps)])
 

@@ -50,6 +50,8 @@ from .noise_model import (
 )
 
 WNG_TOLERANCE = 1e-8
+# top common audio rate; bounds every buffer sized from fs
+MAX_FS = 384000
 MAX_BISECTION_STEPS = 60
 LOADING_CAP_SCALE = 1e6
 DISTORTIONLESS_TOL = 1e-6
@@ -106,8 +108,8 @@ def check_solver_settings(
     error: type = DataError,
 ) -> None:
     """Raise ``error`` unless ``method`` is one of METHODS, wng_margin > 0,
-    wng_tolerance >= 0, the sound speed is finite and > 0, fs > 0 and
-    n_fft > 0 and even.
+    wng_tolerance >= 0, the sound speed is finite and > 0, 0 < fs <= MAX_FS
+    and n_fft > 0 and even.
 
     Given the mic count M, an nlcmv design also needs a reachable WNG
     floor. By Cauchy-Schwarz no distortionless h has a white noise gain
@@ -125,8 +127,10 @@ def check_solver_settings(
         raise error(f"wng_tolerance {wng_tolerance} must be >= 0")
     if not (math.isfinite(sound_speed) and sound_speed > 0):
         raise error(f"sound_speed {sound_speed} must be finite and > 0")
-    if not (fs > 0 and n_fft > 0 and n_fft % 2 == 0):
-        raise error(f"fs {fs} must be positive and n_fft {n_fft} positive and even")
+    if not 0 < fs <= MAX_FS:
+        raise error(f"fs {fs} must be > 0 and <= {MAX_FS} Hz")
+    if not (n_fft > 0 and n_fft % 2 == 0):
+        raise error(f"n_fft {n_fft} must be positive and even")
 
 
 def wng_constraint_value(h: np.ndarray, g: SteeringVector, margin: float = 1.0) -> float:

@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import beam_pattern, export_pattern
-from .beamformer import design_bank, load_bank, save_bank, verify_bank
+from .analysis import MIN_RESOLUTION_DEG, beam_pattern, export_pattern, pattern_steps
+from .beamformer import MAX_FS, design_bank, load_bank, save_bank, verify_bank
 from .config import (
     dataset_settings,
     design_settings,
@@ -52,7 +52,6 @@ environment:
   BEAMBANK_SEED        seed used when neither --seed nor the config sets one
   BEAMBANK_WORKERS     worker count (otherwise: config, then logical cores)
   BEAMBANK_LOG_LEVEL   log level when --log-level is absent
-  BEAMBANK_PURE_NUMPY  set to 1 to force the pure-numpy kernels
 
 precedence for seed/workers/log level: flag, then environment variable,
 then config file, then built-in default.
@@ -73,7 +72,7 @@ config keys (YAML mapping; angles in degrees, distances in meters):
   method          delay_and_sum | superdirective | mvdr | nlcmv (default)
   nulls           list of {{azimuth, elevation, alpha, range, psd}};
                   alpha defaults to 10, psd to 1, no range = far field
-  fs              sample rate in Hz, > 0, default 16000
+  fs              sample rate in Hz, > 0 and <= {MAX_FS}, default 16000
   n_fft           FFT size, even and > 0, default 512 (one design per rfft
                   bin)
   sound_speed     m/s, finite and > 0, default 343.0
@@ -84,31 +83,31 @@ config keys (YAML mapping; angles in degrees, distances in meters):
 relative paths in the config resolve against the config file's directory.
 """
 
-RIR_EPILOG = """\
+RIR_EPILOG = f"""\
 config keys (distances in meters):
-  room            {dimensions: [Lx, Ly, Lz], absorption: a | [6 values],
-                   max_order: cap on image order, default 6}
+  room            {{dimensions: [Lx, Ly, Lz], absorption: a | [6 values],
+                   max_order: cap on image order, default 6}}
   source          [x, y, z] source position in the room frame
   mics            explicit [[x, y, z], ...] positions, or instead:
   geometry / geometry_file / subset, position
                   a named array placed with its origin at 'position'
-  fs              sample rate in Hz, default 16000
+  fs              sample rate in Hz, > 0 and <= {MAX_FS}, default 16000
   sound_speed     m/s, finite and > 0, default 343.0
 
 per-wall absorption is ordered (x=0, y=0, z=0, x=Lx, y=Ly, z=Lz).
 """
 
-DATASET_EPILOG = """\
+DATASET_EPILOG = f"""\
 config keys:
-  geometries      list of {geometry | geometry_file, subset, proportion};
+  geometries      list of {{geometry | geometry_file, subset, proportion}};
                   proportions must sum to 1 (omit all of them for equal
                   shares)
   clips_dir       directory of paired utterance files (x.wav + x.txt)
   noise_dir       optional directory of noise wav files
-  count           number of scenes, default 1 ('scene' always renders 1)
-  fs              sample rate in Hz, default 16000
-  seed            base seed; scene i uses the i-th derived child seed
-  workers         parallel scene renderers, default logical cores
+  count           number of scenes, >= 1, default 1 ('scene' renders 1)
+  fs              sample rate in Hz, > 0 and <= {MAX_FS}, default 16000
+  seed            base seed, >= 0; scene i uses the i-th derived child seed
+  workers         parallel scene renderers, >= 1, default logical cores
   out_dir         output directory (--out overrides)
 
 relative paths in the config resolve against the config file's directory.
@@ -149,6 +148,7 @@ def cmd_design(args) -> dict:
 
 
 def cmd_pattern(args) -> dict:
+    pattern_steps(args.resolution, error=ConfigError)
     bank = load_bank(args.bank)
     hits = np.flatnonzero(np.abs(bank.frequencies - args.freq) <= 1e-6)
     if hits.size == 0:
@@ -203,7 +203,8 @@ def _run_dataset(args, count_override=None) -> dict:
     settings = dataset_settings(load_config(args.config), base_dir=_config_base(args.config))
     seed = resolve_int_setting(args.seed, "SEED", settings["seed"], 0)
     workers = resolve_int_setting(
-        getattr(args, "workers", None), "WORKERS", settings["workers"], os.cpu_count() or 1
+        getattr(args, "workers", None), "WORKERS", settings["workers"], os.cpu_count() or 1,
+        minimum=1,
     )
     out_dir = args.out if args.out is not None else settings["out_dir"]
     if out_dir is None:
@@ -216,7 +217,7 @@ def _run_dataset(args, count_override=None) -> dict:
     count = settings["count"] if count_override is None else count_override
     manifest = build_dataset(
         settings["catalog"], clips, noise, count, out_dir,
-        seed=seed, fs=settings["fs"], workers=max(1, workers),
+        seed=seed, fs=settings["fs"], workers=workers,
     )
     return {
         "command": args.command,
@@ -424,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="output format (default csv)")
     p.add_argument("--resolution", type=float, default=1.0,
-                   help="azimuth grid step in degrees (default 1)")
+                   help=f"azimuth grid step in degrees, >= {MIN_RESOLUTION_DEG} and "
+                        "dividing 360 (default 1)")
     p.set_defaults(func=cmd_pattern)
 
     p = add("rir", "simulate a shoebox room impulse response", RIR_EPILOG)

@@ -289,12 +289,13 @@ def rir_settings(cfg: dict, base_dir=".") -> dict:
         geometry = geometry_from_config(cfg, base_dir)
         mics = geometry.mics + _vector3(cfg["position"], "position")
     sound_speed = _as_float(cfg.get("sound_speed", SOUND_SPEED), "sound_speed")
-    check_solver_settings(sound_speed=sound_speed, error=ConfigError)
+    fs = _as_int(cfg.get("fs", 16000), "fs")
+    check_solver_settings(sound_speed=sound_speed, fs=fs, error=ConfigError)
     return {
         "room": room,
         "source": source,
         "mics": mics,
-        "fs": _as_int(cfg.get("fs", 16000), "fs"),
+        "fs": fs,
         "sound_speed": sound_speed,
     }
 
@@ -332,6 +333,11 @@ def dataset_settings(cfg: dict, base_dir=".") -> dict:
     if "clips_dir" not in cfg:
         raise ConfigError("dataset config needs 'clips_dir'")
     workers = cfg.get("workers")
+    count = _as_int(cfg.get("count", 1), "count")
+    if count < 1:
+        raise ConfigError(f"count {count} must be >= 1")
+    fs = _as_int(cfg.get("fs", 16000), "fs")
+    check_solver_settings(fs=fs, error=ConfigError)
     return {
         "catalog": catalog_from_config(cfg, base_dir),
         "clips_dir": os.path.join(base_dir, str(cfg["clips_dir"])),
@@ -339,8 +345,8 @@ def dataset_settings(cfg: dict, base_dir=".") -> dict:
             None if cfg.get("noise_dir") is None
             else os.path.join(base_dir, str(cfg["noise_dir"]))
         ),
-        "count": _as_int(cfg.get("count", 1), "count"),
-        "fs": _as_int(cfg.get("fs", 16000), "fs"),
+        "count": count,
+        "fs": fs,
         # None (not 0) when unset so the BEAMBANK_SEED fallback can act
         "seed": None if "seed" not in cfg else _as_int(cfg["seed"], "seed"),
         "workers": None if workers is None else _as_int(workers, "workers"),
@@ -361,13 +367,15 @@ def resolve_setting(flag_value, env_name: str, config_value, default):
     return default
 
 
-def resolve_int_setting(flag_value, env_name: str, config_value, default):
+def resolve_int_setting(flag_value, env_name: str, config_value, default, minimum: int = 0):
+    """:func:`resolve_setting` as an integer of at least ``minimum``."""
     value = resolve_setting(flag_value, env_name, config_value, default)
-    if value is None:
-        return None
     try:
-        return int(value)
+        value = int(value)
     except (TypeError, ValueError):
         raise ConfigError(
             f"{env_name.lower()}: expected an integer, got {value!r}"
         ) from None
+    if value < minimum:
+        raise ConfigError(f"{env_name.lower()} {value} must be >= {minimum}")
+    return value

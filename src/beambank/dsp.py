@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _container
-from ._accel import overlap_add
 from .errors import DataError, GridMismatchError
 
 DEFAULT_FS = 16000
@@ -22,6 +21,23 @@ DEFAULT_N_FFT = 512
 DEFAULT_HOP = 256
 # OLA gain below this fraction of the peak is treated as unrecoverable
 _EDGE_THRESHOLD = 1e-8
+
+
+def _overlap_add(frames: np.ndarray, hop: int, out: np.ndarray) -> None:
+    """Overlap-add ``frames`` (T, n_fft) into ``out`` at stride ``hop``.
+
+    Requires hop to divide n_fft; frames within one phase group then tile
+    without overlap so each group reduces to a reshaped += .
+    """
+    n_fft = frames.shape[1]
+    phases = n_fft // hop
+    for p in range(phases):
+        sub = frames[p::phases]
+        if sub.shape[0] == 0:
+            continue  # a streamed block often fills fewer frames than phases
+        start = p * hop
+        view = out[start:start + sub.shape[0] * n_fft]
+        view.reshape(sub.shape[0], n_fft)[:] += sub
 
 
 def sqrt_hann(n_fft: int) -> np.ndarray:
@@ -109,12 +125,9 @@ def istft(spec: Spectrogram, num_samples: int | None = None) -> np.ndarray:
     total = (n_frames - 1) * spec.hop + spec.n_fft
     out = np.zeros((spec.num_channels, total))
     for ch in range(spec.num_channels):
-        buf = np.zeros(total)
-        overlap_add(np.ascontiguousarray(frames[ch]), spec.hop, buf)
-        out[ch] = buf
+        _overlap_add(frames[ch], spec.hop, out[ch])
     wsum = np.zeros(total)
-    tile = np.tile(window * window, (n_frames, 1))
-    overlap_add(tile, spec.hop, wsum)
+    _overlap_add(np.tile(window * window, (n_frames, 1)), spec.hop, wsum)
     good = wsum > _EDGE_THRESHOLD * wsum.max()
     out[:, good] /= wsum[good]
     out[:, ~good] = 0.0
@@ -165,7 +178,7 @@ class BlockProcessor:
         # steady-state WOLA gain of the squared window at this hop
         depth = 3 * (self.n_fft // hop)
         wsum = np.zeros((depth - 1) * hop + self.n_fft)
-        overlap_add(np.tile(self.window**2, (depth, 1)), hop, wsum)
+        _overlap_add(np.tile(self.window**2, (depth, 1)), hop, wsum)
         mid = wsum[self.n_fft : 2 * self.n_fft]
         if np.max(np.abs(mid - mid[0])) > 1e-10 * mid[0]:
             raise DataError(f"window/hop pair is not constant-overlap-add (hop {hop})")
@@ -215,7 +228,7 @@ class BlockProcessor:
         synth = np.fft.irfft(steered, n=n_fft, axis=2) * self.window
         buf = np.zeros((self.bank.num_directions, used))
         for k in range(self.bank.num_directions):
-            overlap_add(np.ascontiguousarray(synth[k]), hop, buf[k])
+            _overlap_add(synth[k], hop, buf[k])
         buf[:, : n_fft - hop] += self._carry
         emit = n_frames * hop
         self._carry = buf[:, emit:].copy()

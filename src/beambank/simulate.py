@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from . import _container
-from ._accel import HALF_TAPS, add_pulses
 from .errors import DataError, ParseError
 from .geometry import SOUND_SPEED, ArrayGeometry
 
@@ -44,6 +43,10 @@ MOUTH_OFFSET = np.array([0.08, 0.0, -0.06])
 ACTIVITY_FLOOR = 1e-8
 MAX_DECORRELATION_DELAY_S = 2e-3
 MANIFEST_SCHEMA = "beambank-scene-v1"
+
+# taps on each side of a pulse center; the pulse is 2 * _HALF_TAPS + 1 long
+_HALF_TAPS = 40
+_NUM_TAPS = 2 * _HALF_TAPS + 1
 
 
 @dataclass(frozen=True)
@@ -126,6 +129,22 @@ def _image_sources(room: RoomSpec, source: np.ndarray, max_order: int):
     return np.concatenate(positions), np.concatenate(amplitudes)
 
 
+def _add_pulses(out: np.ndarray, delays: np.ndarray, amps: np.ndarray) -> None:
+    """Scatter-add windowed-sinc pulses into ``out`` (in place).
+
+    Each pulse is ``amps[e] * sinc(n - delays[e]) * hann(n - delays[e])``
+    over the 81 integer taps nearest the (fractional) delay. Taps falling
+    outside the buffer are dropped.
+    """
+    centers = np.rint(delays).astype(np.int64)
+    offsets = np.arange(-_HALF_TAPS, _HALF_TAPS + 1)
+    n = centers[:, None] + offsets[None, :]
+    t = n - delays[:, None]
+    vals = amps[:, None] * np.sinc(t) * 0.5 * (1.0 + np.cos(2.0 * np.pi * t / _NUM_TAPS))
+    mask = (n >= 0) & (n < out.shape[0])
+    np.add.at(out, n[mask], vals[mask])
+
+
 def _check_inside(room: RoomSpec, point: np.ndarray, label: str):
     if np.any(point <= 0) or np.any(point >= room.dimensions):
         raise DataError(f"{label} at {point.tolist()} is outside the room {room.dimensions.tolist()}")
@@ -154,16 +173,11 @@ def generate_rir_ism(
     order = room.max_order if max_order is None else max_order
     images, gains = _image_sources(room, source, order)
 
-    max_dist = float(
-        np.max(np.linalg.norm(images[None, :, :] - mics[:, None, :], axis=2))
-    )
-    length = int(math.ceil(max_dist / sound_speed * fs)) + HALF_TAPS + 2
+    dists = np.linalg.norm(images[None, :, :] - mics[:, None, :], axis=2)
+    length = int(math.ceil(float(dists.max()) / sound_speed * fs)) + _HALF_TAPS + 2
     taps = np.zeros((mics.shape[0], length))
-    for m, mic in enumerate(mics):
-        dist = np.linalg.norm(images - mic[None, :], axis=1)
-        delays = dist / sound_speed * fs
-        amps = gains / (4.0 * math.pi * dist)
-        add_pulses(taps[m], delays, amps)
+    for m, dist in enumerate(dists):
+        _add_pulses(taps[m], dist / sound_speed * fs, gains / (4.0 * math.pi * dist))
     return RIR(source_id=source_id, taps=taps, fs=int(fs))
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import beambank
-from beambank.beamformer import load_bank, save_bank
+from beambank.beamformer import MAX_FS, load_bank, save_bank
 from beambank.cli import main
 from beambank.dsp import read_wav, write_wav
 
@@ -148,11 +148,13 @@ class TestVerify:
             (lambda doc: [doc], "not an object"),
             (lambda doc: {**doc, "n_fft": 0}, "n_fft 0"),
             (lambda doc: {**doc, "fs": 0}, "fs 0"),
+            (lambda doc: {**doc, "fs": 384001}, "fs 384001"),
             (lambda doc: {**doc, "diagnostics": {
                 **doc["diagnostics"], "loading": doc["diagnostics"]["loading"][:2]}},
              "loading shape (2, 33)"),
         ],
-        ids=["bogus-method", "non-object", "n_fft-0", "fs-0", "loading-2-rows"],
+        ids=["bogus-method", "non-object", "n_fft-0", "fs-0", "fs-above-cap",
+             "loading-2-rows"],
     )
     def test_unknown_method_exits_2(self, bank_file, tmp_path, capsys, mutate, named):
         """A header mutated to an unknown method, a non-object, an empty
@@ -188,6 +190,42 @@ class TestPattern:
         )
         assert code == 2
         assert "333.3" in err
+
+    @pytest.mark.parametrize("resolution", ["0", "-1", "nan", "inf", "7", "0.001"])
+    def test_bad_resolution_exits_1(self, bank_file, tmp_path, capsys, resolution):
+        code, summary, err = run(
+            capsys, "pattern", "--bank", str(bank_file), "--resolution", resolution,
+            "--out", str(tmp_path / "p"),
+        )
+        assert code == 1
+        assert summary is None
+        assert len(err.strip().splitlines()) == 1
+        assert "resolution" in err
+        assert not (tmp_path / "p").exists()
+
+
+class TestRir:
+    EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "example_room.yaml"
+
+    def test_example_writes_one_channel_per_mic(self, tmp_path, capsys):
+        out = tmp_path / "rir.wav"
+        code, summary, _ = run(capsys, "rir", "--config", str(self.EXAMPLE), "--out", str(out))
+        assert code == 0
+        taps, fs = read_wav(out)
+        assert fs == 16000
+        assert taps.shape == (5, summary["taps"])
+
+    @pytest.mark.parametrize("fs", [-16000, 0, 384001, 5_000_000_000])
+    def test_bad_rate_exits_1_before_allocating(self, tmp_path, capsys, fs):
+        cfg = tmp_path / "room.yaml"
+        cfg.write_text(self.EXAMPLE.read_text().replace("fs: 16000", f"fs: {fs}"))
+        out = tmp_path / "rir.wav"
+        code, summary, err = run(capsys, "rir", "--config", str(cfg), "--out", str(out))
+        assert code == 1
+        assert summary is None
+        assert len(err.strip().splitlines()) == 1
+        assert "fs" in err
+        assert not out.exists()
 
 
 class TestApply:
@@ -337,6 +375,40 @@ class TestSceneAndDataset:
         assert len(err.strip().splitlines()) == 1
         assert "sound_speed" in err
 
+    @pytest.mark.parametrize(
+        "edit, argv, env, named",
+        [
+            (("fs: 16000", "fs: -16000"), (), {}, "fs"),
+            (("fs: 16000", "fs: 0"), (), {}, "fs"),
+            (("fs: 16000", "fs: 384001"), (), {}, "fs"),
+            (("count: 2", "count: 0"), (), {}, "count"),
+            (("count: 2", "count: 2\nworkers: 0"), (), {}, "workers"),
+            (None, ("--workers", "0"), {}, "workers"),
+            (None, ("--workers", "-1"), {}, "workers"),
+            (None, (), {"BEAMBANK_WORKERS": "0"}, "workers"),
+            (None, ("--seed", "-1"), {}, "seed"),
+        ],
+        ids=["fs-negative", "fs-0", "fs-above-cap", "count-0", "config-workers-0",
+             "flag-workers-0", "flag-workers-negative", "env-workers-0", "seed-negative"],
+    )
+    def test_bad_setting_exits_1(
+        self, dataset_cfg, tmp_path, capsys, monkeypatch, edit, argv, env, named
+    ):
+        cfg = tmp_path / "bad.yaml"
+        text = dataset_cfg.read_text()
+        cfg.write_text(text if edit is None else text.replace(*edit))
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        out = tmp_path / "d"
+        code, summary, err = run(
+            capsys, "dataset", "--config", str(cfg), "--out", str(out), *argv
+        )
+        assert code == 1
+        assert summary is None
+        assert len(err.strip().splitlines()) == 1
+        assert named in err
+        assert not out.exists()
+
     def test_dataset_respects_count_and_seed_flag(self, dataset_cfg, tmp_path, capsys):
         out1 = tmp_path / "d1"
         out2 = tmp_path / "d2"
@@ -370,15 +442,23 @@ class TestSceneAndDataset:
         assert len(list(feat_dir.glob("*.feat"))) == 2
 
 
-def test_import_loads_no_scipy():
+@pytest.mark.parametrize("command", ["design", "rir", "dataset"])
+def test_help_names_rate_cap(capsys, command):
+    assert main([command, "--help"]) == 0
+    assert f"<= {MAX_FS}," in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("module", ["scipy", "numba"])
+def test_import_loads_no_scipy(module):
     """The package and its CLI import only numpy, yaml and the standard
-    library: scipy alone used to add over a second to every command."""
+    library: scipy alone used to add over a second to every command, and
+    a jitted route made output bytes depend on what was installed."""
     env = dict(os.environ)
     src = str(Path(beambank.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = (
         "import sys, beambank, beambank.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] == {module!r}))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
