@@ -43,7 +43,7 @@ from .features import (
     save_stats,
 )
 from .geometry import BUILTIN_GEOMETRIES, import_atfs
-from .simulate import ClipSource, NoiseSource, build_dataset, generate_rir_ism
+from .simulate import MAX_ORDER, ClipSource, NoiseSource, build_dataset, generate_rir_ism
 
 _LOG = logging.getLogger("beambank")
 
@@ -86,7 +86,7 @@ relative paths in the config resolve against the config file's directory.
 RIR_EPILOG = f"""\
 config keys (distances in meters):
   room            {{dimensions: [Lx, Ly, Lz], absorption: a | [6 values],
-                   max_order: cap on image order, default 6}}
+                   max_order: image-order cap, 0 to {MAX_ORDER}, default 6}}
   source          [x, y, z] source position in the room frame
   mics            explicit [[x, y, z], ...] positions, or instead:
   geometry / geometry_file / subset, position
@@ -149,6 +149,8 @@ def cmd_design(args) -> dict:
 
 def cmd_pattern(args) -> dict:
     pattern_steps(args.resolution, error=ConfigError)
+    if not (np.isfinite(args.freq) and args.freq >= 0):
+        raise ConfigError(f"--freq {args.freq} Hz must be finite and >= 0")
     bank = load_bank(args.bank)
     hits = np.flatnonzero(np.abs(bank.frequencies - args.freq) <= 1e-6)
     if hits.size == 0:
@@ -420,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("pattern", "export horizontal beam patterns from a bank")
     p.add_argument("--bank", required=True, help="bank file")
     p.add_argument("--freq", type=float, default=1000.0,
-                   help="frequency in Hz, must lie on the bank grid (default 1000)")
+                   help="frequency in Hz, finite, >= 0 and on the bank grid (default 1000)")
     p.add_argument("--out", default=".", help="output directory (default .)")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="output format (default csv)")

@@ -30,7 +30,7 @@ from .geometry import (
     select_subset,
 )
 from .noise_model import PointNoiseSpec
-from .simulate import DEFAULT_MAX_ORDER, MOUTH_OFFSET, RoomSpec
+from .simulate import DEFAULT_MAX_ORDER, MAX_ORDER, MOUTH_OFFSET, RoomSpec
 
 ENV_PREFIX = "BEAMBANK_"
 DEFAULT_HORIZONTAL_DEG = (0.0, 90.0, 180.0, 270.0)
@@ -100,9 +100,13 @@ def _as_float(value, context: str) -> float:
     return float(value)
 
 
-def _as_int(value, context: str) -> int:
+def _as_int(value, context: str, minimum: int | None = None, maximum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{context}: expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{context} {value} must be >= {minimum}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{context} {value} must be <= {maximum}")
     return int(value)
 
 
@@ -264,7 +268,10 @@ def room_from_config(section: dict) -> RoomSpec:
     return RoomSpec(
         dimensions=_vector3(section["dimensions"], "room.dimensions"),
         absorption=absorption,
-        max_order=_as_int(section.get("max_order", DEFAULT_MAX_ORDER), "room.max_order"),
+        max_order=_as_int(
+            section.get("max_order", DEFAULT_MAX_ORDER), "room.max_order",
+            minimum=0, maximum=MAX_ORDER,
+        ),
     )
 
 
@@ -333,9 +340,7 @@ def dataset_settings(cfg: dict, base_dir=".") -> dict:
     if "clips_dir" not in cfg:
         raise ConfigError("dataset config needs 'clips_dir'")
     workers = cfg.get("workers")
-    count = _as_int(cfg.get("count", 1), "count")
-    if count < 1:
-        raise ConfigError(f"count {count} must be >= 1")
+    count = _as_int(cfg.get("count", 1), "count", minimum=1)
     fs = _as_int(cfg.get("fs", 16000), "fs")
     check_solver_settings(fs=fs, error=ConfigError)
     return {
@@ -348,8 +353,8 @@ def dataset_settings(cfg: dict, base_dir=".") -> dict:
         "count": count,
         "fs": fs,
         # None (not 0) when unset so the BEAMBANK_SEED fallback can act
-        "seed": None if "seed" not in cfg else _as_int(cfg["seed"], "seed"),
-        "workers": None if workers is None else _as_int(workers, "workers"),
+        "seed": None if "seed" not in cfg else _as_int(cfg["seed"], "seed", minimum=0),
+        "workers": None if workers is None else _as_int(workers, "workers", minimum=1),
         "out_dir": None if cfg.get("out_dir") is None else
         os.path.join(base_dir, str(cfg["out_dir"])),
     }

@@ -4,6 +4,12 @@ Square-root Hann on both sides (WOLA) so analysis*synthesis windows sum
 to one at 50% overlap; signals are center-padded by half a window so the
 first frame is centered on sample 0. Banks are applied per bin:
 out[k, t, f] = h_k(f)^H x(t, f).
+
+One weighted overlap-add frame engine (Crochiere, IEEE TASSP 1980) serves
+the offline and the streaming path: ``_analyze`` (frames, window, rfft),
+``_steer`` and ``_synthesize`` (irfft, window, overlap-add). ``stft``,
+``apply_bank`` and ``istft`` each run one stage over a whole signal;
+``BlockProcessor`` runs all three over the frames each block completes.
 """
 
 from __future__ import annotations
@@ -38,6 +44,36 @@ def _overlap_add(frames: np.ndarray, hop: int, out: np.ndarray) -> None:
         start = p * hop
         view = out[start:start + sub.shape[0] * n_fft]
         view.reshape(sub.shape[0], n_fft)[:] += sub
+
+
+def _analyze(x: np.ndarray, window: np.ndarray, hop: int, n_frames: int) -> np.ndarray:
+    """(C, n_frames, bins) rfft of windowed frames of C-contiguous (C, samples) x."""
+    n_fft, step = window.shape[0], x.strides[1]
+    # frames as a strided view on x's buffer; numpy checks it stays inside x
+    shape, strides = (x.shape[0], n_frames, n_fft), (x.strides[0], hop * step, step)
+    return np.fft.rfft(np.ndarray(shape, x.dtype, x, 0, strides) * window, axis=2)
+
+
+def _steer(conj_weights: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """out[k, t, f] = sum_m conj_weights[k, f, m] data[m, t, f]."""
+    return np.einsum("kfm,mtf->ktf", conj_weights, data)
+
+
+def _synthesize(data: np.ndarray, window: np.ndarray, hop: int) -> np.ndarray:
+    """Overlap-add of the windowed irfft frames of (C, T, bins) data, unnormalised."""
+    frames = np.fft.irfft(data, n=window.shape[0], axis=2)
+    frames *= window
+    out = np.zeros((data.shape[0], (data.shape[1] - 1) * hop + window.shape[0]))
+    for ch in range(frames.shape[0]):
+        _overlap_add(frames[ch], hop, out[ch])
+    return out
+
+
+def _window_sum(window: np.ndarray, hop: int, n_frames: int) -> np.ndarray:
+    """Per-sample WOLA gain: ``n_frames`` squared windows overlap-added."""
+    wsum = np.zeros((n_frames - 1) * hop + window.shape[0])
+    _overlap_add(np.broadcast_to(window * window, (n_frames, window.shape[0])), hop, wsum)
+    return wsum
 
 
 def sqrt_hann(n_fft: int) -> np.ndarray:
@@ -101,13 +137,12 @@ def stft(
     x = _as_2d(audio)
     if x.shape[1] < n_fft:
         raise DataError(f"need at least n_fft = {n_fft} samples, got {x.shape[1]}")
-    if n_fft % hop != 0:
+    if hop <= 0 or n_fft % hop != 0:
         raise DataError(f"hop {hop} must divide n_fft {n_fft}")
     pad = n_fft // 2
-    window = sqrt_hann(n_fft)
     padded = np.pad(x, ((0, 0), (pad, pad)))
-    frames = np.lib.stride_tricks.sliding_window_view(padded, n_fft, axis=1)[:, ::hop, :]
-    data = np.fft.rfft(frames * window, axis=2)
+    n_frames = (padded.shape[1] - n_fft) // hop + 1
+    data = _analyze(padded, sqrt_hann(n_fft), hop, n_frames)
     return Spectrogram(data=data, fs=int(fs), n_fft=int(n_fft), hop=int(hop))
 
 
@@ -117,25 +152,16 @@ def istft(spec: Spectrogram, num_samples: int | None = None) -> np.ndarray:
     ``num_samples`` trims/limits the output length (default: the full
     span implied by the frame count).
     """
-    frames = np.fft.irfft(spec.data, n=spec.n_fft, axis=2)
     window = sqrt_hann(spec.n_fft)
-    frames = frames * window
-    n_frames = spec.num_frames
-    pad = spec.n_fft // 2
-    total = (n_frames - 1) * spec.hop + spec.n_fft
-    out = np.zeros((spec.num_channels, total))
-    for ch in range(spec.num_channels):
-        _overlap_add(frames[ch], spec.hop, out[ch])
-    wsum = np.zeros(total)
-    _overlap_add(np.tile(window * window, (n_frames, 1)), spec.hop, wsum)
+    out = _synthesize(spec.data, window, spec.hop)
+    wsum = _window_sum(window, spec.hop, spec.num_frames)
     good = wsum > _EDGE_THRESHOLD * wsum.max()
-    out[:, good] /= wsum[good]
-    out[:, ~good] = 0.0
+    np.divide(out, wsum, out=out, where=good)
+    out[:, np.flatnonzero(~good)] = 0.0
 
-    full = out[:, pad:]
-    span = (n_frames - 1) * spec.hop
+    full = out[:, spec.n_fft // 2 :]
     if num_samples is None:
-        num_samples = span
+        num_samples = (spec.num_frames - 1) * spec.hop
     if num_samples > full.shape[1]:
         full = np.pad(full, ((0, 0), (0, num_samples - full.shape[1])))
     return full[:, :num_samples]
@@ -153,7 +179,7 @@ def apply_bank(spec: Spectrogram, bank) -> Spectrogram:
             f"spectrogram grid (fs={spec.fs}, n_fft={spec.n_fft}) does not match "
             f"bank grid (fs={bank.fs}, n_fft={bank.n_fft})"
         )
-    data = np.einsum("kfm,mtf->ktf", bank.weights.conj(), spec.data)
+    data = _steer(bank.weights.conj(), spec.data)
     return Spectrogram(data=data, fs=spec.fs, n_fft=spec.n_fft, hop=spec.hop)
 
 
@@ -164,7 +190,7 @@ class BlockProcessor:
     full window context has arrived (latency at most n_fft samples).
     Concatenated push/flush output has exactly the pushed length. The
     first half window ramps in from silence, as in any streamed WOLA
-    chain without center padding.
+    chain without center padding. The bank's weights are read at construction.
     """
 
     def __init__(self, bank, hop: int | None = None):
@@ -176,17 +202,14 @@ class BlockProcessor:
         self.hop = hop
         self.window = sqrt_hann(self.n_fft)
         # steady-state WOLA gain of the squared window at this hop
-        depth = 3 * (self.n_fft // hop)
-        wsum = np.zeros((depth - 1) * hop + self.n_fft)
-        _overlap_add(np.tile(self.window**2, (depth, 1)), hop, wsum)
-        mid = wsum[self.n_fft : 2 * self.n_fft]
+        mid = _window_sum(self.window, hop, 3 * (self.n_fft // hop))[self.n_fft : 2 * self.n_fft]
         if np.max(np.abs(mid - mid[0])) > 1e-10 * mid[0]:
             raise DataError(f"window/hop pair is not constant-overlap-add (hop {hop})")
         self.cola = float(mid[0])
-        self._pending = np.zeros((bank.num_mics, 0))
+        self._conj_weights = bank.weights.conj()
+        self._pending = np.zeros((bank.num_mics, 2 * self.n_fft))
+        self._fill = 0  # _pending[:, :_fill] holds the pushed samples not yet emitted
         self._carry = np.zeros((bank.num_directions, self.n_fft - hop))
-        self._in_count = 0
-        self._out_count = 0
 
     def push(self, block) -> np.ndarray:
         """Feed (channels, samples); return finalized steered samples."""
@@ -195,44 +218,35 @@ class BlockProcessor:
             raise DataError(
                 f"block has {block.shape[0]} channels, bank expects {self.bank.num_mics}"
             )
-        self._pending = np.concatenate([self._pending, block], axis=1)
-        self._in_count += block.shape[1]
-        out = self._drain()
-        self._out_count += out.shape[1]
-        return out
+        end = self._fill + block.shape[1]
+        if end > self._pending.shape[1]:
+            grown = np.zeros((self.bank.num_mics, max(end, 2 * self._pending.shape[1])))
+            grown[:, : self._fill] = self._pending[:, : self._fill]
+            self._pending = grown
+        self._pending[:, self._fill : end] = block
+        self._fill = end
+        return self._drain()
 
     def flush(self) -> np.ndarray:
         """Emit the remaining samples, zero-padding the final windows."""
-        owed = self._in_count - self._out_count
-        if owed == 0:
-            return np.zeros((self.bank.num_directions, 0))
-        self._pending = np.pad(self._pending, ((0, 0), (0, self.n_fft)))
-        out = self._drain()[:, :owed]
-        self._out_count += out.shape[1]
-        self._pending = np.zeros((self.bank.num_mics, 0))
+        owed = self._fill
+        out = self.push(np.zeros((self.bank.num_mics, self.n_fft)))[:, :owed]
+        self._fill = 0
         self._carry = np.zeros((self.bank.num_directions, self.n_fft - self.hop))
         return out
 
     def _drain(self) -> np.ndarray:
         n_fft, hop = self.n_fft, self.hop
-        available = self._pending.shape[1]
-        n_frames = (available - n_fft) // hop + 1 if available >= n_fft else 0
+        n_frames = (self._fill - n_fft) // hop + 1 if self._fill >= n_fft else 0
         if n_frames <= 0:
             return np.zeros((self.bank.num_directions, 0))
-        used = (n_frames - 1) * hop + n_fft
-        frames = np.lib.stride_tricks.sliding_window_view(
-            self._pending[:, :used], n_fft, axis=1
-        )[:, ::hop, :]
-        spec_data = np.fft.rfft(frames * self.window, axis=2)
-        steered = np.einsum("kfm,mtf->ktf", self.bank.weights.conj(), spec_data)
-        synth = np.fft.irfft(steered, n=n_fft, axis=2) * self.window
-        buf = np.zeros((self.bank.num_directions, used))
-        for k in range(self.bank.num_directions):
-            _overlap_add(synth[k], hop, buf[k])
+        spec = _analyze(self._pending, self.window, hop, n_frames)
+        buf = _synthesize(_steer(self._conj_weights, spec), self.window, hop)
         buf[:, : n_fft - hop] += self._carry
         emit = n_frames * hop
         self._carry = buf[:, emit:].copy()
-        self._pending = self._pending[:, emit:]
+        self._fill -= emit
+        self._pending[:, : self._fill] = self._pending[:, emit : emit + self._fill]
         return buf[:, :emit] / self.cola
 
 

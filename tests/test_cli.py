@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,7 @@ import beambank
 from beambank.beamformer import MAX_FS, load_bank, save_bank
 from beambank.cli import main
 from beambank.dsp import read_wav, write_wav
+from beambank.simulate import MAX_ORDER
 
 
 def run(capsys, *argv):
@@ -203,6 +206,18 @@ class TestPattern:
         assert "resolution" in err
         assert not (tmp_path / "p").exists()
 
+    @pytest.mark.parametrize("freq", ["nan", "inf", "-inf", "-500"])
+    def test_malformed_freq_exits_1_before_reading_bank(self, tmp_path, capsys, freq):
+        code, summary, err = run(
+            capsys, "pattern", "--bank", str(tmp_path / "missing.bbk"), f"--freq={freq}",
+            "--out", str(tmp_path / "p"),
+        )
+        assert code == 1
+        assert summary is None
+        assert len(err.strip().splitlines()) == 1
+        assert "freq" in err
+        assert not (tmp_path / "p").exists()
+
 
 class TestRir:
     EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "example_room.yaml"
@@ -226,6 +241,23 @@ class TestRir:
         assert len(err.strip().splitlines()) == 1
         assert "fs" in err
         assert not out.exists()
+
+    # the cap + 1, and an order whose image lattice would not fit in memory
+    @pytest.mark.parametrize("order", [MAX_ORDER + 1, 10**9, -1])
+    def test_bad_max_order_exits_1_before_allocating(self, tmp_path, capsys, order):
+        cfg = tmp_path / "room.yaml"
+        cfg.write_text(self.EXAMPLE.read_text().replace("max_order: 6", f"max_order: {order}"))
+        out = tmp_path / "rir.wav"
+        code, summary, err = run(capsys, "rir", "--config", str(cfg), "--out", str(out))
+        assert code == 1
+        assert summary is None
+        assert len(err.strip().splitlines()) == 1
+        assert "max_order" in err
+        assert not out.exists()
+
+    def test_help_states_order_cap(self, capsys):
+        assert main(["rir", "--help"]) == 0
+        assert f"0 to {MAX_ORDER}," in capsys.readouterr().out
 
 
 class TestApply:
@@ -387,9 +419,12 @@ class TestSceneAndDataset:
             (None, ("--workers", "-1"), {}, "workers"),
             (None, (), {"BEAMBANK_WORKERS": "0"}, "workers"),
             (None, ("--seed", "-1"), {}, "seed"),
+            (("count: 2", "count: 2\nworkers: 0"), ("--workers", "1"), {}, "workers"),
+            (("seed: 7", "seed: -5"), ("--seed", "3"), {}, "seed"),
         ],
         ids=["fs-negative", "fs-0", "fs-above-cap", "count-0", "config-workers-0",
-             "flag-workers-0", "flag-workers-negative", "env-workers-0", "seed-negative"],
+             "flag-workers-0", "flag-workers-negative", "env-workers-0", "seed-negative",
+             "config-workers-0-overridden", "config-seed-negative-overridden"],
     )
     def test_bad_setting_exits_1(
         self, dataset_cfg, tmp_path, capsys, monkeypatch, edit, argv, env, named
@@ -408,6 +443,28 @@ class TestSceneAndDataset:
         assert len(err.strip().splitlines()) == 1
         assert named in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_worker_failure_names_scene(self, corpus_dirs, tmp_path, capsys, workers):
+        clips = tmp_path / "clips"
+        shutil.copytree(corpus_dirs[0], clips)
+        audio, _ = read_wav(clips / "utt0.wav")
+        write_wav(clips / "utt0.wav", audio, 8000)
+        cfg = tmp_path / "bad_clip.yaml"
+        cfg.write_text(
+            "geometries:\n- geometry: reference_glasses_5\n"
+            f"clips_dir: {clips}\nnoise_dir: {corpus_dirs[1]}\ncount: 6\nseed: 7\n"
+        )
+        code, summary, err = run(
+            capsys, "dataset", "--config", str(cfg), "--out", str(tmp_path / "d"),
+            "--workers", workers,
+        )
+        assert code == 2
+        assert summary is None
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert re.search(r"scene 0000\d \(seed \d+\): .*utt0\.wav: sample rate 8000", lines[0])
+        assert "Traceback" not in err
 
     def test_dataset_respects_count_and_seed_flag(self, dataset_cfg, tmp_path, capsys):
         out1 = tmp_path / "d1"

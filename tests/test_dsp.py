@@ -9,6 +9,7 @@ from beambank.beamformer import design_bank
 from beambank.dsp import (
     BlockProcessor,
     Spectrogram,
+    _overlap_add,
     apply_bank,
     istft,
     read_wav,
@@ -58,9 +59,49 @@ class TestStftRoundTrip:
         assert spec.data.shape[0] == 2
         assert spec.data.shape[2] == 257
 
+    @pytest.mark.parametrize("n_fft, hop", [(512, 256), (512, 128), (512, 512), (65536, 65536)])
+    @pytest.mark.parametrize("num_samples", [None, 5000, 5300])
+    def test_equals_boolean_mask_normalisation(self, rng, n_fft, hop, num_samples):
+        """istft's in-place normalisation is bit-identical to dividing by a
+        tiled window sum through boolean masks. At hop n_fft the window sum
+        falls below the edge threshold at every frame start inside the
+        output (at n_fft 65536 also beside it, where it is not exactly 0);
+        those samples must read +0.0, never -0.0 or the undivided sum."""
+        pad = n_fft // 2
+        audio = rng.standard_normal((3, max(5000, n_fft + 4000)))
+        spec = stft(audio, fs=16000, n_fft=n_fft, hop=hop)
+        window = sqrt_hann(n_fft)
+        frames = np.fft.irfft(spec.data, n=n_fft, axis=2) * window
+        total = (spec.num_frames - 1) * hop + n_fft
+        out = np.zeros((3, total))
+        for ch in range(3):
+            _overlap_add(frames[ch], hop, out[ch])
+        wsum = np.zeros(total)
+        _overlap_add(np.tile(window * window, (spec.num_frames, 1)), hop, wsum)
+        good = wsum > 1e-8 * wsum.max()
+        out[:, good] /= wsum[good]
+        out[:, ~good] = 0.0
+        if num_samples is None:
+            num_samples = (spec.num_frames - 1) * hop
+        full = np.pad(out[:, pad:], ((0, 0), (0, max(0, num_samples + pad - total))))
+        expected = full[:, :num_samples]
+
+        got = istft(spec, num_samples=num_samples)
+        assert got.tobytes() == expected.tobytes()  # also tells -0.0 from +0.0
+        edges = np.flatnonzero(~good) - pad
+        edges = edges[(edges >= 0) & (edges < num_samples)]
+        # every output that reaches past the first frame start holds edges
+        assert (edges.size > 0) == (hop == n_fft and num_samples > n_fft - pad)
+        assert np.all(got[:, edges] == 0.0) and not np.any(np.signbit(got[:, edges]))
+
     def test_hop_must_divide_n_fft(self, rng):
         with pytest.raises(DataError):
             stft(rng.standard_normal(4000), fs=16000, n_fft=512, hop=300)
+
+    @pytest.mark.parametrize("hop", [0, -256])
+    def test_hop_must_be_positive(self, rng, hop):
+        with pytest.raises(DataError):
+            stft(rng.standard_normal(4000), fs=16000, n_fft=512, hop=hop)
 
 
 def _plane_wave(geometry, azimuth, f0, fs, n_samples, sound_speed=343.0):
@@ -122,9 +163,15 @@ class TestApplyBank:
             apply_bank(spec, bank)
 
 
+@pytest.fixture(scope="module")
+def nlcmv_bank(glasses5):
+    directions = [DirectionSpec(azimuth=math.radians(a)) for a in (0.0, 90.0, 180.0, 270.0)]
+    return design_bank(glasses5, directions + [MOUTH], method="nlcmv", fs=16000, n_fft=512)
+
+
 class TestBlockProcessor:
-    def _stream(self, bank, audio, rng=None):
-        proc = BlockProcessor(bank)
+    def _stream(self, bank, audio, rng=None, hop=None):
+        proc = BlockProcessor(bank, hop=hop)
         chunks = []
         cursor = 0
         while cursor < audio.shape[1]:
@@ -153,6 +200,20 @@ class TestBlockProcessor:
         streamed = self._stream(bank, audio, rng)
         core = slice(512, 20480 - 512)
         np.testing.assert_allclose(streamed[:, core], offline[:, core], atol=1e-10)
+
+    @pytest.mark.parametrize("hop", [256, 128])
+    def test_nlcmv_bank_interior_matches_offline(self, nlcmv_bank, rng, hop):
+        """All five nlcmv beams, streamed in random blocks at half and quarter
+        hop, reproduce the offline chain away from the edges."""
+        audio = rng.standard_normal((5, 12000))
+        spec = stft(audio, fs=16000, n_fft=512, hop=hop)
+        offline = istft(apply_bank(spec, nlcmv_bank), num_samples=audio.shape[1])
+        streamed = self._stream(nlcmv_bank, audio, rng, hop=hop)
+        assert streamed.shape == (5, 12000)
+        core = slice(512, 12000 - 512)
+        np.testing.assert_allclose(streamed[:, core], offline[:, core], atol=1e-10)
+        again = self._stream(nlcmv_bank, audio, rng, hop=hop)
+        np.testing.assert_allclose(again, streamed, atol=1e-12)
 
 
 class TestWavIo:

@@ -8,6 +8,7 @@ import pytest
 
 from beambank.errors import DataError
 from beambank.simulate import (
+    MAX_ORDER,
     RIR,
     ClipSource,
     NoiseSource,
@@ -77,6 +78,15 @@ class TestRoomSpec:
             RoomSpec(dimensions=[6, 5, 3], absorption=1.5)
         with pytest.raises(DataError):
             RoomSpec(dimensions=[6, 5, 3], absorption=0.3, max_order=-1)
+
+    @pytest.mark.parametrize("order", [MAX_ORDER + 1, 10**9])
+    def test_order_cap(self, order):
+        RoomSpec(dimensions=[6, 5, 3], absorption=0.3, max_order=MAX_ORDER)
+        with pytest.raises(DataError, match="order"):
+            RoomSpec(dimensions=[6, 5, 3], absorption=0.3, max_order=order)
+        room = RoomSpec(dimensions=[6, 5, 3], absorption=0.3)
+        with pytest.raises(DataError, match="order"):
+            generate_rir_ism(room, [1.0, 1.0, 1.0], [[2.0, 2.0, 1.0]], 16000, max_order=order)
 
     def test_sample_room_ranges(self, rng):
         for _ in range(200):
