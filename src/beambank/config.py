@@ -113,7 +113,10 @@ def _as_int(value, context: str, minimum: int | None = None, maximum: int | None
 def _vector3(value, context: str) -> np.ndarray:
     if not isinstance(value, list) or len(value) != 3:
         raise ConfigError(f"{context}: expected [x, y, z] in meters")
-    return np.array([_as_float(v, context) for v in value])
+    vec = np.array([_as_float(v, context) for v in value])
+    if not np.all(np.isfinite(vec)):
+        raise ConfigError(f"{context}: expected finite [x, y, z], got {vec.tolist()}")
+    return vec
 
 
 def geometry_from_config(cfg: dict, base_dir=".") -> ArrayGeometry:
@@ -287,9 +290,9 @@ def rir_settings(cfg: dict, base_dir=".") -> dict:
     if "mics" in cfg:
         if "geometry" in cfg or "geometry_file" in cfg:
             raise ConfigError("give either 'mics' or a geometry, not both")
-        mics = np.asarray(cfg["mics"], dtype=float)
-        if mics.ndim != 2 or mics.shape[1] != 3:
+        if not isinstance(cfg["mics"], list) or not cfg["mics"]:
             raise ConfigError("'mics' must be a list of [x, y, z] positions")
+        mics = np.array([_vector3(row, f"mics[{i}]") for i, row in enumerate(cfg["mics"])])
     else:
         if "position" not in cfg:
             raise ConfigError("rir config needs 'position' (array origin) with a geometry")

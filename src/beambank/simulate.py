@@ -10,6 +10,7 @@ against the self+other mixture only.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -50,6 +51,18 @@ MANIFEST_SCHEMA = "beambank-scene-v1"
 # taps on each side of a pulse center; the pulse is 2 * _HALF_TAPS + 1 long
 _HALF_TAPS = 40
 _NUM_TAPS = 2 * _HALF_TAPS + 1
+_TAP_OFFSETS = np.arange(-_HALF_TAPS, _HALF_TAPS + 1, dtype=float)
+# With b = 2 pi frac / 81, the tap at offset k of a pulse with fractional
+# part frac, times pi (k - frac) / (amp sin(pi frac)), is
+# -(-1)^k (1 + cos(2 pi k / 81) cos b + sin(2 pi k / 81) sin b) / 2:
+# a combination of these three fixed rows with weights (1, cos b, sin b).
+_PULSE_TABLE = np.where(_TAP_OFFSETS % 2 == 0, -0.5, 0.5) * np.stack(
+    [
+        np.ones(_NUM_TAPS),
+        np.cos(2.0 * np.pi * _TAP_OFFSETS / _NUM_TAPS),
+        np.sin(2.0 * np.pi * _TAP_OFFSETS / _NUM_TAPS),
+    ]
+)
 
 
 @dataclass(frozen=True)
@@ -67,8 +80,8 @@ class RoomSpec:
 
     def __post_init__(self):
         dims = np.asarray(self.dimensions, dtype=float)
-        if dims.shape != (3,) or not np.all(dims > 0):
-            raise DataError("room dimensions must be 3 positive lengths")
+        if dims.shape != (3,) or not np.all(np.isfinite(dims) & (dims > 0)):
+            raise DataError("room dimensions must be 3 finite positive lengths")
         dims.setflags(write=False)
         object.__setattr__(self, "dimensions", dims)
         alpha = np.asarray(self.absorption, dtype=float)
@@ -109,51 +122,85 @@ def _check_order(order) -> None:
         raise DataError(f"max reflection order {order} must be in [0, {MAX_ORDER}]")
 
 
+@functools.lru_cache(maxsize=MAX_ORDER + 1)
+def _image_lattice(max_order: int):
+    """The source-independent image lattice up to ``max_order``: per-image
+    mirror signs (1-2p), offsets 2r, and the hit counts |r+p| and |r| on
+    the walls through the origin and the opposite walls. Read-only, since
+    every call with the same order shares it."""
+    half = max_order // 2 + 1
+    r_axis = np.arange(-half, half + 1)
+    r = np.array(list(itertools.product(r_axis, r_axis, r_axis)))
+    signs, offsets, near_hits, far_hits = [], [], [], []
+    for p in itertools.product((0, 1), repeat=3):
+        p = np.array(p)
+        order = np.sum(np.abs(r + p) + np.abs(r), axis=1)
+        keep = r[order <= max_order]
+        signs.append(np.broadcast_to(1 - 2 * p, keep.shape))
+        offsets.append(2.0 * keep)
+        near_hits.append(np.abs(keep + p))
+        far_hits.append(np.abs(keep))
+    lattice = tuple(np.concatenate(a) for a in (signs, offsets, near_hits, far_hits))
+    for a in lattice:
+        a.setflags(write=False)
+    return lattice
+
+
 def _image_sources(room: RoomSpec, source: np.ndarray, max_order: int):
     """All image positions and amplitudes up to the reflection-order cap.
 
     Images are (1-2p) * (source + 2 r L) over p in {0,1}^3 and integer
     r; the order of an image is sum(|r+p| + |r|), its amplitude the
-    product of per-wall reflection coefficients raised to the hit counts.
+    product of per-wall reflection coefficients raised to the hit counts
+    (Allen & Berkley, JASA 1979).
     """
+    signs, offsets, near_hits, far_hits = _image_lattice(max_order)
     beta = room.reflection_coefficients()
-    dims = room.dimensions
-    half = max_order // 2 + 1
-    r_axis = np.arange(-half, half + 1)
-    r = np.array(list(itertools.product(r_axis, r_axis, r_axis)))
-    positions = []
-    amplitudes = []
-    for p in itertools.product((0, 1), repeat=3):
-        p = np.array(p)
-        order = np.sum(np.abs(r + p) + np.abs(r), axis=1)
-        keep = r[order <= max_order]
-        if keep.size == 0:
-            continue
-        positions.append((1 - 2 * p) * (source + 2.0 * keep * dims))
-        amplitudes.append(
-            np.prod(beta[0] ** np.abs(keep + p) * beta[1] ** np.abs(keep), axis=1)
-        )
-    return np.concatenate(positions), np.concatenate(amplitudes)
+    positions = signs * (source + offsets * room.dimensions)
+    amplitudes = np.prod(beta[0] ** near_hits * beta[1] ** far_hits, axis=1)
+    return positions, amplitudes
 
 
 def _add_pulses(out: np.ndarray, delays: np.ndarray, amps: np.ndarray) -> None:
     """Scatter-add windowed-sinc pulses into ``out`` (in place).
 
     Each pulse is ``amps[e] * sinc(n - delays[e]) * hann(n - delays[e])``
-    over the 81 integer taps nearest the (fractional) delay. Taps falling
-    outside the buffer are dropped.
+    over the 81 integer taps nearest the (fractional) delay: Peterson's
+    fractional delay (JASA 1986). Taps falling outside the buffer are
+    dropped.
+
+    With the center c = rint(delay), frac = delay - c in [-1/2, 1/2] and
+    k = n - c, the identities sin(pi (k - frac)) = -(-1)^k sin(pi frac)
+    and cos(a - b) = cos a cos b + sin a sin b leave three trig calls per
+    pulse, on frac, against the fixed ``_PULSE_TABLE``. The center tap is
+    amps * sinc(frac) * hann(frac), so an exact integer delay writes one
+    tap of ``amps`` and leaves every other tap exactly 0.
     """
-    centers = np.rint(delays).astype(np.int64)
-    offsets = np.arange(-_HALF_TAPS, _HALF_TAPS + 1)
-    n = centers[:, None] + offsets[None, :]
-    t = n - delays[:, None]
-    vals = amps[:, None] * np.sinc(t) * 0.5 * (1.0 + np.cos(2.0 * np.pi * t / _NUM_TAPS))
-    mask = (n >= 0) & (n < out.shape[0])
-    np.add.at(out, n[mask], vals[mask])
+    centers = np.rint(delays)
+    frac = delays - centers
+    sin_frac = np.sin(np.pi * frac)
+    angle = 2.0 * np.pi * frac / _NUM_TAPS
+    cos_angle = np.cos(angle)
+    gain = amps * sin_frac / np.pi
+    vals = np.stack([gain, gain * cos_angle, gain * np.sin(angle)], axis=1) @ _PULSE_TABLE
+    denom = _TAP_OFFSETS - frac[:, None]
+    # the center column is the only one that can be 0; it is set below
+    denom[:, _HALF_TAPS] = 1.0
+    vals /= denom
+    sinc_center = np.divide(sin_frac, np.pi * frac, out=np.ones_like(frac), where=frac != 0)
+    vals[:, _HALF_TAPS] = amps * sinc_center * 0.5 * (1.0 + cos_angle)
+
+    length = out.shape[0]
+    first = centers.astype(np.int64) - _HALF_TAPS
+    shift = max(0, -int(first.min()))
+    index = (first + shift)[:, None] + np.arange(_NUM_TAPS)
+    sums = np.bincount(index.ravel(), vals.ravel(), minlength=length + shift)
+    out += sums[shift : shift + length]
 
 
 def _check_inside(room: RoomSpec, point: np.ndarray, label: str):
-    if np.any(point <= 0) or np.any(point >= room.dimensions):
+    # written so that a NaN coordinate fails too
+    if not (np.all(point > 0) and np.all(point < room.dimensions)):
         raise DataError(f"{label} at {point.tolist()} is outside the room {room.dimensions.tolist()}")
 
 
@@ -653,7 +700,8 @@ def mix_noise(
     m, n_samples = scene_audio.shape
 
     max_delay = int(round(MAX_DECORRELATION_DELAY_S * fs))
-    if noise.shape[0] == 1:
+    mono_noise = noise.shape[0] == 1
+    if mono_noise:
         delays = rng.integers(0, max_delay + 1, size=m)
         needed = n_samples + int(delays.max())
         mono = noise[0]
@@ -681,6 +729,12 @@ def mix_noise(
     if p_noise <= 0:
         raise DataError("noise is silent over the scene's active span")
     scale = math.sqrt(p_ref / (p_noise * 10.0 ** (snr_db / 10.0)))
+    if mono_noise:
+        # freshly stacked: scale and add in place (the sum commutes exactly)
+        channels *= scale
+        channels += scene_audio
+        return channels
+    # a view of the caller's noise, which must not be written
     return scene_audio + scale * channels
 
 

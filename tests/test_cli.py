@@ -255,6 +255,32 @@ class TestRir:
         assert "max_order" in err
         assert not out.exists()
 
+    # (config line replaced, its replacement, the key the error names)
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("geometry: reference_glasses_5", "mics: [[.nan, 2.0, 1.4]]", "mics[0]"),
+            ("geometry: reference_glasses_5", 'mics: [["a", 2.0, 1.4]]', "mics[0]"),
+            ("geometry: reference_glasses_5", "mics: [[1.5, 2.0, 1.4], [1.6, 2.0]]", "mics[1]"),
+            ("source: [4.5, 2.0, 1.6]", "source: [.nan, 2.0, 1.6]", "source"),
+            ("dimensions: [6.0, 4.5, 2.8]", "dimensions: [.inf, 4.5, 2.8]", "room.dimensions"),
+        ],
+        ids=["mic-nan", "mic-string", "mic-ragged", "source-nan", "room-inf"],
+    )
+    def test_bad_position_exits_1_with_one_line(self, tmp_path, capsys, old, new, key):
+        text = self.EXAMPLE.read_text()
+        if new.startswith("mics"):
+            text = text.replace("position: [1.5, 2.2, 1.4]\n", "")
+        cfg = tmp_path / "room.yaml"
+        cfg.write_text(text.replace(old, new))
+        out = tmp_path / "rir.wav"
+        code, summary, err = run(capsys, "rir", "--config", str(cfg), "--out", str(out))
+        assert code == 1
+        assert summary is None
+        assert len(err.strip().splitlines()) == 1
+        assert key in err
+        assert not out.exists()
+
     def test_help_states_order_cap(self, capsys):
         assert main(["rir", "--help"]) == 0
         assert f"0 to {MAX_ORDER}," in capsys.readouterr().out

@@ -1,5 +1,6 @@
 """Room impulse responses, scene sampling, composition, and dataset builds."""
 
+import itertools
 import json
 import math
 
@@ -17,6 +18,8 @@ from beambank.simulate import (
     SceneSpec,
     _convolve_place,
     _fast_len,
+    _image_lattice,
+    _image_sources,
     build_dataset,
     compose_scene,
     generate_rir_ism,
@@ -60,6 +63,27 @@ def windowed_sinc_place(length, delay, amp):
     return out
 
 
+def image_sources_direct(room, source, max_order):
+    """Reference image builder: the lattice rebuilt for every call."""
+    beta = room.reflection_coefficients()
+    half = max_order // 2 + 1
+    r_axis = np.arange(-half, half + 1)
+    r = np.array(list(itertools.product(r_axis, r_axis, r_axis)))
+    positions = []
+    amplitudes = []
+    for p in itertools.product((0, 1), repeat=3):
+        p = np.array(p)
+        order = np.sum(np.abs(r + p) + np.abs(r), axis=1)
+        keep = r[order <= max_order]
+        if keep.size == 0:
+            continue
+        positions.append((1 - 2 * p) * (source + 2.0 * keep * room.dimensions))
+        amplitudes.append(
+            np.prod(beta[0] ** np.abs(keep + p) * beta[1] ** np.abs(keep), axis=1)
+        )
+    return np.concatenate(positions), np.concatenate(amplitudes)
+
+
 class TestRoomSpec:
     def test_scalar_absorption_broadcasts(self):
         room = RoomSpec(dimensions=[6.0, 5.0, 3.0], absorption=0.36)
@@ -78,6 +102,11 @@ class TestRoomSpec:
             RoomSpec(dimensions=[6, 5, 3], absorption=1.5)
         with pytest.raises(DataError):
             RoomSpec(dimensions=[6, 5, 3], absorption=0.3, max_order=-1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_dimensions_rejected(self, bad):
+        with pytest.raises(DataError, match="finite"):
+            RoomSpec(dimensions=[6.0, bad, 3.0], absorption=0.3)
 
     @pytest.mark.parametrize("order", [MAX_ORDER + 1, 10**9])
     def test_order_cap(self, order):
@@ -158,6 +187,35 @@ class TestRirIsm:
         room = RoomSpec(dimensions=[4, 4, 4], absorption=0.3)
         with pytest.raises(DataError):
             generate_rir_ism(room, [5.0, 1.0, 1.0], [[1.0, 1.0, 1.0]], 16000)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_points_rejected(self, bad):
+        room = RoomSpec(dimensions=[4, 4, 4], absorption=0.3)
+        with pytest.raises(DataError, match="source"):
+            generate_rir_ism(room, [bad, 1.0, 1.0], [[1.0, 1.0, 1.0]], 16000)
+        with pytest.raises(DataError, match="microphone 1"):
+            generate_rir_ism(room, [2.0, 1.0, 1.0], [[1.0, 1.0, 1.0], [1.0, bad, 1.0]], 16000)
+
+    @pytest.mark.parametrize("order", range(9))
+    def test_image_sources_equal_direct_builder(self, rng, order):
+        for _ in range(3):
+            dims = rng.uniform([3.0, 3.0, 2.0], [10.0, 10.0, 6.0])
+            room = RoomSpec(
+                dimensions=dims, absorption=tuple(rng.uniform(0.1, 0.9, size=6)),
+                max_order=order,
+            )
+            source = rng.uniform(0.5, dims - 0.5)
+            positions, amplitudes = _image_sources(room, source, order)
+            expected_positions, expected_amplitudes = image_sources_direct(room, source, order)
+            np.testing.assert_array_equal(positions, expected_positions)
+            np.testing.assert_array_equal(amplitudes, expected_amplitudes)
+
+    def test_cached_lattice_is_read_only(self):
+        lattice = _image_lattice(3)
+        assert _image_lattice(3) is lattice
+        for part in lattice:
+            with pytest.raises(ValueError, match="read-only"):
+                part[0, 0] = 0
 
 
 class TestSceneSpec:
@@ -393,6 +451,14 @@ class TestMixNoise:
                 float(np.mean(reference**2)) / float(np.mean(added**2))
             )
             assert measured == pytest.approx(snr, abs=1e-9)
+
+    def test_multichannel_noise_is_not_written(self, rng):
+        fs = 16000
+        reference = rng.standard_normal((2, fs))
+        noise = rng.standard_normal((2, 2 * fs))
+        kept = noise.copy()
+        mix_noise(reference, noise, 10.0, reference, rng, fs)
+        np.testing.assert_array_equal(noise, kept)
 
     def test_loop_false_rejects_short_noise(self, rng):
         fs = 16000
