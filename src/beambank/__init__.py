@@ -59,6 +59,7 @@ from .features import (
     denormalize,
     export_features,
     featurize_bank_output,
+    featurize_with_bank,
     import_features,
     load_stats,
     log_mel,

@@ -37,7 +37,7 @@ from .errors import BeambankError, ConfigError, DataError, ParseError
 from .features import (
     accumulate_stats,
     export_features,
-    featurize_bank_output,
+    featurize_with_bank,
     load_stats,
     normalize,
     save_stats,
@@ -261,7 +261,7 @@ def _featurize_wav(wav_path, bank, stats):
             f"{wav_path}: {audio.shape[0]} channels vs {bank.num_mics}-mic bank"
         )
     spec = stft(audio, fs=fs, n_fft=bank.n_fft, hop=bank.n_fft // 2)
-    tensor = featurize_bank_output(apply_bank(spec, bank), bank.direction_labels())
+    tensor = featurize_with_bank(spec, bank)
     if stats is not None:
         tensor = normalize(tensor, stats)
     return tensor

@@ -119,6 +119,13 @@ def _vector3(value, context: str) -> np.ndarray:
     return vec
 
 
+def _positions(value, context: str) -> np.ndarray:
+    """(M, 3) positions from a non-empty list of [x, y, z] rows."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"'{context}' must be a list of [x, y, z] positions")
+    return np.array([_vector3(row, f"{context}[{i}]") for i, row in enumerate(value)])
+
+
 def geometry_from_config(cfg: dict, base_dir=".") -> ArrayGeometry:
     """Resolve a geometry: builtin name, inline {id, mics}, or geometry_file,
     plus an optional channel subset."""
@@ -141,7 +148,7 @@ def geometry_from_config(cfg: dict, base_dir=".") -> ArrayGeometry:
             if "id" not in entry or "mics" not in entry:
                 raise ConfigError("inline geometry needs 'id' and 'mics'")
             geometry = ArrayGeometry(
-                id=str(entry["id"]), mics=np.asarray(entry["mics"], dtype=float)
+                id=str(entry["id"]), mics=_positions(entry["mics"], "geometry.mics")
             )
     if "subset" in cfg:
         indices = cfg["subset"]
@@ -290,9 +297,7 @@ def rir_settings(cfg: dict, base_dir=".") -> dict:
     if "mics" in cfg:
         if "geometry" in cfg or "geometry_file" in cfg:
             raise ConfigError("give either 'mics' or a geometry, not both")
-        if not isinstance(cfg["mics"], list) or not cfg["mics"]:
-            raise ConfigError("'mics' must be a list of [x, y, z] positions")
-        mics = np.array([_vector3(row, f"mics[{i}]") for i, row in enumerate(cfg["mics"])])
+        mics = _positions(cfg["mics"], "mics")
     else:
         if "position" not in cfg:
             raise ConfigError("rir config needs 'position' (array origin) with a geometry")

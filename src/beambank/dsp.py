@@ -167,9 +167,8 @@ def istft(spec: Spectrogram, num_samples: int | None = None) -> np.ndarray:
     return full[:, :num_samples]
 
 
-def apply_bank(spec: Spectrogram, bank) -> Spectrogram:
-    """Steer a multichannel spectrogram through every bank direction:
-    out[k, t, f] = h_k(f)^H x(t, f)."""
+def _check_grid(spec: Spectrogram, bank) -> None:
+    """Raise GridMismatchError unless ``spec`` has the bank's channels and grid."""
     if spec.num_channels != bank.num_mics:
         raise GridMismatchError(
             f"spectrogram has {spec.num_channels} channels, bank expects {bank.num_mics}"
@@ -179,6 +178,12 @@ def apply_bank(spec: Spectrogram, bank) -> Spectrogram:
             f"spectrogram grid (fs={spec.fs}, n_fft={spec.n_fft}) does not match "
             f"bank grid (fs={bank.fs}, n_fft={bank.n_fft})"
         )
+
+
+def apply_bank(spec: Spectrogram, bank) -> Spectrogram:
+    """Steer a multichannel spectrogram through every bank direction:
+    out[k, t, f] = h_k(f)^H x(t, f)."""
+    _check_grid(spec, bank)
     data = _steer(bank.weights.conj(), spec.data)
     return Spectrogram(data=data, fs=spec.fs, n_fft=spec.n_fft, hop=spec.hop)
 

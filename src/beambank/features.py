@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import _container
 from .errors import DataError, ParseError
-from .dsp import Spectrogram
+from .dsp import Spectrogram, _check_grid
 
 NUM_MEL = 80
 LOG_FLOOR = 1e-10
@@ -47,6 +48,14 @@ def mel_filterbank(num_filters: int, n_fft: int, fs: int) -> np.ndarray:
     return bank
 
 
+@lru_cache(maxsize=8)
+def _filterbank(num_filters: int, n_fft: int, fs: int) -> np.ndarray:
+    """Read-only :func:`mel_filterbank`, built once per process and grid."""
+    bank = mel_filterbank(num_filters, n_fft, fs)
+    bank.flags.writeable = False
+    return bank
+
+
 def mel_center_frequencies(num_filters: int, fs: int) -> np.ndarray:
     edges_mel = np.linspace(hz_to_mel(0.0), hz_to_mel(fs / 2.0), num_filters + 2)
     return mel_to_hz(edges_mel[1:-1])
@@ -54,12 +63,15 @@ def mel_center_frequencies(num_filters: int, fs: int) -> np.ndarray:
 
 def log_mel(channel: np.ndarray, fs: int, num_filters: int = NUM_MEL) -> np.ndarray:
     """Natural-log mel energies of STFT frames, (..., frames, bins) ->
-    (..., frames, num_filters); the filterbank is built once per call."""
+    (..., frames, num_filters). The filterbank is built once per process
+    for each (num_filters, n_fft, fs). A strided input, such as a (K, T, F)
+    view of frequency-major data, is read in place: the power keeps its
+    layout and the stacked product reads each (frames, bins) block as is."""
     channel = np.asarray(channel)
     if channel.ndim < 2:
         raise DataError("log_mel expects (..., frames, bins)")
     n_fft = 2 * (channel.shape[-1] - 1)
-    bank = mel_filterbank(num_filters, n_fft, fs)
+    bank = _filterbank(num_filters, n_fft, fs)
     power = np.abs(channel) ** 2
     return np.log(np.maximum(power @ bank.T, LOG_FLOOR))
 
@@ -104,6 +116,24 @@ def featurize_bank_output(spec: Spectrogram, direction_labels, num_filters: int 
         ),
         frame_rate=spec.frame_rate,
         direction_labels=labels,
+    )
+
+
+def featurize_with_bank(spec: Spectrogram, bank, num_filters: int = NUM_MEL) -> FeatureTensor:
+    """Log-mel of ``spec`` steered through every direction of ``bank``.
+
+    Returns what ``featurize_bank_output(apply_bank(spec, bank),
+    bank.direction_labels())`` does, but steers with one batched (F, K, M)
+    @ (F, M, T) product instead of ``apply_bank``'s einsum; the two differ
+    only by float64 rounding. The product's contiguous (F, K, T) result
+    goes to :func:`log_mel` as a (K, T, F) view, with no transposing copy.
+    """
+    _check_grid(spec, bank)
+    steered = np.matmul(bank.weights.conj().transpose(1, 0, 2), spec.data.transpose(2, 0, 1))
+    return featurize_bank_output(
+        Spectrogram(data=steered.transpose(1, 2, 0), fs=spec.fs, n_fft=spec.n_fft, hop=spec.hop),
+        bank.direction_labels(),
+        num_filters,
     )
 
 

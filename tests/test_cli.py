@@ -16,7 +16,13 @@ import pytest
 import beambank
 from beambank.beamformer import MAX_FS, load_bank, save_bank
 from beambank.cli import main
-from beambank.dsp import read_wav, write_wav
+from beambank.dsp import apply_bank, read_wav, stft, write_wav
+from beambank.features import (
+    accumulate_stats,
+    export_features,
+    featurize_bank_output,
+    save_stats,
+)
 from beambank.simulate import MAX_ORDER
 
 
@@ -108,6 +114,22 @@ class TestDesign:
         assert summary is None
         assert len(err.strip().splitlines()) == 1
         assert key in err
+
+    @pytest.mark.parametrize(
+        "mics",
+        ["[[0, 0, 0], [0.1, 0]]", '"abc"', "[[0, 0, 0], [.nan, 0.1, 0]]"],
+        ids=["ragged", "string", "nan"],
+    )
+    def test_bad_inline_mics_exit_1_with_one_line(self, tmp_path, capsys, mics):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(f"geometry: {{id: g, mics: {mics}}}\nn_fft: 64\n")
+        out = tmp_path / "x.bbk"
+        code, summary, err = run(capsys, "design", "--config", str(cfg), "--out", str(out))
+        assert code == 1
+        assert summary is None
+        assert len(err.strip().splitlines()) == 1
+        assert "geometry.mics" in err
+        assert not out.exists()
 
     def test_usage_error_exits_1(self, capsys):
         assert main(["design", "--no-such-flag"]) == 1
@@ -523,6 +545,37 @@ class TestSceneAndDataset:
         assert summary["files"] == 2
         assert summary["skipped_other_geometry"] == 0
         assert len(list(feat_dir.glob("*.feat"))) == 2
+
+    def test_featurize_and_stats_match_per_file_route(
+        self, dataset_cfg, bank_file, tmp_path, capsys
+    ):
+        """`featurize` and `stats` over a manifest write what steering each
+        file with apply_bank, then featurize_bank_output, gives."""
+        out = tmp_path / "ds"
+        code, _, _ = run(capsys, "dataset", "--config", str(dataset_cfg), "--out", str(out))
+        assert code == 0
+        manifest = out / "manifest.jsonl"
+        feat_dir, stats_file = tmp_path / "feats", tmp_path / "stats.json"
+        code, _, _ = run(
+            capsys, "featurize", str(manifest), "--bank", str(bank_file), "--out", str(feat_dir)
+        )
+        assert code == 0
+        code, summary, _ = run(
+            capsys, "stats", str(manifest), "--bank", str(bank_file), "--out", str(stats_file)
+        )
+        assert code == 0
+        bank = load_bank(bank_file)
+        expected, tensors = tmp_path / "expected", []
+        for row in map(json.loads, manifest.read_text().splitlines()):
+            audio, fs = read_wav(out / row["audio_path"])
+            spec = stft(audio, fs=fs, n_fft=bank.n_fft, hop=bank.n_fft // 2)
+            tensors.append(featurize_bank_output(apply_bank(spec, bank), bank.direction_labels()))
+            export_features(tensors[-1], expected)
+            feat = feat_dir / (Path(row["audio_path"]).stem + ".feat")
+            assert feat.read_bytes() == expected.read_bytes()
+        assert summary["frames"] == sum(t.num_frames for t in tensors)
+        save_stats(accumulate_stats(tensors), expected)
+        assert stats_file.read_bytes() == expected.read_bytes()
 
 
 @pytest.mark.parametrize("command", ["design", "rir", "dataset"])

@@ -5,15 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from beambank.dsp import stft
-from beambank.errors import DataError, ParseError
+from beambank import features
+from beambank.beamformer import design_bank
+from beambank.dsp import apply_bank, stft
+from beambank.errors import DataError, GridMismatchError, ParseError
 from beambank.features import (
     CorpusStats,
     FeatureTensor,
+    _filterbank,
     accumulate_stats,
     denormalize,
     export_features,
     featurize_bank_output,
+    featurize_with_bank,
     hz_to_mel,
     import_features,
     load_stats,
@@ -25,6 +29,9 @@ from beambank.features import (
     save_stats,
     stack_frames,
 )
+from beambank.geometry import DirectionSpec
+
+MOUTH = DirectionSpec(azimuth=0.0, elevation=-0.6435011087932844, range_m=0.1)
 
 
 class TestMelScale:
@@ -109,6 +116,95 @@ class TestLogMel:
         spec = stft(rng.standard_normal((3, 8000)), fs=16000, n_fft=512)
         with pytest.raises(DataError):
             featurize_bank_output(spec, ["az0"])
+
+
+class TestFilterbankCache:
+    def test_cached_filterbank_is_read_only(self):
+        fb = _filterbank(80, 512, 16000)
+        assert not fb.flags.writeable
+        with pytest.raises(ValueError):
+            fb[0, 0] = 1.0
+        np.testing.assert_array_equal(fb, mel_filterbank(80, 512, 16000))
+
+    def test_built_once_per_grid(self, rng):
+        spec = stft(rng.standard_normal(4000), fs=16000, n_fft=256)
+        log_mel(spec.data, 16000)
+        before = _filterbank.cache_info()
+        log_mel(spec.data, 16000)
+        after = _filterbank.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    def test_public_filterbank_is_fresh_and_writable(self, rng):
+        spec = stft(rng.standard_normal(8000), fs=16000, n_fft=512)
+        expected = log_mel(spec.data, 16000)
+        fb = mel_filterbank(80, 512, 16000)
+        assert fb.flags.writeable
+        assert fb is not mel_filterbank(80, 512, 16000)
+        fb[:] = 0.0
+        np.testing.assert_array_equal(log_mel(spec.data, 16000), expected)
+
+
+@pytest.fixture(scope="module")
+def banks(glasses5, glasses7):
+    """The 5-mic reference bank and a 7-mic bank of 8 looks plus the mouth."""
+    looks5 = [DirectionSpec(azimuth=math.radians(a)) for a in (0.0, 90.0, 180.0, 270.0)]
+    looks7 = [DirectionSpec(azimuth=math.radians(a)) for a in range(0, 360, 45)]
+    return {
+        "reference-5": design_bank(glasses5, looks5 + [MOUTH], fs=16000, n_fft=512),
+        "glasses-7x9": design_bank(glasses7, looks7 + [MOUTH], fs=16000, n_fft=1024),
+    }
+
+
+class TestFeaturizeWithBank:
+    @pytest.mark.parametrize("seconds", [None, 3.0], ids=["n_fft-samples", "3s"])
+    @pytest.mark.parametrize("name", ["reference-5", "glasses-7x9"])
+    def test_equals_apply_then_featurize(self, banks, rng, monkeypatch, name, seconds):
+        bank = banks[name]
+        n = bank.n_fft if seconds is None else int(seconds * bank.fs)
+        spec = stft(0.1 * rng.standard_normal((bank.num_mics, n)), bank.fs, bank.n_fft)
+        mels = []  # the float64 log-mel each route computes
+
+        def spy(*args, **kwargs):
+            mels.append(log_mel(*args, **kwargs))
+            return mels[-1]
+
+        monkeypatch.setattr(features, "log_mel", spy)
+        expected = featurize_bank_output(apply_bank(spec, bank), bank.direction_labels())
+        got = featurize_with_bank(spec, bank)
+        np.testing.assert_allclose(mels[1], mels[0], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(got.data, expected.data)
+        assert got.data.shape == (spec.num_frames, bank.num_directions, 80)
+        assert got.direction_labels == expected.direction_labels
+        assert got.frame_rate == expected.frame_rate
+
+    @pytest.mark.parametrize(
+        "channels, fs, n_fft",
+        [(4, 16000, 512), (5, 8000, 512), (5, 16000, 256)],
+        ids=["channels", "fs", "n_fft"],
+    )
+    def test_grid_mismatch_rejected_by_both_routes(self, banks, rng, channels, fs, n_fft):
+        bank = banks["reference-5"]
+        spec = stft(rng.standard_normal((channels, 4000)), fs, n_fft)
+        with pytest.raises(GridMismatchError):
+            apply_bank(spec, bank)
+        with pytest.raises(GridMismatchError):
+            featurize_with_bank(spec, bank)
+
+    @pytest.mark.parametrize("frames", [3, 94, 300])
+    def test_log_mel_reads_frequency_major_view_in_place(self, rng, frames):
+        """log_mel of a (K, T, F) view of an (F, K, T) array equals log_mel of
+        its contiguous copy. Below a few dozen frames a BLAS library may run
+        the two layouts through different small-product kernels, which
+        round differently in the last bit."""
+        freq_major = rng.standard_normal((257, 5, frames)) + 1j * rng.standard_normal(
+            (257, 5, frames)
+        )
+        view = freq_major.transpose(1, 2, 0)
+        got, expected = log_mel(view, 16000), log_mel(np.ascontiguousarray(view), 16000)
+        if frames < 32:
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        else:
+            np.testing.assert_array_equal(got, expected)
 
 
 def _random_tensor(rng, frames):
