@@ -107,9 +107,9 @@ def check_solver_settings(
     num_mics: int | None = None,
     error: type = DataError,
 ) -> None:
-    """Raise ``error`` unless ``method`` is one of METHODS, wng_margin > 0,
-    wng_tolerance >= 0, the sound speed is finite and > 0, 0 < fs <= MAX_FS
-    and n_fft > 0 and even.
+    """Raise ``error`` unless ``method`` is one of METHODS, wng_margin is
+    finite and > 0, wng_tolerance is finite and >= 0, the sound speed is
+    finite and > 0, 0 < fs <= MAX_FS and n_fft > 0 and even.
 
     Given the mic count M, an nlcmv design also needs a reachable WNG
     floor. By Cauchy-Schwarz no distortionless h has a white noise gain
@@ -118,13 +118,13 @@ def check_solver_settings(
     """
     if method not in METHODS:
         raise error(f"unknown method '{method}', expected one of {METHODS}")
-    if not wng_margin > 0:
-        raise error(f"wng_margin {wng_margin} must be > 0")
+    if not (math.isfinite(wng_margin) and wng_margin > 0):
+        raise error(f"wng_margin {wng_margin} must be finite and > 0")
     reachable = num_mics is None or wng_margin < num_mics or wng_margin <= 1
     if method == "nlcmv" and not reachable:
         raise error(f"wng_margin {wng_margin} must be < the mic count {num_mics}")
-    if not wng_tolerance >= 0:
-        raise error(f"wng_tolerance {wng_tolerance} must be >= 0")
+    if not (math.isfinite(wng_tolerance) and wng_tolerance >= 0):
+        raise error(f"wng_tolerance {wng_tolerance} must be finite and >= 0")
     if not (math.isfinite(sound_speed) and sound_speed > 0):
         raise error(f"sound_speed {sound_speed} must be finite and > 0")
     if not 0 < fs <= MAX_FS:

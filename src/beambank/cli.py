@@ -23,8 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import MIN_RESOLUTION_DEG, beam_pattern, export_pattern, pattern_steps
-from .beamformer import MAX_FS, design_bank, load_bank, save_bank, verify_bank
+from .beamformer import design_bank, load_bank, save_bank, verify_bank
 from .config import (
+    config_epilog,
     dataset_settings,
     design_settings,
     load_config,
@@ -42,8 +43,8 @@ from .features import (
     normalize,
     save_stats,
 )
-from .geometry import BUILTIN_GEOMETRIES, import_atfs
-from .simulate import MAX_ORDER, ClipSource, NoiseSource, build_dataset, generate_rir_ism
+from .geometry import import_atfs
+from .simulate import ClipSource, NoiseSource, build_dataset, generate_rir_ism
 
 _LOG = logging.getLogger("beambank")
 
@@ -57,61 +58,7 @@ precedence for seed/workers/log level: flag, then environment variable,
 then config file, then built-in default.
 """
 
-DESIGN_EPILOG = f"""\
-config keys (YAML mapping; angles in degrees, distances in meters):
-  geometry        builtin name ({", ".join(sorted(BUILTIN_GEOMETRIES))})
-                  or inline {{id, mics: [[x, y, z], ...]}}
-  geometry_file   path to a geometry YAML (alternative to 'geometry')
-  subset          optional channel index list applied to the geometry
-  atf_source      'freefield' (default, analytic model) or 'file'
-  atf_file        steering-vector set path (required iff atf_source: file)
-  directions      mapping with:
-    horizontal    look azimuths in degrees, default [0, 90, 180, 270]
-    mouth         {{azimuth, elevation, range}}; default is the wearer-mouth
-                  point 8 cm forward of and 6 cm below the array origin
-  method          delay_and_sum | superdirective | mvdr | nlcmv (default)
-  nulls           list of {{azimuth, elevation, alpha, range, psd}};
-                  alpha defaults to 10, psd to 1, no range = far field
-  fs              sample rate in Hz, > 0 and <= {MAX_FS}, default 16000
-  n_fft           FFT size, even and > 0, default 512 (one design per rfft
-                  bin)
-  sound_speed     m/s, finite and > 0, default 343.0
-  wng_tolerance   white-noise-gain constraint tolerance, >= 0, default 1e-8
-  wng_margin      tightening factor on the WNG floor, > 0 and < the mic
-                  count, default 1.0
-
-relative paths in the config resolve against the config file's directory.
-"""
-
-RIR_EPILOG = f"""\
-config keys (distances in meters):
-  room            {{dimensions: [Lx, Ly, Lz], absorption: a | [6 values],
-                   max_order: image-order cap, 0 to {MAX_ORDER}, default 6}}
-  source          [x, y, z] source position in the room frame
-  mics            explicit [[x, y, z], ...] positions, or instead:
-  geometry / geometry_file / subset, position
-                  a named array placed with its origin at 'position'
-  fs              sample rate in Hz, > 0 and <= {MAX_FS}, default 16000
-  sound_speed     m/s, finite and > 0, default 343.0
-
-per-wall absorption is ordered (x=0, y=0, z=0, x=Lx, y=Ly, z=Lz).
-"""
-
-DATASET_EPILOG = f"""\
-config keys:
-  geometries      list of {{geometry | geometry_file, subset, proportion}};
-                  proportions must sum to 1 (omit all of them for equal
-                  shares)
-  clips_dir       directory of paired utterance files (x.wav + x.txt)
-  noise_dir       optional directory of noise wav files
-  count           number of scenes, >= 1, default 1 ('scene' renders 1)
-  fs              sample rate in Hz, > 0 and <= {MAX_FS}, default 16000
-  seed            base seed, >= 0; scene i uses the i-th derived child seed
-  workers         parallel scene renderers, >= 1, default logical cores
-  out_dir         output directory (--out overrides)
-
-relative paths in the config resolve against the config file's directory.
-"""
+DESIGN_EPILOG, RIR_EPILOG, DATASET_EPILOG = map(config_epilog, ("design", "rir", "dataset"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -408,11 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add(name, help_text, epilog=None):
-        p = sub.add_parser(
+        return sub.add_parser(
             name, help=help_text, epilog=epilog,
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
-        return p
 
     p = add("design", "design a beamformer bank from a config", DESIGN_EPILOG)
     p.add_argument("--config", required=True, help="design config file (YAML)")

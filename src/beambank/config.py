@@ -3,7 +3,12 @@
 Configs are YAML mappings. Angles in config files are degrees and are
 converted to radians at this boundary; distances are meters. Unknown keys
 are rejected everywhere so that a typo fails loudly instead of silently
-falling back to a default.
+falling back to a default, and a key set to null counts as unset.
+
+Each section is one tuple of ``_Key`` rows (name, reader, default, help),
+read by ``_section`` and printed as ``--help`` text by ``config_epilog``. A
+range the library already enforces is checked only there, and its
+``DataError`` is re-raised as a ``ConfigError`` naming the key.
 
 Settings precedence, highest first: command-line flag, environment variable
 (``BEAMBANK_SEED``, ``BEAMBANK_WORKERS``, ``BEAMBANK_LOG_LEVEL``), config
@@ -13,14 +18,18 @@ config file's own directory.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import sys
+import textwrap
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
 
-from .beamformer import WNG_TOLERANCE, check_solver_settings
-from .errors import ConfigError
+from .beamformer import MAX_FS, METHODS, WNG_TOLERANCE, check_solver_settings
+from .errors import ConfigError, DataError
 from .geometry import (
     BUILTIN_GEOMETRIES,
     SOUND_SPEED,
@@ -30,42 +39,21 @@ from .geometry import (
     select_subset,
 )
 from .noise_model import PointNoiseSpec
-from .simulate import DEFAULT_MAX_ORDER, MAX_ORDER, MOUTH_OFFSET, RoomSpec
+from .simulate import DEFAULT_MAX_ORDER, MAX_ORDER, MOUTH_OFFSET, RoomSpec, _normalize_catalog
 
 ENV_PREFIX = "BEAMBANK_"
-DEFAULT_HORIZONTAL_DEG = (0.0, 90.0, 180.0, 270.0)
-DEFAULT_NULL_ALPHA = 10.0
-DEFAULT_NULL_PSD = 1.0
 
-DESIGN_KEYS = frozenset(
-    {
-        "geometry",
-        "geometry_file",
-        "subset",
-        "atf_source",
-        "atf_file",
-        "directions",
-        "method",
-        "nulls",
-        "fs",
-        "n_fft",
-        "sound_speed",
-        "wng_tolerance",
-        "wng_margin",
-    }
-)
-DIRECTIONS_KEYS = frozenset({"horizontal", "mouth"})
-MOUTH_KEYS = frozenset({"azimuth", "elevation", "range"})
-NULL_KEYS = frozenset({"azimuth", "elevation", "alpha", "range", "psd"})
-ROOM_KEYS = frozenset({"dimensions", "absorption", "max_order"})
-RIR_KEYS = frozenset(
-    {"room", "source", "mics", "geometry", "geometry_file", "subset", "position",
-     "fs", "sound_speed"}
-)
-GEOMETRY_ENTRY_KEYS = frozenset({"geometry", "geometry_file", "subset", "proportion"})
-DATASET_KEYS = frozenset(
-    {"geometries", "clips_dir", "noise_dir", "count", "fs", "seed", "workers", "out_dir"}
-)
+_REQUIRED = object()
+
+
+class _Key(NamedTuple):
+    """One config key: ``read(value, dotted_key)`` parses a present value
+    (and the default); a ``None`` default leaves an absent key as None."""
+
+    name: str
+    read: Callable
+    default: object
+    help: str
 
 
 def load_config(path) -> dict:
@@ -75,7 +63,8 @@ def load_config(path) -> dict:
             doc = yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    except yaml.YAMLError as exc:
+    # ValueError: an integer too long to convert; RecursionError: deep nesting
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     if doc is None:
         doc = {}
@@ -84,78 +73,115 @@ def load_config(path) -> dict:
     return doc
 
 
-def check_keys(mapping, allowed, context: str) -> None:
+def _dotted(context: str, name: str) -> str:
+    return f"{context}.{name}" if context else name
+
+
+def _section(mapping, rows, context: str) -> dict:
+    """Read ``mapping`` through its rows into {name: value}: unknown keys and
+    missing required keys are errors, an absent key takes its row's default,
+    and each reader gets the dotted key (``nulls[1].alpha``) for messages."""
+    where = context or "config"
     if not isinstance(mapping, dict):
-        raise ConfigError(f"{context}: expected a mapping, got {type(mapping).__name__}")
-    unknown = sorted(set(mapping) - set(allowed))
+        raise ConfigError(f"{where}: expected a mapping, got {type(mapping).__name__}")
+    names = [row.name for row in rows]
+    unknown = sorted(set(mapping) - set(names), key=str)
     if unknown:
-        raise ConfigError(
-            f"{context}: unknown keys {unknown}; allowed keys: {sorted(allowed)}"
-        )
+        raise ConfigError(f"{where}: unknown keys {unknown}; allowed keys: {sorted(names)}")
+    out = {}
+    for row in rows:
+        value = mapping.get(row.name)
+        if value is None and row.default is _REQUIRED:
+            raise ConfigError(f"{where} needs '{row.name}'")
+        value = row.default if value is None else value
+        out[row.name] = None if value is None else row.read(value, _dotted(context, row.name))
+    return out
 
 
-def _as_float(value, context: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{context}: expected a number, got {value!r}")
+@contextlib.contextmanager
+def _as_config_error(context: str):
+    """Re-raise a library range check's DataError as a ConfigError naming
+    the config key it came from."""
+    try:
+        yield
+    except DataError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
+
+
+def _number(value, context: str) -> float:
+    """A finite int or float; a bool is not a number here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        -sys.float_info.max <= value <= sys.float_info.max
+    ):
+        raise ConfigError(f"{context}: expected a finite number, got {value!r}")
     return float(value)
 
 
-def _as_int(value, context: str, minimum: int | None = None, maximum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{context}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{context} {value} must be >= {minimum}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"{context} {value} must be <= {maximum}")
-    return int(value)
+def _integer(minimum: int | None = None) -> Callable:
+    def read(value, context: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{context}: expected an integer, got {value!r}")
+        if minimum is not None and value < minimum:
+            raise ConfigError(f"{context} {value} must be >= {minimum}")
+        return value
+
+    return read
+
+
+def _text(value, context: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{context}: expected a string, got {value!r}")
+    return value
+
+
+def _choice(*options) -> Callable:
+    def read(value, context: str):
+        if value not in options:
+            raise ConfigError(f"{context}: expected one of {list(options)}, got {value!r}")
+        return value
+
+    return read
+
+
+def _list(item: Callable, empty_ok: bool = False) -> Callable:
+    """A list read item by item as ``key[i]`` (a tuple is a default)."""
+
+    def read(value, context: str) -> list:
+        if not isinstance(value, (list, tuple)) or not (value or empty_ok):
+            raise ConfigError(
+                f"{context}: expected a {'' if empty_ok else 'non-empty '}list, got {value!r}"
+            )
+        return [item(v, f"{context}[{i}]") for i, v in enumerate(value)]
+
+    return read
 
 
 def _vector3(value, context: str) -> np.ndarray:
     if not isinstance(value, list) or len(value) != 3:
-        raise ConfigError(f"{context}: expected [x, y, z] in meters")
-    vec = np.array([_as_float(v, context) for v in value])
-    if not np.all(np.isfinite(vec)):
-        raise ConfigError(f"{context}: expected finite [x, y, z], got {vec.tolist()}")
-    return vec
+        raise ConfigError(f"{context}: expected [x, y, z] in meters, got {value!r}")
+    return np.array([_number(v, context) for v in value])
 
 
 def _positions(value, context: str) -> np.ndarray:
     """(M, 3) positions from a non-empty list of [x, y, z] rows."""
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"'{context}' must be a list of [x, y, z] positions")
-    return np.array([_vector3(row, f"{context}[{i}]") for i, row in enumerate(value)])
+    return np.array(_list(_vector3)(value, context))
 
 
-def geometry_from_config(cfg: dict, base_dir=".") -> ArrayGeometry:
-    """Resolve a geometry: builtin name, inline {id, mics}, or geometry_file,
-    plus an optional channel subset."""
-    has_inline = "geometry" in cfg
-    has_file = "geometry_file" in cfg
-    if has_inline == has_file:
-        raise ConfigError("config needs exactly one of 'geometry' or 'geometry_file'")
-    if has_file:
-        geometry = load_geometry(os.path.join(base_dir, str(cfg["geometry_file"])))
-    else:
-        entry = cfg["geometry"]
-        if isinstance(entry, str):
-            if entry not in BUILTIN_GEOMETRIES:
-                raise ConfigError(
-                    f"unknown geometry '{entry}'; builtins: {sorted(BUILTIN_GEOMETRIES)}"
-                )
-            geometry = BUILTIN_GEOMETRIES[entry]()
-        else:
-            check_keys(entry, {"id", "mics"}, "geometry")
-            if "id" not in entry or "mics" not in entry:
-                raise ConfigError("inline geometry needs 'id' and 'mics'")
-            geometry = ArrayGeometry(
-                id=str(entry["id"]), mics=_positions(entry["mics"], "geometry.mics")
+def _absorption(value, context: str):
+    return _list(_number)(value, context) if isinstance(value, list) else _number(value, context)
+
+
+def _array(value, context: str) -> ArrayGeometry:
+    """A builtin geometry name or an inline {id, mics} mapping."""
+    if isinstance(value, str):
+        if value not in BUILTIN_GEOMETRIES:
+            raise ConfigError(
+                f"{context}: unknown geometry '{value}'; builtins: {sorted(BUILTIN_GEOMETRIES)}"
             )
-    if "subset" in cfg:
-        indices = cfg["subset"]
-        if not isinstance(indices, list) or not indices:
-            raise ConfigError("'subset' must be a non-empty list of channel indices")
-        geometry = select_subset(geometry, [_as_int(i, "subset") for i in indices])
-    return geometry
+        return BUILTIN_GEOMETRIES[value]()
+    s = _section(value, _INLINE_GEOMETRY, context)
+    with _as_config_error(context):
+        return ArrayGeometry(id=s["id"], mics=s["mics"])
 
 
 def default_mouth_direction() -> DirectionSpec:
@@ -170,65 +196,180 @@ def default_mouth_direction() -> DirectionSpec:
     )
 
 
-def directions_from_config(cfg: dict) -> list[DirectionSpec]:
-    """Build the bank's look list: K horizontal azimuths (degrees) followed
-    by the near-field mouth point."""
-    section = cfg.get("directions") or {}
-    check_keys(section, DIRECTIONS_KEYS, "directions")
-    horizontal = section.get("horizontal", list(DEFAULT_HORIZONTAL_DEG))
-    if not isinstance(horizontal, list) or not horizontal:
-        raise ConfigError("directions.horizontal must be a non-empty list of degrees")
-    looks = [
-        DirectionSpec(azimuth=math.radians(_as_float(az, "directions.horizontal")))
-        for az in horizontal
+def _point(s: dict, context: str) -> DirectionSpec:
+    with _as_config_error(context):
+        return DirectionSpec(math.radians(s["azimuth"]), math.radians(s["elevation"]), s["range"])
+
+
+def _directions(value, context: str) -> list[DirectionSpec]:
+    """K horizontal looks followed by the near-field mouth point."""
+    s = _section(value, _DIRECTIONS, context)
+    with _as_config_error(_dotted(context, "horizontal")):
+        looks = [DirectionSpec(azimuth=math.radians(az)) for az in s["horizontal"]]
+    return looks + [default_mouth_direction() if s["mouth"] is None else s["mouth"]]
+
+
+def _null(value, context: str) -> PointNoiseSpec:
+    s = _section(value, _NULL, context)
+    direction = _point(s, context)
+    with _as_config_error(context):
+        return PointNoiseSpec(direction=direction, weight=s["alpha"], psd=s["psd"])
+
+
+def room_from_config(section: dict, context: str = "room") -> RoomSpec:
+    s = _section(section, _ROOM, context)
+    with _as_config_error(context):
+        return RoomSpec(s["dimensions"], s["absorption"], s["max_order"])
+
+
+def _show(value) -> str:
+    if isinstance(value, (tuple, list)):
+        return "[" + ", ".join(map(_show, value)) + "]"
+    return f"{value:g}" if isinstance(value, float) else str(value)
+
+
+_FS = _Key("fs", _integer(), 16000, f"sample rate in Hz, > 0 and <= {MAX_FS}")
+_SOUND_SPEED = _Key("sound_speed", _number, SOUND_SPEED, "m/s, > 0")
+_INLINE_GEOMETRY = (
+    _Key("id", _text, _REQUIRED, "geometry name"),
+    _Key("mics", _positions, _REQUIRED, "[[x, y, z], ...] mic positions in meters"),
+)
+_GEOMETRY = (
+    _Key("geometry", _array, None,
+         f"builtin name ({', '.join(sorted(BUILTIN_GEOMETRIES))}) or a mapping of "
+         "the inline geometry keys below"),
+    _Key("geometry_file", _text, None, "path to a geometry YAML (instead of 'geometry')"),
+    _Key("subset", _list(_integer()), None, "channel indices to keep, in order"),
+)
+_MOUTH = (
+    _Key("azimuth", _number, 0.0, "degrees"),
+    _Key("elevation", _number, 0.0, "degrees, -90 to 90"),
+    _Key("range", _number, _REQUIRED, "meters from the array origin (near field)"),
+)
+_DIRECTIONS = (
+    _Key("horizontal", _list(_number), (0.0, 90.0, 180.0, 270.0), "look azimuths in degrees"),
+    _Key("mouth", lambda value, context: _point(_section(value, _MOUTH, context), context),
+         None, "mapping of the directions.mouth keys below; default: the wearer's mouth, "
+         f"at {_show(tuple(MOUTH_OFFSET))} m from the array origin"),
+)
+_NULL = (
+    _Key("azimuth", _number, _REQUIRED, "degrees"),
+    _Key("elevation", _number, 0.0, "degrees, -90 to 90"),
+    _Key("alpha", _number, 10.0, "null weight, >= 0"),
+    _Key("range", _number, None, "meters for a near-field null; unset: far field"),
+    _Key("psd", _number, 1.0, "flat noise power, > 0"),
+)
+_DESIGN = _GEOMETRY + (
+    _Key("atf_source", _choice("freefield", "file"), "freefield",
+         "'freefield' (analytic model) or 'file'"),
+    _Key("atf_file", _text, None, "steering-vector set path, required iff atf_source is 'file'"),
+    _Key("directions", _directions, {}, "mapping of the directions keys below"),
+    _Key("method", _text, "nlcmv", " | ".join(METHODS)),
+    _Key("nulls", _list(_null, empty_ok=True), (), "list of mappings of the nulls[i] keys below"),
+    _FS,
+    _Key("n_fft", _integer(), 512, "FFT size, even and > 0 (one design per rfft bin)"),
+    _SOUND_SPEED,
+    _Key("wng_tolerance", _number, WNG_TOLERANCE, "white-noise-gain constraint tolerance, >= 0"),
+    _Key("wng_margin", _number, 1.0, "tightening factor on the WNG floor, > 0 and < the mic count"),
+)
+_ROOM = (
+    _Key("dimensions", _vector3, _REQUIRED, "[Lx, Ly, Lz] in meters"),
+    _Key("absorption", _absorption, 0.4,
+         "one value, or 6 per-wall values ordered (x=0, y=0, z=0, x=Lx, y=Ly, z=Lz), in (0, 1]"),
+    _Key("max_order", _integer(), DEFAULT_MAX_ORDER, f"image-order cap, 0 to {MAX_ORDER}"),
+)
+_RIR = (
+    _Key("room", room_from_config, _REQUIRED, "mapping of the room keys below"),
+    _Key("source", _vector3, _REQUIRED, "[x, y, z] source position in the room frame"),
+    _Key("mics", _positions, None, "[[x, y, z], ...] mic positions, instead of a geometry"),
+    *_GEOMETRY,
+    _Key("position", _vector3, None, "[x, y, z] of the geometry's origin in the room"),
+    _FS,
+    _SOUND_SPEED,
+)
+_CATALOG_ENTRY = _GEOMETRY + (
+    _Key("proportion", _number, None,
+         "share of scenes, >= 0; give it on every entry (summing to 1) or on none "
+         "(equal shares)"),
+)
+_DATASET = (
+    _Key("geometries", _list(lambda value, context: _section(value, _CATALOG_ENTRY, context)),
+         _REQUIRED, "list of mappings of the geometries[i] keys below"),
+    _Key("clips_dir", _text, _REQUIRED, "directory of paired utterance files (x.wav + x.txt)"),
+    _Key("noise_dir", _text, None, "directory of noise wav files"),
+    _Key("count", _integer(1), 1, "number of scenes, >= 1 ('scene' renders 1)"),
+    _FS,
+    _Key("seed", _integer(0), None, "base seed, >= 0 (default 0); scene i uses the i-th child seed"),
+    _Key("workers", _integer(1), None, "parallel scene renderers, >= 1 (default: logical cores)"),
+    _Key("out_dir", _text, None, "output directory (--out overrides)"),
+)
+# per command: (section name, rows) in --help order
+_SECTIONS = {
+    "design": (("", _DESIGN), ("directions", _DIRECTIONS), ("directions.mouth", _MOUTH),
+               ("nulls[i]", _NULL), ("inline geometry", _INLINE_GEOMETRY)),
+    "rir": (("", _RIR), ("room", _ROOM), ("inline geometry", _INLINE_GEOMETRY)),
+    "dataset": (("", _DATASET), ("geometries[i]", _CATALOG_ENTRY),
+                ("inline geometry", _INLINE_GEOMETRY)),
+}
+
+
+def config_epilog(command: str) -> str:
+    """``--help`` text for the config keys of ``command`` (design, rir or
+    dataset), printed from the rows that read them."""
+    lines = [
+        "config file: a YAML mapping; angles in degrees, distances in meters, numbers",
+        "finite; a key set to null counts as unset; relative paths resolve against",
+        "the config file's directory.",
     ]
-    mouth_cfg = section.get("mouth")
-    if mouth_cfg is None:
-        mouth = default_mouth_direction()
-    else:
-        check_keys(mouth_cfg, MOUTH_KEYS, "directions.mouth")
-        if "range" not in mouth_cfg:
-            raise ConfigError("directions.mouth needs 'range' (meters, near field)")
-        mouth = DirectionSpec(
-            azimuth=math.radians(
-                _as_float(mouth_cfg.get("azimuth", 0.0), "directions.mouth.azimuth")
-            ),
-            elevation=math.radians(
-                _as_float(mouth_cfg.get("elevation", 0.0), "directions.mouth.elevation")
-            ),
-            range_m=_as_float(mouth_cfg["range"], "directions.mouth.range"),
+    for section, rows in _SECTIONS[command]:
+        lines += ["", f"{section or 'top-level'} keys:"]
+        for row in rows:
+            text = row.help
+            if row.default is _REQUIRED:
+                text += ", required"
+            elif row.default is not None and not isinstance(row.default, dict):
+                text += f", default {_show(row.default)}"
+            first, *rest = textwrap.wrap(text, 60)
+            lines += [f"  {row.name:<16}{first}"] + [" " * 18 + line for line in rest]
+    return "\n".join(lines) + "\n"
+
+
+def _path(base_dir, value):
+    return None if value is None else os.path.join(base_dir, value)
+
+
+def _geometry(s: dict, base_dir, context: str = "") -> ArrayGeometry:
+    """The array a section's geometry / geometry_file / subset keys name."""
+    if (s["geometry"] is None) == (s["geometry_file"] is None):
+        raise ConfigError(
+            f"{context or 'config'} needs exactly one of 'geometry' or 'geometry_file'"
         )
-    return looks + [mouth]
+    geometry = s["geometry"]
+    if geometry is None:  # a file problem stays a data error (exit 2)
+        geometry = load_geometry(_path(base_dir, s["geometry_file"]))
+    if s["subset"] is None:
+        return geometry
+    with _as_config_error(_dotted(context, "subset")):
+        return select_subset(geometry, s["subset"])
+
+
+def geometry_from_config(cfg: dict, base_dir=".") -> ArrayGeometry:
+    """Resolve a geometry: builtin name, inline {id, mics}, or geometry_file,
+    plus an optional channel subset."""
+    return _geometry(_section(cfg, _GEOMETRY, ""), base_dir)
+
+
+def directions_from_config(cfg: dict) -> list[DirectionSpec]:
+    """Build a design config's look list: K horizontal azimuths (degrees)
+    followed by the near-field mouth point."""
+    return _section(cfg, _DESIGN, "")["directions"]
 
 
 def nulls_from_config(cfg: dict) -> tuple:
-    """Point-noise null list: azimuth/elevation in degrees, optional range
-    (meters) for near-field nulls, alpha weight, flat psd."""
-    entries = cfg.get("nulls") or []
-    if not isinstance(entries, list):
-        raise ConfigError("'nulls' must be a list")
-    out = []
-    for i, entry in enumerate(entries):
-        context = f"nulls[{i}]"
-        check_keys(entry, NULL_KEYS, context)
-        if "azimuth" not in entry:
-            raise ConfigError(f"{context}: 'azimuth' (degrees) is required")
-        range_m = entry.get("range")
-        direction = DirectionSpec(
-            azimuth=math.radians(_as_float(entry["azimuth"], f"{context}.azimuth")),
-            elevation=math.radians(
-                _as_float(entry.get("elevation", 0.0), f"{context}.elevation")
-            ),
-            range_m=None if range_m is None else _as_float(range_m, f"{context}.range"),
-        )
-        out.append(
-            PointNoiseSpec(
-                direction=direction,
-                weight=_as_float(entry.get("alpha", DEFAULT_NULL_ALPHA), f"{context}.alpha"),
-                psd=_as_float(entry.get("psd", DEFAULT_NULL_PSD), f"{context}.psd"),
-            )
-        )
-    return tuple(out)
+    """Point-noise null list of a design config: azimuth/elevation in
+    degrees, optional range (meters) for near-field nulls, alpha weight,
+    flat psd."""
+    return tuple(_section(cfg, _DESIGN, "")["nulls"])
 
 
 def design_settings(cfg: dict, base_dir=".") -> dict:
@@ -237,134 +378,76 @@ def design_settings(cfg: dict, base_dir=".") -> dict:
     The returned mapping carries an extra ``atf_file`` entry (path or None)
     that the caller pops and loads before designing.
     """
-    check_keys(cfg, DESIGN_KEYS, "design config")
-    atf_source = str(cfg.get("atf_source", "freefield"))
-    if atf_source not in ("freefield", "file"):
-        raise ConfigError("atf_source must be 'freefield' or 'file'")
-    if atf_source == "file" and "atf_file" not in cfg:
-        raise ConfigError("atf_source 'file' needs 'atf_file'")
-    if atf_source == "freefield" and "atf_file" in cfg:
-        raise ConfigError("'atf_file' given but atf_source is 'freefield'")
-    geometry = geometry_from_config(cfg, base_dir)
+    s = _section(cfg, _DESIGN, "")
+    if (s["atf_source"] == "file") != (s["atf_file"] is not None):
+        raise ConfigError("'atf_file' is required with atf_source 'file', and only then")
+    geometry = _geometry(s, base_dir)
     solver = {
-        "sound_speed": _as_float(cfg.get("sound_speed", SOUND_SPEED), "sound_speed"),
-        "wng_tolerance": _as_float(cfg.get("wng_tolerance", WNG_TOLERANCE), "wng_tolerance"),
-        "wng_margin": _as_float(cfg.get("wng_margin", 1.0), "wng_margin"),
-        "fs": _as_int(cfg.get("fs", 16000), "fs"),
-        "n_fft": _as_int(cfg.get("n_fft", 512), "n_fft"),
-        "method": str(cfg.get("method", "nlcmv")),
+        key: s[key]
+        for key in ("sound_speed", "wng_tolerance", "wng_margin", "fs", "n_fft", "method")
     }
     check_solver_settings(**solver, num_mics=geometry.num_mics, error=ConfigError)
     return {
         "geometry": geometry,
-        "directions": directions_from_config(cfg),
-        "nulls": nulls_from_config(cfg),
+        "directions": s["directions"],
+        "nulls": tuple(s["nulls"]),
         **solver,
-        "atf_file": (
-            os.path.join(base_dir, str(cfg["atf_file"])) if atf_source == "file" else None
-        ),
+        "atf_file": _path(base_dir, s["atf_file"]),
     }
-
-
-def room_from_config(section: dict) -> RoomSpec:
-    check_keys(section, ROOM_KEYS, "room")
-    if "dimensions" not in section:
-        raise ConfigError("room needs 'dimensions' [x, y, z] in meters")
-    absorption = section.get("absorption", 0.4)
-    if isinstance(absorption, list):
-        absorption = tuple(_as_float(a, "room.absorption") for a in absorption)
-    else:
-        absorption = _as_float(absorption, "room.absorption")
-    return RoomSpec(
-        dimensions=_vector3(section["dimensions"], "room.dimensions"),
-        absorption=absorption,
-        max_order=_as_int(
-            section.get("max_order", DEFAULT_MAX_ORDER), "room.max_order",
-            minimum=0, maximum=MAX_ORDER,
-        ),
-    )
 
 
 def rir_settings(cfg: dict, base_dir=".") -> dict:
     """Validate a room-response config: a room, a source point, and mic
     positions (explicit list, or a geometry placed at 'position')."""
-    check_keys(cfg, RIR_KEYS, "rir config")
-    for key in ("room", "source"):
-        if key not in cfg:
-            raise ConfigError(f"rir config needs '{key}'")
-    room = room_from_config(cfg["room"])
-    source = _vector3(cfg["source"], "source")
-    if "mics" in cfg:
-        if "geometry" in cfg or "geometry_file" in cfg:
-            raise ConfigError("give either 'mics' or a geometry, not both")
-        mics = _positions(cfg["mics"], "mics")
+    s = _section(cfg, _RIR, "")
+    if s["mics"] is not None:
+        placed = [k for k in ("geometry", "geometry_file", "subset", "position") if s[k] is not None]
+        if placed:
+            raise ConfigError(f"give either 'mics' or a geometry at a 'position', not both ({placed})")
+        mics = s["mics"]
+    elif s["position"] is None:
+        raise ConfigError("config needs 'mics', or 'position' (array origin) with a geometry")
     else:
-        if "position" not in cfg:
-            raise ConfigError("rir config needs 'position' (array origin) with a geometry")
-        geometry = geometry_from_config(cfg, base_dir)
-        mics = geometry.mics + _vector3(cfg["position"], "position")
-    sound_speed = _as_float(cfg.get("sound_speed", SOUND_SPEED), "sound_speed")
-    fs = _as_int(cfg.get("fs", 16000), "fs")
-    check_solver_settings(sound_speed=sound_speed, fs=fs, error=ConfigError)
+        mics = _geometry(s, base_dir).mics + s["position"]
+    check_solver_settings(sound_speed=s["sound_speed"], fs=s["fs"], error=ConfigError)
     return {
-        "room": room,
-        "source": source,
+        "room": s["room"],
+        "source": s["source"],
         "mics": mics,
-        "fs": fs,
-        "sound_speed": sound_speed,
+        "fs": s["fs"],
+        "sound_speed": s["sound_speed"],
     }
 
 
-def catalog_from_config(cfg: dict, base_dir=".") -> list:
-    """Geometry catalog for scene synthesis: list of geometry entries with
-    optional proportions (all or none; omitted means equal shares)."""
-    entries = cfg.get("geometries")
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError("'geometries' must be a non-empty list")
-    geometries, proportions = [], []
-    for i, entry in enumerate(entries):
-        context = f"geometries[{i}]"
-        check_keys(entry, GEOMETRY_ENTRY_KEYS, context)
-        geometries.append(
-            geometry_from_config({k: v for k, v in entry.items() if k != "proportion"},
-                                 base_dir)
-        )
-        proportions.append(
-            None if "proportion" not in entry
-            else _as_float(entry["proportion"], f"{context}.proportion")
-        )
-    given = [p for p in proportions if p is not None]
-    if given and len(given) != len(proportions):
-        raise ConfigError("give 'proportion' on every geometry or on none")
-    if not given:
-        proportions = [1.0 / len(geometries)] * len(geometries)
-    return list(zip(geometries, proportions))
+def _catalog(entries: list, base_dir) -> list:
+    """(geometry, proportion) pairs; no proportions means equal shares."""
+    geometries = [_geometry(e, base_dir, f"geometries[{i}]") for i, e in enumerate(entries)]
+    proportions = [e["proportion"] for e in entries]
+    if None in proportions:
+        if proportions.count(None) != len(proportions):
+            raise ConfigError("geometries: give 'proportion' on every entry or on none")
+        proportions = [1.0 / len(entries)] * len(entries)
+    catalog = list(zip(geometries, proportions))
+    with _as_config_error("geometries"):
+        _normalize_catalog(catalog)
+    return catalog
 
 
 def dataset_settings(cfg: dict, base_dir=".") -> dict:
     """Validate a scene/dataset config and return build_dataset-style
     keyword arguments (paths resolved, sources not yet opened)."""
-    check_keys(cfg, DATASET_KEYS, "dataset config")
-    if "clips_dir" not in cfg:
-        raise ConfigError("dataset config needs 'clips_dir'")
-    workers = cfg.get("workers")
-    count = _as_int(cfg.get("count", 1), "count", minimum=1)
-    fs = _as_int(cfg.get("fs", 16000), "fs")
-    check_solver_settings(fs=fs, error=ConfigError)
+    s = _section(cfg, _DATASET, "")
+    check_solver_settings(fs=s["fs"], error=ConfigError)
     return {
-        "catalog": catalog_from_config(cfg, base_dir),
-        "clips_dir": os.path.join(base_dir, str(cfg["clips_dir"])),
-        "noise_dir": (
-            None if cfg.get("noise_dir") is None
-            else os.path.join(base_dir, str(cfg["noise_dir"]))
-        ),
-        "count": count,
-        "fs": fs,
+        "catalog": _catalog(s["geometries"], base_dir),
+        "clips_dir": _path(base_dir, s["clips_dir"]),
+        "noise_dir": _path(base_dir, s["noise_dir"]),
+        "count": s["count"],
+        "fs": s["fs"],
         # None (not 0) when unset so the BEAMBANK_SEED fallback can act
-        "seed": None if "seed" not in cfg else _as_int(cfg["seed"], "seed", minimum=0),
-        "workers": None if workers is None else _as_int(workers, "workers", minimum=1),
-        "out_dir": None if cfg.get("out_dir") is None else
-        os.path.join(base_dir, str(cfg["out_dir"])),
+        "seed": s["seed"],
+        "workers": s["workers"],
+        "out_dir": _path(base_dir, s["out_dir"]),
     }
 
 

@@ -71,6 +71,8 @@ class DirectionSpec:
 
     def __post_init__(self):
         az = float(self.azimuth)
+        if not math.isfinite(az):
+            raise DataError(f"azimuth {az} must be finite")
         # wrap into (-pi, pi]
         az = az - 2.0 * math.pi * math.floor((az + math.pi) / (2.0 * math.pi))
         if az <= -math.pi:

@@ -87,7 +87,7 @@ class RoomSpec:
         alpha = np.asarray(self.absorption, dtype=float)
         if alpha.ndim == 0:
             alpha = np.full(6, float(alpha))
-        if alpha.shape != (6,) or np.any(alpha <= 0) or np.any(alpha > 1):
+        if alpha.shape != (6,) or not np.all((alpha > 0) & (alpha <= 1)):
             raise DataError("absorption must be a scalar or 6 per-wall values in (0, 1]")
         alpha.setflags(write=False)
         object.__setattr__(self, "absorption", alpha)
@@ -119,7 +119,7 @@ class RIR:
 
 def _check_order(order) -> None:
     if not 0 <= order <= MAX_ORDER:
-        raise DataError(f"max reflection order {order} must be in [0, {MAX_ORDER}]")
+        raise DataError(f"max_order {order} must be in [0, {MAX_ORDER}]")
 
 
 @functools.lru_cache(maxsize=MAX_ORDER + 1)
@@ -376,11 +376,14 @@ def _normalize_catalog(geometry_catalog):
     if isinstance(entries[0], tuple):
         geometries = [g for g, _ in entries]
         weights = np.array([w for _, w in entries], dtype=float)
-        if abs(weights.sum() - 1.0) > 1e-9 or np.any(weights < 0):
+        if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-9):
             raise DataError(f"catalog proportions must be >= 0 and sum to 1, got {weights.tolist()}")
     else:
         geometries = entries
         weights = np.full(len(entries), 1.0 / len(entries))
+    ids = [g.id for g in geometries]
+    if len(set(ids)) != len(ids):
+        raise DataError(f"catalog geometry ids must be distinct, got {ids}")
     return geometries, weights
 
 
@@ -887,6 +890,7 @@ def build_dataset(
         )
         for i, spec in enumerate(specs)
     ]
+    workers = min(workers, count)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_render_one, jobs))

@@ -213,7 +213,7 @@ class TestNlcmv:
     @pytest.mark.parametrize(
         "settings",
         [{"wng_margin": 0.0}, {"wng_margin": -1.0}, {"wng_tolerance": -1.0},
-         {"wng_margin": 3.0}],
+         {"wng_margin": 3.0}, {"wng_tolerance": math.inf}],
     )
     def test_out_of_range_settings_rejected(self, rng, settings):
         phi, g = _random_instance(rng, 3)

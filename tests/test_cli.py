@@ -3,17 +3,23 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import beambank
+from beambank import config
 from beambank.beamformer import MAX_FS, load_bank, save_bank
 from beambank.cli import main
 from beambank.dsp import apply_bank, read_wav, stft, write_wav
@@ -102,7 +108,8 @@ class TestDesign:
     @pytest.mark.parametrize(
         "key, value",
         [("wng_margin", 0), ("wng_margin", -1), ("wng_tolerance", -1),
-         ("sound_speed", 0), ("sound_speed", -343), ("wng_margin", 5), ("wng_margin", 6)],
+         ("sound_speed", 0), ("sound_speed", -343), ("wng_margin", 5), ("wng_margin", 6),
+         ("wng_tolerance", ".inf"), ("wng_margin", ".inf"), ("wng_tolerance", ".nan")],
     )
     def test_out_of_range_solver_setting_exits_1(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "bad.yaml"
@@ -130,6 +137,48 @@ class TestDesign:
         assert len(err.strip().splitlines()) == 1
         assert "geometry.mics" in err
         assert not out.exists()
+
+    # (config line, the key the error names); the last four are ranges the
+    # library checks, reported as config errors
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("directions: {horizontal: [.nan]}", "directions.horizontal[0]"),
+            ("directions: {horizontal: [.inf]}", "directions.horizontal[0]"),
+            ("nulls: [{azimuth: .nan}]", "nulls[0].azimuth"),
+            ("nulls: [{azimuth: 90, alpha: 10}, {azimuth: 0, alpha: true}]", "nulls[1].alpha"),
+            ("nulls: [{azimuth: 90, alpha: -1}]", "nulls[0]"),
+            ("directions: {mouth: {range: 0.1, elevation: 95}}", "directions.mouth"),
+            ("subset: [0, 9]", "subset"),
+            ("subset: [0, 0]", "subset"),
+        ],
+        ids=["look-nan", "look-inf", "null-nan", "alpha-bool", "alpha-negative",
+             "mouth-elevation", "subset-range", "subset-duplicate"],
+    )
+    def test_bad_direction_or_subset_exits_1_with_one_line(self, tmp_path, capsys, line, key):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(f"geometry: reference_glasses_5\nn_fft: 64\n{line}\n")
+        out = tmp_path / "x.bbk"
+        code, summary, err = run(capsys, "design", "--config", str(cfg), "--out", str(out))
+        assert code == 1
+        assert summary is None
+        assert len(err.strip().splitlines()) == 1
+        assert key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "lines", ["geometry_file: missing.yaml", "atf_source: file\natf_file: missing.bba"]
+    )
+    def test_missing_named_file_exits_2(self, tmp_path, capsys, lines):
+        cfg = tmp_path / "design.yaml"
+        geometry = "" if lines.startswith("geometry_file") else "geometry: reference_glasses_5\n"
+        cfg.write_text(f"{geometry}n_fft: 64\n{lines}\n")
+        code, summary, err = run(
+            capsys, "design", "--config", str(cfg), "--out", str(tmp_path / "x.bbk")
+        )
+        assert code == 2
+        assert summary is None
+        assert "missing." in err
 
     def test_usage_error_exits_1(self, capsys):
         assert main(["design", "--no-such-flag"]) == 1
@@ -174,12 +223,13 @@ class TestVerify:
             (lambda doc: {**doc, "n_fft": 0}, "n_fft 0"),
             (lambda doc: {**doc, "fs": 0}, "fs 0"),
             (lambda doc: {**doc, "fs": 384001}, "fs 384001"),
+            (lambda doc: {**doc, "wng_tolerance": float("inf")}, "wng_tolerance inf"),
             (lambda doc: {**doc, "diagnostics": {
                 **doc["diagnostics"], "loading": doc["diagnostics"]["loading"][:2]}},
              "loading shape (2, 33)"),
         ],
         ids=["bogus-method", "non-object", "n_fft-0", "fs-0", "fs-above-cap",
-             "loading-2-rows"],
+             "wng-tolerance-inf", "loading-2-rows"],
     )
     def test_unknown_method_exits_2(self, bank_file, tmp_path, capsys, mutate, named):
         """A header mutated to an unknown method, a non-object, an empty
@@ -286,8 +336,9 @@ class TestRir:
             ("geometry: reference_glasses_5", "mics: [[1.5, 2.0, 1.4], [1.6, 2.0]]", "mics[1]"),
             ("source: [4.5, 2.0, 1.6]", "source: [.nan, 2.0, 1.6]", "source"),
             ("dimensions: [6.0, 4.5, 2.8]", "dimensions: [.inf, 4.5, 2.8]", "room.dimensions"),
+            ("absorption: 0.35", "absorption: .nan", "room.absorption"),
         ],
-        ids=["mic-nan", "mic-string", "mic-ragged", "source-nan", "room-inf"],
+        ids=["mic-nan", "mic-string", "mic-ragged", "source-nan", "room-inf", "absorption-nan"],
     )
     def test_bad_position_exits_1_with_one_line(self, tmp_path, capsys, old, new, key):
         text = self.EXAMPLE.read_text()
@@ -414,6 +465,9 @@ class TestFeaturizeAndStats:
         assert len(err.strip().splitlines()) == 1
 
 
+GEOMETRY_ENTRY = "- geometry: reference_glasses_5"
+
+
 class TestSceneAndDataset:
     @pytest.fixture()
     def dataset_cfg(self, tmp_path, corpus_dirs):
@@ -469,10 +523,19 @@ class TestSceneAndDataset:
             (None, ("--seed", "-1"), {}, "seed"),
             (("count: 2", "count: 2\nworkers: 0"), ("--workers", "1"), {}, "workers"),
             (("seed: 7", "seed: -5"), ("--seed", "3"), {}, "seed"),
+            ((GEOMETRY_ENTRY, "- {geometry: reference_glasses_5, proportion: .nan}\n"
+              "- {geometry: reference_glasses_7, proportion: 0.5}"), (), {},
+             "geometries[0].proportion"),
+            ((GEOMETRY_ENTRY, "- {geometry: reference_glasses_5, proportion: 0.6}\n"
+              "- {geometry: reference_glasses_7, proportion: 0.6}"), (), {}, "geometries"),
+            ((GEOMETRY_ENTRY, "- {geometry: {id: g, mics: [[0, 0, 0], [0.1, 0, 0]]}}\n"
+              "- {geometry: {id: g, mics: [[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0]]}}"), (), {},
+             "geometries"),
         ],
         ids=["fs-negative", "fs-0", "fs-above-cap", "count-0", "config-workers-0",
              "flag-workers-0", "flag-workers-negative", "env-workers-0", "seed-negative",
-             "config-workers-0-overridden", "config-seed-negative-overridden"],
+             "config-workers-0-overridden", "config-seed-negative-overridden",
+             "proportion-nan", "proportions-sum", "duplicate-geometry-id"],
     )
     def test_bad_setting_exits_1(
         self, dataset_cfg, tmp_path, capsys, monkeypatch, edit, argv, env, named
@@ -582,6 +645,76 @@ class TestSceneAndDataset:
 def test_help_names_rate_cap(capsys, command):
     assert main([command, "--help"]) == 0
     assert f"<= {MAX_FS}," in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["design", "rir", "dataset"])
+def test_help_lists_every_config_key(capsys, command):
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    for section, rows in config._SECTIONS[command]:
+        assert f"{section or 'top-level'} keys:" in out
+        for row in rows:
+            assert re.search(rf"^  {re.escape(row.name)} ", out, re.M), row.name
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# values no numeric config key accepts (null is not here: it means unset)
+WRONG_TYPE = ["16000", "", [1.0], [], {"value": 1}, True, False, math.nan, math.inf, -math.inf]
+# documented ranges, by the key a value sits under; none of these is a
+# valid large count, worker number or image order
+OUT_OF_RANGE = {
+    "fs": [0, -16000, MAX_FS + 1, 10**12],
+    "n_fft": [0, -512, 511],
+    "count": [0, -1],
+    "seed": [-1],
+    "max_order": [-1, MAX_ORDER + 1, 10**9],
+    "absorption": [0, -0.1, 1.01],
+    "dimensions": [0, -6.0],
+    "proportion": [-0.8, 1.5, 0.0],
+    "alpha": [-1.0],
+}
+
+
+def _numeric_leaves(node, path=()):
+    """Paths of the int and float values in a parsed config."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [leaf for key, child in items for leaf in _numeric_leaves(child, path + (key,))]
+    is_number = isinstance(node, (int, float)) and not isinstance(node, bool)
+    return [path] if is_number else []
+
+
+@pytest.mark.parametrize(
+    "name, command",
+    [("reference_design.yaml", "design"), ("nulled_design.yaml", "design"),
+     ("example_room.yaml", "rir"), ("example_dataset.yaml", "dataset")],
+)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzzed_config_value_exits_1_with_one_line(name, command, data):
+    """Any one number of a shipped config replaced by a wrong type, a
+    non-finite value or an out-of-range value exits 1 with one stderr line
+    naming its top-level key, before any output is written."""
+    doc = yaml.safe_load((CONFIGS / name).read_text())
+    path = data.draw(st.sampled_from(_numeric_leaves(doc)), label="path")
+    key = [step for step in path if isinstance(step, str)][-1]
+    bad = data.draw(st.sampled_from(WRONG_TYPE + OUT_OF_RANGE.get(key, [])), label="value")
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = bad
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / name, Path(tmp) / "out"
+        cfg.write_text(yaml.safe_dump(doc))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([command, "--config", str(cfg), "--out", str(out)])
+        lines = stderr.getvalue().strip().splitlines()
+        assert code == 1, stderr.getvalue()
+        assert len(lines) == 1 and "Traceback" not in lines[0]
+        assert path[0] in lines[0]
+        assert stdout.getvalue() == ""
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("module", ["scipy", "numba"])

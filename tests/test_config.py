@@ -38,6 +38,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(p)
 
+    @pytest.mark.parametrize(
+        "text", ["fs: " + "1" * 5000, "geometry: " + "[" * 1000 + "]" * 1000],
+        ids=["int-too-long", "nested-too-deep"],
+    )
+    def test_unparseable_value(self, tmp_path, text):
+        p = tmp_path / "bad.yaml"
+        p.write_text(text + "\n")
+        with pytest.raises(ConfigError, match="invalid YAML"):
+            load_config(p)
+
     def test_valid(self, tmp_path):
         p = tmp_path / "ok.yaml"
         p.write_text("geometry: reference_glasses_5\nmethod: nlcmv\n")
@@ -215,6 +225,52 @@ class TestDatasetSettings:
         }
         s = dataset_settings(cfg, base_dir=tmp_path)
         assert s["seed"] == 0
+
+
+class TestSettingsTable:
+    """What every section shares through its rows."""
+
+    BASE = {"geometry": "reference_glasses_5"}
+
+    @pytest.mark.parametrize("key", ["fs", "n_fft", "sound_speed", "wng_margin"])
+    def test_bool_is_not_a_number(self, key):
+        with pytest.raises(ConfigError, match=key):
+            design_settings({**self.BASE, key: True})
+
+    def test_null_counts_as_unset(self):
+        s = design_settings({**self.BASE, "fs": None, "nulls": None, "directions": None})
+        assert s["fs"] == 16000 and s["nulls"] == () and len(s["directions"]) == 5
+
+    def test_nested_key_is_named(self):
+        with pytest.raises(ConfigError, match=r"^nulls\[1\]\.alpha: expected a finite number"):
+            nulls_from_config({"nulls": [{"azimuth": 0.0}, {"azimuth": 90.0, "alpha": "x"}]})
+
+    def test_non_string_unknown_key(self):
+        with pytest.raises(ConfigError, match=r"unknown keys \[1, 'foo'\]"):
+            design_settings({**self.BASE, 1: 2, "foo": 3})
+
+    @pytest.mark.parametrize(
+        "build, named",
+        [
+            (lambda: room_from_config({"dimensions": [6, 5, 3], "max_order": 31}),
+             "room: max_order 31"),
+            (lambda: room_from_config({"dimensions": [6, 5, 3], "absorption": 0}), "room: absorption"),
+            (lambda: geometry_from_config({"geometry": "reference_glasses_5", "subset": [0, 0]}),
+             "subset: duplicate"),
+            (lambda: directions_from_config({"directions": {"mouth": {"range": 0.001}}}),
+             "directions.mouth: range"),
+        ],
+        ids=["max-order", "absorption", "subset", "mouth-range"],
+    )
+    def test_library_range_is_a_config_error_naming_the_key(self, build, named):
+        with pytest.raises(ConfigError, match=named):
+            build()
+
+    def test_rir_mics_exclude_a_placed_geometry(self):
+        cfg = {"room": {"dimensions": [6, 5, 3]}, "source": [1, 1, 1],
+               "mics": [[2, 2, 1]], "position": [1, 1, 1]}
+        with pytest.raises(ConfigError, match="position"):
+            rir_settings(cfg)
 
 
 class TestPrecedence:

@@ -36,6 +36,11 @@ class TestDirectionSpec:
         with pytest.raises(DataError):
             DirectionSpec(azimuth=0.0, elevation=math.pi)
 
+    @pytest.mark.parametrize("azimuth", [math.nan, math.inf, -math.inf])
+    def test_non_finite_azimuth_rejected(self, azimuth):
+        with pytest.raises(DataError, match="azimuth"):
+            DirectionSpec(azimuth=azimuth)
+
     def test_range_must_exceed_minimum(self):
         with pytest.raises(DataError):
             DirectionSpec(azimuth=0.0, elevation=0.0, range_m=0.001)

@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from beambank import simulate
 from beambank.errors import DataError
+from beambank.geometry import ArrayGeometry
 from beambank.simulate import (
     MAX_ORDER,
     RIR,
@@ -102,6 +104,11 @@ class TestRoomSpec:
             RoomSpec(dimensions=[6, 5, 3], absorption=1.5)
         with pytest.raises(DataError):
             RoomSpec(dimensions=[6, 5, 3], absorption=0.3, max_order=-1)
+
+    @pytest.mark.parametrize("absorption", [math.nan, (0.3, 0.3, math.nan, 0.3, 0.3, 0.3)])
+    def test_nan_absorption_rejected(self, absorption):
+        with pytest.raises(DataError, match="absorption"):
+            RoomSpec(dimensions=[6, 5, 3], absorption=absorption)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_dimensions_rejected(self, bad):
@@ -494,6 +501,51 @@ class TestRenderAndDataset:
             man = SceneManifest.from_dict(row)
             assert (out / man.audio_path).exists()
             assert man.geometry_id == glasses5.id
+
+    @pytest.mark.parametrize(
+        "catalog, named",
+        [
+            (lambda a, b: [(a, math.nan), (b, 0.5)], "proportions"),
+            (lambda a, b: [(a, 0.5), (ArrayGeometry(id=a.id, mics=b.mics), 0.5)], "distinct"),
+        ],
+        ids=["nan-proportion", "duplicate-id"],
+    )
+    def test_bad_catalog_rejected_before_writing(
+        self, glasses5, glasses7, tmp_path, catalog, named
+    ):
+        """A NaN proportion used to reach rng.choice, and two geometries with
+        one id used to render every scene with the last one."""
+        out = tmp_path / "ds"
+        with pytest.raises(DataError, match=named):
+            build_dataset(catalog(glasses5, glasses7), None, None, count=6, out_dir=out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count, pools", [(2, [2]), (1, [])])
+    def test_starts_no_more_workers_than_scenes(
+        self, glasses5, corpus_dirs, tmp_path, monkeypatch, count, pools
+    ):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+        clips_dir, noise_dir = corpus_dirs
+        build_dataset(
+            [glasses5], ClipSource.from_directory(clips_dir), NoiseSource.from_directory(noise_dir),
+            count=count, fs=16000, seed=5, workers=8, out_dir=tmp_path / "ds",
+        )
+        assert started == pools
 
     def test_build_dataset_reproducible_across_workers(
         self, glasses5, corpus_dirs, tmp_path
