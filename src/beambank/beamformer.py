@@ -52,6 +52,9 @@ from .noise_model import (
 WNG_TOLERANCE = 1e-8
 # top common audio rate; bounds every buffer sized from fs
 MAX_FS = 384000
+# one second at 16 kHz; bounds the (K+1, n_fft/2+1, M) weights and the
+# (n_fft/2+1, M, M) covariances a design or a bank file allocates
+MAX_N_FFT = 16384
 MAX_BISECTION_STEPS = 60
 LOADING_CAP_SCALE = 1e6
 DISTORTIONLESS_TOL = 1e-6
@@ -109,7 +112,7 @@ def check_solver_settings(
 ) -> None:
     """Raise ``error`` unless ``method`` is one of METHODS, wng_margin is
     finite and > 0, wng_tolerance is finite and >= 0, the sound speed is
-    finite and > 0, 0 < fs <= MAX_FS and n_fft > 0 and even.
+    finite and > 0, 0 < fs <= MAX_FS and 0 < n_fft <= MAX_N_FFT and even.
 
     Given the mic count M, an nlcmv design also needs a reachable WNG
     floor. By Cauchy-Schwarz no distortionless h has a white noise gain
@@ -129,8 +132,8 @@ def check_solver_settings(
         raise error(f"sound_speed {sound_speed} must be finite and > 0")
     if not 0 < fs <= MAX_FS:
         raise error(f"fs {fs} must be > 0 and <= {MAX_FS} Hz")
-    if not (n_fft > 0 and n_fft % 2 == 0):
-        raise error(f"n_fft {n_fft} must be positive and even")
+    if not (0 < n_fft <= MAX_N_FFT and n_fft % 2 == 0):
+        raise error(f"n_fft {n_fft} must be positive, even and <= {MAX_N_FFT}")
 
 
 def wng_constraint_value(h: np.ndarray, g: SteeringVector, margin: float = 1.0) -> float:

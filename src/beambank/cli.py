@@ -62,9 +62,9 @@ DESIGN_EPILOG, RIR_EPILOG, DATASET_EPILOG = map(config_epilog, ("design", "rir",
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage errors exit 1; argparse's default of 2 is reserved for data errors
+    # usage errors exit 1 with one stderr line (no usage text; --help has
+    # it); argparse's default of 2 is reserved for data errors
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import yaml
 
-from .beamformer import MAX_FS, METHODS, WNG_TOLERANCE, check_solver_settings
+from .beamformer import MAX_FS, MAX_N_FFT, METHODS, WNG_TOLERANCE, check_solver_settings
 from .errors import ConfigError, DataError
 from .geometry import (
     BUILTIN_GEOMETRIES,
@@ -267,7 +267,8 @@ _DESIGN = _GEOMETRY + (
     _Key("method", _text, "nlcmv", " | ".join(METHODS)),
     _Key("nulls", _list(_null, empty_ok=True), (), "list of mappings of the nulls[i] keys below"),
     _FS,
-    _Key("n_fft", _integer(), 512, "FFT size, even and > 0 (one design per rfft bin)"),
+    _Key("n_fft", _integer(), 512,
+         f"FFT size, even, > 0 and <= {MAX_N_FFT} (one design per rfft bin)"),
     _SOUND_SPEED,
     _Key("wng_tolerance", _number, WNG_TOLERANCE, "white-noise-gain constraint tolerance, >= 0"),
     _Key("wng_margin", _number, 1.0, "tightening factor on the WNG floor, > 0 and < the mic count"),

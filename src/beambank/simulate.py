@@ -6,6 +6,15 @@ fractionally delayed 81-tap windowed-sinc pulse. Scenes place a wearer
 (self), a conversation partner in the frontal sector, and optionally an
 out-of-sector bystander, then mix noise at an integer-dB SNR measured
 against the self+other mixture only.
+
+Each clip reaches the mics by overlap-add convolution with its RIR. An
+output of at most 32768 samples (``_ONE_SHOT_MAX``), or a RIR longer than
+half a block, takes one block: a single zero-padded real FFT of the 5-smooth
+length ``_fast_len(n)``, bit for bit the transform earlier versions used for
+every clip. Longer outputs are cut into 16384-point blocks
+(``_BLOCK_SIZE``). Their sums run in another order, so the float64 result
+moves in its last bits. Written as float32, such a scene's WAV can differ
+from an earlier version's in a few samples, each by one float32 step.
 """
 
 from __future__ import annotations
@@ -31,6 +40,10 @@ DEFAULT_MAX_ORDER = 6
 # The image lattice grows with the cube of the order: order 30 already holds
 # about 38k images per source, 1.3 s and 160 MB for a 5-mic response.
 MAX_ORDER = 30
+# Longest room response, set by the farthest image over the sound speed and
+# checked before the taps are allocated. Sampled rooms (at most 10 x 10 x 6 m,
+# order 6) stay under 0.2 s, and order 30 in such a room under 0.9 s.
+MAX_RIR_SECONDS = 4.0
 
 WALL_MARGIN = 0.5
 PARTNER_SECTOR = math.radians(60.0)
@@ -229,7 +242,14 @@ def generate_rir_ism(
     images, gains = _image_sources(room, source, order)
 
     dists = np.linalg.norm(images[None, :, :] - mics[:, None, :], axis=2)
-    length = int(math.ceil(float(dists.max()) / sound_speed * fs)) + _HALF_TAPS + 2
+    seconds = float(dists.max()) / sound_speed
+    # written so that a NaN or infinite length fails too
+    if not seconds <= MAX_RIR_SECONDS:
+        raise DataError(
+            f"the farthest image is {seconds:.3g} s away at {sound_speed:g} m/s; "
+            f"room responses are capped at {MAX_RIR_SECONDS:g} s"
+        )
+    length = int(math.ceil(seconds * fs)) + _HALF_TAPS + 2
     taps = np.zeros((mics.shape[0], length))
     for m, dist in enumerate(dists):
         _add_pulses(taps[m], dist / sound_speed * fs, gains / (4.0 * math.pi * dist))
@@ -542,6 +562,15 @@ class ComposedScene:
     manifest: SceneManifest
 
 
+# _convolve_place's block rule, from a sweep over clips of 1-8 s and 5-7
+# mic RIRs of 450-2900 taps on a 2-core x86-64 host. Up to 32768 output
+# samples one zero-padded transform ran within noise of 16384-point blocks
+# (0.64-1.11x); from 36000 on the blocks took 0.60-0.81 of its time.
+# 16384 was at or near the fastest of the 5-smooth sizes 6144-20000.
+_ONE_SHOT_MAX = 32768
+_BLOCK_SIZE = 16384
+
+
 def _fast_len(n: int) -> int:
     """The smallest 2^a 3^b 5^c >= n: a real-FFT length with only small
     prime factors."""
@@ -561,13 +590,32 @@ def _fast_len(n: int) -> int:
 
 def _convolve_place(total: np.ndarray, clip: np.ndarray, rir: RIR, onset: int):
     """Add ``clip`` convolved with each RIR channel into ``total`` from
-    ``onset`` on, through one zero-padded real FFT."""
-    n = clip.shape[0] + rir.taps.shape[1] - 1
-    size = _fast_len(n)
-    spectrum = np.fft.rfft(clip, size) * np.fft.rfft(rir.taps, size, axis=1)
-    wet = np.fft.irfft(spectrum, size, axis=1)[:, :n]
-    end = min(onset + wet.shape[1], total.shape[1])
-    total[:, onset:end] += wet[:, : end - onset]
+    ``onset`` on, cut at the end of ``total``, by overlap-add (Stockham,
+    AFIPS SJCC 1966).
+
+    The clip is cut into blocks of ``step`` samples. The blocks go through
+    one batched real FFT of ``size`` points and the taps through one more;
+    the products go back through one batched inverse, and each block's
+    ``step + taps - 1`` output samples are added at its own offset. An
+    output of at most ``_ONE_SHOT_MAX`` samples, or a RIR longer than half
+    a block, takes one block of ``_fast_len(n)`` points: one zero-padded
+    transform of the whole clip. Longer outputs take ``_BLOCK_SIZE``-point
+    blocks with ``step = _BLOCK_SIZE - taps + 1``.
+    """
+    n_clip, n_taps = clip.shape[0], rir.taps.shape[1]
+    n = n_clip + n_taps - 1
+    if n <= _ONE_SHOT_MAX or 2 * n_taps > _BLOCK_SIZE:
+        size, step = _fast_len(n), n_clip
+    else:
+        size, step = _BLOCK_SIZE, _BLOCK_SIZE - n_taps + 1
+    count = -(-n_clip // step)
+    blocks = np.pad(clip, (0, count * step - n_clip)).reshape(count, step)
+    spectrum = np.fft.rfft(blocks, size, axis=1)[:, None, :] * np.fft.rfft(rir.taps, size, axis=1)
+    wet = np.fft.irfft(spectrum, size, axis=2)
+    stop = min(onset + n, total.shape[1])
+    for block, start in zip(wet, range(onset, stop, step)):
+        end = min(start + step + n_taps - 1, stop)
+        total[:, start:end] += block[:, : end - start]
 
 
 def compose_scene(
@@ -673,12 +721,14 @@ def compose_scene(
 
 
 def _active_span(reference: np.ndarray) -> slice:
-    envelope = np.max(np.abs(reference), axis=0)
+    """The samples from the first to the last whose largest magnitude over
+    the channels exceeds ACTIVITY_FLOOR times the peak."""
+    envelope = np.maximum(reference.max(axis=0), -reference.min(axis=0))
     peak = envelope.max()
     if peak <= 0:
         raise DataError("silent reference mixture")
-    active = np.flatnonzero(envelope > ACTIVITY_FLOOR * peak)
-    return slice(int(active[0]), int(active[-1]) + 1)
+    active = envelope > ACTIVITY_FLOOR * peak
+    return slice(int(active.argmax()), active.shape[0] - int(active[::-1].argmax()))
 
 
 def mix_noise(
@@ -691,7 +741,8 @@ def mix_noise(
     loop: bool = True,
 ) -> np.ndarray:
     """Add noise scaled for the requested SNR against ``reference`` (the
-    self+other mixture), measured over the reference's active span.
+    self+other mixture at the same mics, so of the scene's shape), measured
+    over the reference's active span.
 
     Mono noise is replicated across channels with per-channel random
     integer delays up to 2 ms to break perfect coherence. Short noise is
@@ -701,6 +752,10 @@ def mix_noise(
     reference = np.atleast_2d(np.asarray(reference, dtype=float))
     noise = np.atleast_2d(np.asarray(noise, dtype=float))
     m, n_samples = scene_audio.shape
+    if reference.shape != scene_audio.shape:
+        raise DataError(
+            f"reference shape {reference.shape} differs from the scene's {scene_audio.shape}"
+        )
 
     max_delay = int(round(MAX_DECORRELATION_DELAY_S * fs))
     mono_noise = noise.shape[0] == 1
@@ -727,8 +782,9 @@ def mix_noise(
         channels = noise[:, :n_samples]
 
     span = _active_span(reference)
-    p_ref = float(np.mean(reference[:, span] ** 2))
-    p_noise = float(np.mean(channels[:, span] ** 2))
+    squares = np.square(reference[:, span])
+    p_ref = float(np.mean(squares))
+    p_noise = float(np.mean(np.square(channels[:, span], out=squares)))
     if p_noise <= 0:
         raise DataError("noise is silent over the scene's active span")
     scale = math.sqrt(p_ref / (p_noise * 10.0 ** (snr_db / 10.0)))

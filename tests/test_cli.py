@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import beambank
 from beambank import config
-from beambank.beamformer import MAX_FS, load_bank, save_bank
+from beambank.beamformer import MAX_FS, MAX_N_FFT, load_bank, save_bank
 from beambank.cli import main
 from beambank.dsp import apply_bank, read_wav, stft, write_wav
 from beambank.features import (
@@ -29,7 +29,24 @@ from beambank.features import (
     featurize_bank_output,
     save_stats,
 )
-from beambank.simulate import MAX_ORDER
+from beambank.simulate import MAX_ORDER, MAX_RIR_SECONDS
+
+
+@contextlib.contextmanager
+def _no_allocation(monkeypatch):
+    """Make np.zeros and np.fft.rfftfreq fail the test if anything calls
+    them inside the block: a size cap must act before any buffer is built."""
+
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name}{args} called")
+
+        return call
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "zeros", forbidden("np.zeros"))
+        patch.setattr(np.fft, "rfftfreq", forbidden("np.fft.rfftfreq"))
+        yield
 
 
 def run(capsys, *argv):
@@ -180,6 +197,25 @@ class TestDesign:
         assert summary is None
         assert "missing." in err
 
+    @pytest.mark.parametrize("n_fft", [MAX_N_FFT + 2, 2**40])
+    def test_n_fft_above_cap_exits_1_before_allocating(
+        self, design_cfg, tmp_path, capsys, monkeypatch, n_fft
+    ):
+        cfg = tmp_path / "big.yaml"
+        cfg.write_text(design_cfg.read_text().replace("n_fft: 64", f"n_fft: {n_fft}"))
+        out = tmp_path / "x.bbk"
+        with _no_allocation(monkeypatch):
+            code, summary, err = run(capsys, "design", "--config", str(cfg), "--out", str(out))
+        assert code == 1
+        assert summary is None
+        assert len(err.strip().splitlines()) == 1
+        assert f"n_fft {n_fft} must be positive, even and <= {MAX_N_FFT}" in err
+        assert not out.exists()
+
+    def test_help_states_n_fft_cap(self, capsys):
+        assert main(["design", "--help"]) == 0
+        assert f"<= {MAX_N_FFT}" in capsys.readouterr().out
+
     def test_usage_error_exits_1(self, capsys):
         assert main(["design", "--no-such-flag"]) == 1
         capsys.readouterr()
@@ -242,6 +278,23 @@ class TestVerify:
         assert summary is None
         assert len(err.strip().splitlines()) == 1
         assert named in err
+
+    @pytest.mark.parametrize("argv", [["verify"], ["pattern", "--out", "p"]])
+    def test_n_fft_above_cap_in_header_exits_2_before_allocating(
+        self, bank_file, tmp_path, capsys, monkeypatch, argv
+    ):
+        header, payload = bank_file.read_bytes().split(b"\n", 1)
+        big = tmp_path / "big.bbk"
+        big.write_bytes(json.dumps({**json.loads(header), "n_fft": 2**40}).encode()
+                        + b"\n" + payload)
+        monkeypatch.chdir(tmp_path)
+        with _no_allocation(monkeypatch):
+            code, summary, err = run(capsys, *argv, "--bank", str(big))
+        assert code == 2
+        assert summary is None
+        assert len(err.strip().splitlines()) == 1
+        assert f"n_fft {2**40} must be" in err
+        assert not (tmp_path / "p").exists()
 
 
 class TestPattern:
@@ -325,6 +378,19 @@ class TestRir:
         assert summary is None
         assert len(err.strip().splitlines()) == 1
         assert "max_order" in err
+        assert not out.exists()
+
+    def test_overlong_response_exits_2_before_allocating(self, tmp_path, capsys, monkeypatch):
+        """At 0.001 m/s this room's taps would take 23.3 GiB."""
+        cfg = tmp_path / "room.yaml"
+        cfg.write_text(self.EXAMPLE.read_text() + "sound_speed: 0.001\n")
+        out = tmp_path / "rir.wav"
+        with _no_allocation(monkeypatch):
+            code, summary, err = run(capsys, "rir", "--config", str(cfg), "--out", str(out))
+        assert code == 2
+        assert summary is None
+        assert len(err.strip().splitlines()) == 1
+        assert f"capped at {MAX_RIR_SECONDS:g} s" in err
         assert not out.exists()
 
     # (config line replaced, its replacement, the key the error names)
@@ -664,7 +730,7 @@ WRONG_TYPE = ["16000", "", [1.0], [], {"value": 1}, True, False, math.nan, math.
 # valid large count, worker number or image order
 OUT_OF_RANGE = {
     "fs": [0, -16000, MAX_FS + 1, 10**12],
-    "n_fft": [0, -512, 511],
+    "n_fft": [0, -512, 511, MAX_N_FFT + 2],
     "count": [0, -1],
     "seed": [-1],
     "max_order": [-1, MAX_ORDER + 1, 10**9],
@@ -713,6 +779,47 @@ def test_fuzzed_config_value_exits_1_with_one_line(name, command, data):
         assert code == 1, stderr.getvalue()
         assert len(lines) == 1 and "Traceback" not in lines[0]
         assert path[0] in lines[0]
+        assert stdout.getvalue() == ""
+        assert not out.exists()
+
+
+# A string no int() or float() reads as a finite number: int() refuses more
+# than 4300 digits, and float() reads them as inf.
+OVERLONG = "9" * 5000
+_NOT_A_NUMBER = st.sampled_from(["", "abc", "1e", "0x10", "nan", "inf", "-inf", OVERLONG])
+_NON_INTEGER = st.floats().map(repr)  # "1.5", "2.0", "1e+16", "nan", "-inf"
+# Only invalid values for each numeric flag. A valid large --workers would
+# start that many processes, so no strategy draws one.
+BAD_FLAG_VALUES = {
+    ("pattern", "--freq"): _NOT_A_NUMBER | st.floats(max_value=-1e-300).map(repr),
+    ("pattern", "--resolution"): _NOT_A_NUMBER | st.floats(max_value=0.0).map(repr)
+    | st.sampled_from(["0.001", "0.009", "7", "361", "1e300"]),
+    ("scene", "--seed"): _NOT_A_NUMBER | _NON_INTEGER | st.integers(max_value=-1).map(str),
+    ("dataset", "--seed"): _NOT_A_NUMBER | _NON_INTEGER | st.integers(max_value=-1).map(str),
+    ("dataset", "--workers"): _NOT_A_NUMBER | _NON_INTEGER
+    | st.integers(max_value=0).map(str),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_fuzzed_flag_value_exits_1_with_one_line(bank_file, data):
+    """An invalid value of a numeric flag (zero where it must be positive,
+    negative, NaN, non-integer, not a number, over-long) exits 1 with one
+    stderr line naming the flag, before any output is written."""
+    command, flag = data.draw(st.sampled_from(sorted(BAD_FLAG_VALUES)), label="flag")
+    value = data.draw(BAD_FLAG_VALUES[command, flag], label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        source = ["--bank", str(bank_file)] if command == "pattern" else [
+            "--config", str(CONFIGS / "example_dataset.yaml")]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([command, *source, f"{flag}={value}", "--out", str(out)])
+        lines = stderr.getvalue().strip().splitlines()
+        assert code == 1, stderr.getvalue()
+        assert len(lines) == 1 and "Traceback" not in lines[0]
+        assert flag.lstrip("-") in lines[0]
         assert stdout.getvalue() == ""
         assert not out.exists()
 

@@ -11,13 +11,18 @@ from beambank import simulate
 from beambank.errors import DataError
 from beambank.geometry import ArrayGeometry
 from beambank.simulate import (
+    _BLOCK_SIZE,
+    _ONE_SHOT_MAX,
+    ACTIVITY_FLOOR,
     MAX_ORDER,
+    MAX_RIR_SECONDS,
     RIR,
     ClipSource,
     NoiseSource,
     RoomSpec,
     SceneManifest,
     SceneSpec,
+    _active_span,
     _convolve_place,
     _fast_len,
     _image_lattice,
@@ -216,6 +221,27 @@ class TestRirIsm:
             expected_positions, expected_amplitudes = image_sources_direct(room, source, order)
             np.testing.assert_array_equal(positions, expected_positions)
             np.testing.assert_array_equal(amplitudes, expected_amplitudes)
+
+    @pytest.mark.parametrize("sound_speed", [1e-3, math.nan])
+    def test_overlong_response_rejected_before_allocating(self, monkeypatch, sound_speed):
+        """A farthest image more than MAX_RIR_SECONDS away fails before
+        the taps are allocated; at 0.001 m/s this room would need 23 GiB."""
+        room = RoomSpec([6.0, 4.5, 2.8], 0.35, 6)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"np.zeros{args} called")
+
+        monkeypatch.setattr(np, "zeros", forbidden)
+        with pytest.raises(DataError, match="capped at"):
+            generate_rir_ism(room, [4.5, 2.0, 1.6], [[1.5, 2.2, 1.4]], 16000, sound_speed)
+
+    def test_sampled_rooms_stay_well_under_length_cap(self):
+        """The largest room sample_room draws, at order 6, with source and
+        mic in opposite corners: a tenth of the cap is left over."""
+        room = RoomSpec(simulate.ROOM_DIMS_HIGH, 0.2, simulate.DEFAULT_MAX_ORDER)
+        source, mic = np.full(3, 0.5), simulate.ROOM_DIMS_HIGH - 0.5
+        rir = generate_rir_ism(room, source, [mic], 16000)
+        assert rir.taps.shape[1] < 0.1 * MAX_RIR_SECONDS * 16000
 
     def test_cached_lattice_is_read_only(self):
         lattice = _image_lattice(3)
@@ -437,12 +463,76 @@ class TestConvolvePlace:
         _convolve_place(total, clip, RIR("x", taps, 16000), 0)
         np.testing.assert_array_equal(total, signal.fftconvolve(clip[None, :], taps, axes=1))
 
+    # (clip, taps, onset, total length, FFT size the rule picks): outputs just
+    # below, at and above the one-shot limit; a clip of exactly three block
+    # steps; and blocks cut, or wholly dropped, at the end of ``total``
+    @pytest.mark.parametrize(
+        "n_clip, n_taps, onset, total_len, size",
+        [
+            (_ONE_SHOT_MAX - 300, 300, 0, _ONE_SHOT_MAX, _fast_len(_ONE_SHOT_MAX - 1)),
+            (_ONE_SHOT_MAX - 299, 300, 0, _ONE_SHOT_MAX, _ONE_SHOT_MAX),
+            (_ONE_SHOT_MAX - 298, 300, 0, _ONE_SHOT_MAX + 1, _BLOCK_SIZE),
+            (3 * (_BLOCK_SIZE - 999), 1000, 0, 3 * _BLOCK_SIZE, _BLOCK_SIZE),
+            (60000, 500, 700, 30000, _BLOCK_SIZE),
+        ],
+        ids=["below-limit", "at-limit", "above-limit", "three-steps", "cut-at-end"],
+    )
+    def test_block_rule_equals_direct_convolution(
+        self, rng, monkeypatch, n_clip, n_taps, onset, total_len, size
+    ):
+        sizes, rfft = [], np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda a, n, **kw: sizes.append(n) or rfft(a, n, **kw))
+        clip = rng.standard_normal(n_clip)
+        taps = 0.1 * rng.standard_normal((2, n_taps))
+        total = np.zeros((2, total_len))
+        _convolve_place(total, clip, RIR("x", taps, 16000), onset)
+        assert sizes == [size, size]
+        end = min(onset + n_clip + n_taps - 1, total_len)
+        direct = np.stack([np.convolve(clip, t)[: end - onset] for t in taps])
+        np.testing.assert_allclose(total[:, onset:end], direct, rtol=0, atol=1e-12)
+        assert not total[:, :onset].any() and not total[:, end:].any()
+
+    def test_rir_longer_than_half_a_block_keeps_one_transform(self, rng):
+        """Above the one-shot limit, a RIR of more than half a block still
+        takes the one zero-padded transform, bit for bit."""
+        clip = rng.standard_normal(_ONE_SHOT_MAX)
+        taps = rng.standard_normal((2, _BLOCK_SIZE // 2 + 1))
+        n = clip.shape[0] + taps.shape[1] - 1
+        total = np.zeros((2, n))
+        _convolve_place(total, clip, RIR("x", taps, 16000), 0)
+        size = _fast_len(n)
+        one_shot = np.fft.irfft(np.fft.rfft(clip, size) * np.fft.rfft(taps, size), size)
+        np.testing.assert_array_equal(total, one_shot[:, :n])
+
 
 def _is_5_smooth(n: int) -> bool:
     for p in (2, 3, 5):
         while n % p == 0:
             n //= p
     return n == 1
+
+
+def _abs_envelope_span(reference):
+    """The active span through an explicit |x| envelope and flatnonzero."""
+    envelope = np.max(np.abs(reference), axis=0)
+    active = np.flatnonzero(envelope > ACTIVITY_FLOOR * envelope.max())
+    return slice(int(active[0]), int(active[-1]) + 1)
+
+
+class TestActiveSpan:
+    @pytest.mark.parametrize("channels", [[0, 1, 2], [1]], ids=["all", "one-channel"])
+    def test_equals_abs_envelope_span(self, rng, channels):
+        """Signals whose peak and edge samples are negative, active in all
+        channels or in one."""
+        for _ in range(20):
+            reference = np.zeros((3, 3000))
+            start, stop = sorted(rng.integers(0, 3000, size=2))
+            stop += 1
+            reference[channels, start:stop] = rng.standard_normal((len(channels), stop - start))
+            reference[channels[-1], [start, stop - 1]] = -1e-3
+            reference[channels[0], rng.integers(start, stop)] = -50.0
+            span = _active_span(reference)
+            assert span == _abs_envelope_span(reference) == slice(int(start), int(stop))
 
 
 class TestMixNoise:
@@ -472,6 +562,12 @@ class TestMixNoise:
         reference = rng.standard_normal((2, fs))
         with pytest.raises(DataError):
             mix_noise(reference, rng.standard_normal(100), 10.0, reference, rng, fs, loop=False)
+
+    @pytest.mark.parametrize("shape", [(1, 16000), (2, 15999)])
+    def test_reference_of_another_shape_rejected(self, rng, shape):
+        scene, reference = rng.standard_normal((2, 16000)), rng.standard_normal(shape)
+        with pytest.raises(DataError, match="reference shape"):
+            mix_noise(scene, rng.standard_normal(20000), 10.0, reference, rng, 16000)
 
 
 class TestRenderAndDataset:
