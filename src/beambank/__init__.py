@@ -36,6 +36,7 @@ from .dsp import (
     istft,
     read_wav,
     sqrt_hann,
+    steer_audio,
     stft,
     write_wav,
 )

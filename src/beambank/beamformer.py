@@ -55,6 +55,9 @@ MAX_FS = 384000
 # one second at 16 kHz; bounds the (K+1, n_fft/2+1, M) weights and the
 # (n_fft/2+1, M, M) covariances a design or a bank file allocates
 MAX_N_FFT = 16384
+# plausible sound speeds in m/s: from sulfur hexafluoride (about 130) to
+# water (about 1480)
+SOUND_SPEED_RANGE = (100.0, 2000.0)
 MAX_BISECTION_STEPS = 60
 LOADING_CAP_SCALE = 1e6
 DISTORTIONLESS_TOL = 1e-6
@@ -112,7 +115,8 @@ def check_solver_settings(
 ) -> None:
     """Raise ``error`` unless ``method`` is one of METHODS, wng_margin is
     finite and > 0, wng_tolerance is finite and >= 0, the sound speed is
-    finite and > 0, 0 < fs <= MAX_FS and 0 < n_fft <= MAX_N_FFT and even.
+    within SOUND_SPEED_RANGE, 0 < fs <= MAX_FS and 0 < n_fft <= MAX_N_FFT
+    and even.
 
     Given the mic count M, an nlcmv design also needs a reachable WNG
     floor. By Cauchy-Schwarz no distortionless h has a white noise gain
@@ -128,8 +132,9 @@ def check_solver_settings(
         raise error(f"wng_margin {wng_margin} must be < the mic count {num_mics}")
     if not (math.isfinite(wng_tolerance) and wng_tolerance >= 0):
         raise error(f"wng_tolerance {wng_tolerance} must be finite and >= 0")
-    if not (math.isfinite(sound_speed) and sound_speed > 0):
-        raise error(f"sound_speed {sound_speed} must be finite and > 0")
+    low, high = SOUND_SPEED_RANGE
+    if not low <= sound_speed <= high:
+        raise error(f"sound_speed {sound_speed} must be in [{low:g}, {high:g}] m/s")
     if not 0 < fs <= MAX_FS:
         raise error(f"fs {fs} must be > 0 and <= {MAX_FS} Hz")
     if not (0 < n_fft <= MAX_N_FFT and n_fft % 2 == 0):

@@ -33,7 +33,7 @@ from .config import (
     resolve_setting,
     rir_settings,
 )
-from .dsp import apply_bank, istft, read_wav, stft, write_wav
+from .dsp import read_wav, steer_audio, stft, write_wav
 from .errors import BeambankError, ConfigError, DataError, ParseError
 from .features import (
     accumulate_stats,
@@ -188,10 +188,7 @@ def cmd_dataset(args) -> dict:
 def cmd_apply(args) -> dict:
     bank = load_bank(args.bank)
     audio, fs = read_wav(args.input, expected_fs=bank.fs)
-    if audio.shape[0] != bank.num_mics:
-        raise DataError(f"{audio.shape[0]}-channel input vs {bank.num_mics}-mic bank")
-    spec = stft(audio, fs=fs, n_fft=bank.n_fft, hop=bank.n_fft // 2)
-    steered = istft(apply_bank(spec, bank), num_samples=audio.shape[1])
+    steered = steer_audio(audio, bank, num_samples=audio.shape[1])
     write_wav(args.out, steered, fs)
     return {
         "command": "apply",

@@ -28,7 +28,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 import yaml
 
-from .beamformer import MAX_FS, MAX_N_FFT, METHODS, WNG_TOLERANCE, check_solver_settings
+from .beamformer import (
+    MAX_FS,
+    MAX_N_FFT,
+    METHODS,
+    SOUND_SPEED_RANGE,
+    WNG_TOLERANCE,
+    check_solver_settings,
+)
 from .errors import ConfigError, DataError
 from .geometry import (
     BUILTIN_GEOMETRIES,
@@ -229,7 +236,8 @@ def _show(value) -> str:
 
 
 _FS = _Key("fs", _integer(), 16000, f"sample rate in Hz, > 0 and <= {MAX_FS}")
-_SOUND_SPEED = _Key("sound_speed", _number, SOUND_SPEED, "m/s, > 0")
+_SOUND_SPEED = _Key("sound_speed", _number, SOUND_SPEED,
+                    "m/s, {:g} to {:g}".format(*SOUND_SPEED_RANGE))
 _INLINE_GEOMETRY = (
     _Key("id", _text, _REQUIRED, "geometry name"),
     _Key("mics", _positions, _REQUIRED, "[[x, y, z], ...] mic positions in meters"),

@@ -555,7 +555,11 @@ def scene_from_dict(doc: dict) -> SceneSpec:
 
 @dataclass
 class ComposedScene:
-    """Rendered scene audio plus the noise-scaling reference mixture."""
+    """Rendered scene audio plus the noise-scaling reference mixture.
+
+    Without a bystander the two are equal, and ``audio`` is ``main_mix``
+    itself, not a copy, so an in-place write to one shows in the other.
+    """
 
     audio: np.ndarray
     main_mix: np.ndarray
@@ -699,8 +703,9 @@ def compose_scene(
     main_mix = np.zeros((m, total_len))
     _convolve_place(main_mix, self_clip.samples, rir_self, 0)
     _convolve_place(main_mix, other_clip.samples, rir_other, onset_other)
-    audio = main_mix.copy()
+    audio = main_mix
     if spec.has_bystander:
+        audio = main_mix.copy()
         _convolve_place(audio, bystander_samples, rir_by, onset_bystander)
 
     ordered = sorted(segments, key=lambda s: s.start)

@@ -22,7 +22,7 @@ import beambank
 from beambank import config
 from beambank.beamformer import MAX_FS, MAX_N_FFT, load_bank, save_bank
 from beambank.cli import main
-from beambank.dsp import apply_bank, read_wav, stft, write_wav
+from beambank.dsp import _run_frames, apply_bank, istft, read_wav, stft, write_wav
 from beambank.features import (
     accumulate_stats,
     export_features,
@@ -212,6 +212,21 @@ class TestDesign:
         assert f"n_fft {n_fft} must be positive, even and <= {MAX_N_FFT}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("speed", [0.001, 99.9, 2000.5])
+    def test_sound_speed_out_of_range_exits_1_before_allocating(
+        self, design_cfg, tmp_path, capsys, monkeypatch, speed
+    ):
+        cfg = tmp_path / "slow.yaml"
+        cfg.write_text(design_cfg.read_text() + f"sound_speed: {speed}\n")
+        out = tmp_path / "x.bbk"
+        with _no_allocation(monkeypatch):
+            code, summary, err = run(capsys, "design", "--config", str(cfg), "--out", str(out))
+        assert code == 1
+        assert summary is None
+        assert len(err.strip().splitlines()) == 1
+        assert f"sound_speed {speed} must be in [100, 2000] m/s" in err
+        assert not out.exists()
+
     def test_help_states_n_fft_cap(self, capsys):
         assert main(["design", "--help"]) == 0
         assert f"<= {MAX_N_FFT}" in capsys.readouterr().out
@@ -260,12 +275,14 @@ class TestVerify:
             (lambda doc: {**doc, "fs": 0}, "fs 0"),
             (lambda doc: {**doc, "fs": 384001}, "fs 384001"),
             (lambda doc: {**doc, "wng_tolerance": float("inf")}, "wng_tolerance inf"),
+            (lambda doc: {**doc, "sound_speed": 0.001}, "sound_speed 0.001"),
+            (lambda doc: {**doc, "sound_speed": 2500.0}, "sound_speed 2500.0"),
             (lambda doc: {**doc, "diagnostics": {
                 **doc["diagnostics"], "loading": doc["diagnostics"]["loading"][:2]}},
              "loading shape (2, 33)"),
         ],
         ids=["bogus-method", "non-object", "n_fft-0", "fs-0", "fs-above-cap",
-             "wng-tolerance-inf", "loading-2-rows"],
+             "wng-tolerance-inf", "sound-speed-below", "sound-speed-above", "loading-2-rows"],
     )
     def test_unknown_method_exits_2(self, bank_file, tmp_path, capsys, mutate, named):
         """A header mutated to an unknown method, a non-object, an empty
@@ -381,9 +398,11 @@ class TestRir:
         assert not out.exists()
 
     def test_overlong_response_exits_2_before_allocating(self, tmp_path, capsys, monkeypatch):
-        """At 0.001 m/s this room's taps would take 23.3 GiB."""
+        """Stretched to 1000 m, this room's farthest image is 17.5 s away."""
         cfg = tmp_path / "room.yaml"
-        cfg.write_text(self.EXAMPLE.read_text() + "sound_speed: 0.001\n")
+        cfg.write_text(self.EXAMPLE.read_text().replace(
+            "dimensions: [6.0, 4.5, 2.8]", "dimensions: [1000.0, 4.5, 2.8]"
+        ))
         out = tmp_path / "rir.wav"
         with _no_allocation(monkeypatch):
             code, summary, err = run(capsys, "rir", "--config", str(cfg), "--out", str(out))
@@ -391,6 +410,22 @@ class TestRir:
         assert summary is None
         assert len(err.strip().splitlines()) == 1
         assert f"capped at {MAX_RIR_SECONDS:g} s" in err
+        assert not out.exists()
+
+    # below, just below, just above and far above the range, and NaN
+    @pytest.mark.parametrize("speed", ["0.001", "99.9", "2000.5", "1.0e+300", ".nan"])
+    def test_sound_speed_out_of_range_exits_1_before_allocating(
+        self, tmp_path, capsys, monkeypatch, speed
+    ):
+        cfg = tmp_path / "room.yaml"
+        cfg.write_text(self.EXAMPLE.read_text() + f"sound_speed: {speed}\n")
+        out = tmp_path / "rir.wav"
+        with _no_allocation(monkeypatch):
+            code, summary, err = run(capsys, "rir", "--config", str(cfg), "--out", str(out))
+        assert code == 1
+        assert summary is None
+        assert len(err.strip().splitlines()) == 1
+        assert "sound_speed" in err
         assert not out.exists()
 
     # (config line replaced, its replacement, the key the error names)
@@ -455,6 +490,51 @@ class TestApply:
         )
         assert code == 2
 
+    def test_input_shorter_than_n_fft_exits_2_with_one_line(
+        self, bank_file, tmp_path, rng, capsys
+    ):
+        short = tmp_path / "short.wav"
+        write_wav(short, rng.standard_normal((5, 63)), 16000)  # the bank's n_fft is 64
+        out = tmp_path / "o.wav"
+        code, summary, err = run(capsys, "apply", str(short), "--bank", str(bank_file),
+                                 "--out", str(out))
+        assert code == 2
+        assert summary is None
+        assert err.strip().splitlines() == [
+            "beambank apply: need at least n_fft = 64 samples, got 63"
+        ]
+        assert not out.exists()
+
+    def test_analyses_one_run_of_frames_at_a_time(
+        self, bank_file, tmp_path, rng, capsys, monkeypatch
+    ):
+        """No rfft sees more frames than one run, every frame is analysed
+        once, and the file equals the whole-signal route's, byte for byte."""
+        samples = 3 * 32 * _run_frames(5, 64) + 1000  # hop 32: three runs and a part
+        audio = 0.1 * rng.standard_normal((5, samples))
+        wav = tmp_path / "long.wav"
+        write_wav(wav, audio, 16000)
+        audio, _ = read_wav(wav)
+        bank = load_bank(bank_file)
+        whole = tmp_path / "whole.wav"
+        write_wav(whole, istft(apply_bank(stft(audio, 16000, 64, 32), bank), samples), 16000)
+
+        shapes, rfft = [], np.fft.rfft
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return rfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", recording)
+        out = tmp_path / "steered.wav"
+        code, summary, _ = run(capsys, "apply", str(wav), "--bank", str(bank_file),
+                               "--out", str(out))
+        assert code == 0
+        assert summary["samples"] == samples
+        assert all(shape[:1] + shape[2:] == (5, 64) for shape in shapes)
+        assert max(shape[1] for shape in shapes) == _run_frames(5, 64)
+        assert sum(shape[1] for shape in shapes) == samples // 32 + 1
+        assert out.read_bytes() == whole.read_bytes()
 
     @pytest.mark.parametrize("cut", [30, 44, 57])
     def test_cut_input_exits_2_with_one_line(

@@ -1,10 +1,12 @@
 """Config parsing: strict keys, unit conversion, precedence, path anchoring."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from beambank import config
 from beambank.config import (
     dataset_settings,
     default_mouth_direction,
@@ -231,6 +233,20 @@ class TestSettingsTable:
     """What every section shares through its rows."""
 
     BASE = {"geometry": "reference_glasses_5"}
+
+    def test_every_row_is_documented(self):
+        """docs/formats.md names every key of every section in its config
+        part, so a new row cannot go undocumented."""
+        doc = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text()
+        part = doc.split("\n## Config files\n", 1)[1].split("\n## ", 1)[0]
+        rows = [
+            (command, section, row.name)
+            for command, sections in config._SECTIONS.items()
+            for section, table in sections
+            for row in table
+        ]
+        assert len(rows) > 40
+        assert [row for row in rows if f"`{row[2]}`" not in part] == []
 
     @pytest.mark.parametrize("key", ["fs", "n_fft", "sound_speed", "wng_margin"])
     def test_bool_is_not_a_number(self, key):
