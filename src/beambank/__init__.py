@@ -59,6 +59,7 @@ from .features import (
     accumulate_stats,
     denormalize,
     export_features,
+    featurize_audio,
     featurize_bank_output,
     featurize_with_bank,
     import_features,

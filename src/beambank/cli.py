@@ -33,12 +33,12 @@ from .config import (
     resolve_setting,
     rir_settings,
 )
-from .dsp import read_wav, steer_audio, stft, write_wav
+from .dsp import read_wav, steer_audio, write_wav
 from .errors import BeambankError, ConfigError, DataError, ParseError
 from .features import (
     accumulate_stats,
     export_features,
-    featurize_with_bank,
+    featurize_audio,
     load_stats,
     normalize,
     save_stats,
@@ -199,13 +199,12 @@ def cmd_apply(args) -> dict:
 
 
 def _featurize_wav(wav_path, bank, stats):
-    audio, fs = read_wav(wav_path, expected_fs=bank.fs)
+    audio, _ = read_wav(wav_path, expected_fs=bank.fs)
     if audio.shape[0] != bank.num_mics:
         raise DataError(
             f"{wav_path}: {audio.shape[0]} channels vs {bank.num_mics}-mic bank"
         )
-    spec = stft(audio, fs=fs, n_fft=bank.n_fft, hop=bank.n_fft // 2)
-    tensor = featurize_with_bank(spec, bank)
+    tensor = featurize_audio(audio, bank)
     if stats is not None:
         tensor = normalize(tensor, stats)
     return tensor

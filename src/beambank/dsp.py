@@ -11,9 +11,11 @@ three stages, ``_analyze`` (frames, window, rfft), ``_steer`` and
 
 - whole signal: ``stft``, ``apply_bank`` and ``istft`` each run one stage
   over every frame of a signal
-- chunked offline: ``steer_audio`` runs all three over one run of frames at
-  a time into one output buffer, so it holds the audio, the output and one
-  run of frames, never a whole-signal spectrogram
+- chunked offline: ``_analysis_runs`` analyses one run of frames at a
+  time; ``steer_audio`` steers and overlap-adds each run into one output
+  buffer (and ``features.featurize_audio`` steers each into log-mel rows),
+  so they hold the audio, the output and one run of frames, never a
+  whole-signal spectrogram
 - streaming: ``BlockProcessor`` runs all three over the frames each pushed
   block completes
 """
@@ -33,11 +35,12 @@ DEFAULT_N_FFT = 512
 DEFAULT_HOP = 256
 # OLA gain below this fraction of the peak is treated as unrecoverable
 _EDGE_THRESHOLD = 1e-8
-# steer_audio's run length: as many frames as fit their input spectra in
+# _analysis_runs' run length: as many frames as fit their input spectra in
 # this many bytes. In a sweep of 128 KB to 4 MB on a 2-core x86-64 host
 # (20 s at 5 mics and n_fft 512, 30 s at 7 mics and 1024), 0.5-1 MB was
 # fastest on both (25-51 and 9-18 frames); 4 MB runs took 1.2x as long and
-# one whole-signal run 1.4x.
+# one whole-signal run 1.4x. Featurizing the same shapes in runs of 16-64
+# frames was 1.1-1.6x faster than in one whole-signal run.
 _RUN_BYTES = 1 << 20
 
 
@@ -218,9 +221,44 @@ def apply_bank(spec: Spectrogram, bank) -> Spectrogram:
 
 
 def _run_frames(num_mics: int, n_fft: int) -> int:
-    """Frames per steer_audio run: their (num_mics, frames, bins) input
+    """Frames per _analysis_runs run: their (num_mics, frames, bins) input
     spectra fill about _RUN_BYTES."""
     return max(1, _RUN_BYTES // (num_mics * (n_fft // 2 + 1) * 16))
+
+
+def _bank_frames(audio, bank) -> tuple:
+    """(C-contiguous (channels, samples) audio, stft frame count at hop
+    n_fft/2) after checking the audio's channels and length against ``bank``."""
+    x = np.ascontiguousarray(_as_2d(audio))
+    channels, samples = x.shape
+    if channels != bank.num_mics:
+        raise DataError(f"{channels}-channel input vs {bank.num_mics}-mic bank")
+    if samples < bank.n_fft:
+        raise DataError(f"need at least n_fft = {bank.n_fft} samples, got {samples}")
+    return x, samples // (bank.n_fft // 2) + 1  # stft's count over the center-padded signal
+
+
+def _analysis_runs(x: np.ndarray, window: np.ndarray, n_frames: int):
+    """Yield (first frame, (channels, frames, bins) spectra) for each run of
+    the center-padded stft of ``x`` at hop n_fft/2, in order; together the
+    runs are ``stft(x).data``, bit for bit.
+
+    Each run is analysed straight from the audio (a zero-extended copy only
+    at the two padded ends), so no padded copy of the signal is made.
+    """
+    n_fft, samples = window.shape[0], x.shape[1]
+    hop = n_fft // 2
+    run = _run_frames(x.shape[0], n_fft)
+    for first in range(0, n_frames, run):
+        count = min(run, n_frames - first)
+        # the center pad is one hop, so frame t covers samples (t-1)*hop to (t+1)*hop
+        start, stop = (first - 1) * hop, (first + count) * hop
+        if 0 <= start and stop <= samples:
+            yield first, _analyze(x, window, hop, count, start)
+        else:  # a run at either end reaches into the padding
+            lo, hi = max(start, 0), min(stop, samples)
+            edge = np.pad(x[:, lo:hi], ((0, 0), (lo - start, stop - hi)))
+            yield first, _analyze(edge, window, hop, count)
 
 
 def steer_audio(audio, bank, num_samples: int | None = None) -> np.ndarray:
@@ -228,35 +266,19 @@ def steer_audio(audio, bank, num_samples: int | None = None) -> np.ndarray:
     ``istft(apply_bank(stft(audio, n_fft=bank.n_fft, hop=bank.n_fft // 2),
     bank), num_samples)``, bit for bit, one run of frames at a time.
 
-    Each run is analysed straight from the audio (a zero-extended copy at
-    the two padded ends), steered, and overlap-added into one output buffer,
-    so no whole-signal spectrogram is built. At hop n_fft/2 every output
-    sample is the sum of exactly two frame terms, which is the same in
-    either order, so the run boundaries do not change a bit. The audio's
-    sample rate is the caller's to check.
+    Each run from ``_analysis_runs`` is steered and overlap-added into one
+    output buffer, so no whole-signal spectrogram is built. At hop n_fft/2
+    every output sample is the sum of exactly two frame terms, which is the
+    same in either order, so the run boundaries do not change a bit. The
+    audio's sample rate is the caller's to check.
     """
-    x = np.ascontiguousarray(_as_2d(audio))
-    n_fft, channels, samples = bank.n_fft, x.shape[0], x.shape[1]
-    if channels != bank.num_mics:
-        raise DataError(f"{channels}-channel input vs {bank.num_mics}-mic bank")
-    if samples < n_fft:
-        raise DataError(f"need at least n_fft = {n_fft} samples, got {samples}")
+    x, n_frames = _bank_frames(audio, bank)
+    n_fft = bank.n_fft
     hop = n_fft // 2
-    n_frames = samples // hop + 1  # stft's count over the center-padded signal
     window, conj_weights = sqrt_hann(n_fft), bank.weights.conj()
     out = np.zeros((bank.num_directions, (n_frames - 1) * hop + n_fft))
-    run = _run_frames(channels, n_fft)
-    for first in range(0, n_frames, run):
-        count = min(run, n_frames - first)
-        # the center pad is one hop, so frame t covers samples (t-1)*hop to (t+1)*hop
-        start, stop = (first - 1) * hop, (first + count) * hop
-        if 0 <= start and stop <= samples:
-            spec = _analyze(x, window, hop, count, start)
-        else:  # a run at either end reaches into the padding
-            lo, hi = max(start, 0), min(stop, samples)
-            edge = np.pad(x[:, lo:hi], ((0, 0), (lo - start, stop - hi)))
-            spec = _analyze(edge, window, hop, count)
-        span = out[:, first * hop : stop + hop]
+    for first, spec in _analysis_runs(x, window, n_frames):
+        span = out[:, first * hop : (first + spec.shape[1] + 1) * hop]
         _synthesize(_steer(conj_weights, spec), window, hop, span)
     return _normalize(out, window, hop, num_samples)
 

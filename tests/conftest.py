@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from beambank import _container
+from beambank.beamformer import BeamformerBank
 from beambank.dsp import write_wav
-from beambank.geometry import reference_glasses, reference_glasses_5
+from beambank.geometry import ArrayGeometry, DirectionSpec, reference_glasses, reference_glasses_5
 
 
 @pytest.fixture(scope="session")
@@ -24,6 +25,28 @@ def glasses5():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+def _random_bank(rng, num_mics, n_fft, num_looks=2):
+    bins = n_fft // 2 + 1
+    shape = (num_looks + 1, bins, num_mics)
+    mouth = DirectionSpec(azimuth=0.0, elevation=-0.6435011087932844, range_m=0.1)
+    return BeamformerBank(
+        geometry=ArrayGeometry(id="random", mics=0.05 * rng.standard_normal((num_mics, 3))),
+        directions=[DirectionSpec(azimuth=0.5 * i) for i in range(num_looks)] + [mouth],
+        frequencies=np.arange(bins) * 16000 / n_fft,
+        weights=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+        fs=16000,
+        n_fft=n_fft,
+        method="mvdr",
+    )
+
+
+@pytest.fixture(scope="session")
+def random_bank():
+    """Call with (rng, num_mics, n_fft[, num_looks]) for a 16 kHz bank of
+    random weights: steering arithmetic needs no design."""
+    return _random_bank
 
 
 def _tone_burst(rng, fs, seconds, f0):

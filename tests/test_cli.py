@@ -27,6 +27,8 @@ from beambank.features import (
     accumulate_stats,
     export_features,
     featurize_bank_output,
+    featurize_with_bank,
+    import_features,
     save_stats,
 )
 from beambank.simulate import MAX_ORDER, MAX_RIR_SECONDS
@@ -576,6 +578,49 @@ class TestFeaturizeAndStats:
         )
         assert code == 0
         assert summary["normalized"] is True
+
+    def test_analyses_one_run_of_frames_at_a_time(
+        self, bank_file, tmp_path, rng, capsys, monkeypatch
+    ):
+        """No rfft sees more frames than one run, every frame is analysed
+        once, and the features match the whole-signal route's."""
+        samples = 3 * 32 * _run_frames(5, 64) + 1000  # hop 32: three runs and a part
+        wav = tmp_path / "long.wav"
+        write_wav(wav, 0.1 * rng.standard_normal((5, samples)), 16000)
+        audio, _ = read_wav(wav)
+        whole = featurize_with_bank(stft(audio, 16000, 64, 32), load_bank(bank_file))
+
+        shapes, rfft = [], np.fft.rfft
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return rfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", recording)
+        out = tmp_path / "long.feat"
+        code, _, _ = run(capsys, "featurize", str(wav), "--bank", str(bank_file),
+                         "--out", str(out))
+        assert code == 0
+        assert all(shape[:1] + shape[2:] == (5, 64) for shape in shapes)
+        assert max(shape[1] for shape in shapes) == _run_frames(5, 64)
+        assert sum(shape[1] for shape in shapes) == samples // 32 + 1
+        got = import_features(out)
+        np.testing.assert_array_max_ulp(got.data, whole.data, maxulp=1)
+
+    def test_input_shorter_than_n_fft_exits_2_with_one_line(
+        self, bank_file, tmp_path, rng, capsys
+    ):
+        short = tmp_path / "short.wav"
+        write_wav(short, rng.standard_normal((5, 63)), 16000)  # the bank's n_fft is 64
+        out = tmp_path / "short.feat"
+        code, summary, err = run(capsys, "featurize", str(short), "--bank", str(bank_file),
+                                 "--out", str(out))
+        assert code == 2
+        assert summary is None
+        assert err.strip().splitlines() == [
+            "beambank featurize: need at least n_fft = 64 samples, got 63"
+        ]
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "blob",

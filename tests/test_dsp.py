@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beambank.beamformer import BeamformerBank, design_bank
+from beambank.beamformer import design_bank
 from beambank.dsp import (
     BlockProcessor,
     Spectrogram,
@@ -22,7 +22,7 @@ from beambank.dsp import (
     write_wav,
 )
 from beambank.errors import DataError
-from beambank.geometry import ArrayGeometry, DirectionSpec, steering_vector
+from beambank.geometry import DirectionSpec, steering_vector
 
 MOUTH = DirectionSpec(azimuth=0.0, elevation=-0.6435011087932844, range_m=0.1)
 
@@ -167,21 +167,6 @@ class TestApplyBank:
             apply_bank(spec, bank)
 
 
-def _random_bank(rng, num_mics, n_fft, num_looks=2):
-    """A bank of random weights: steer_audio's arithmetic needs no design."""
-    bins = n_fft // 2 + 1
-    shape = (num_looks + 1, bins, num_mics)
-    return BeamformerBank(
-        geometry=ArrayGeometry(id="random", mics=0.05 * rng.standard_normal((num_mics, 3))),
-        directions=[DirectionSpec(azimuth=0.5 * i) for i in range(num_looks)] + [MOUTH],
-        frequencies=np.arange(bins) * 16000 / n_fft,
-        weights=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-        fs=16000,
-        n_fft=n_fft,
-        method="mvdr",
-    )
-
-
 class TestSteerAudio:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -194,13 +179,13 @@ class TestSteerAudio:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_equals_whole_signal_route(
-        self, channels, n_fft, runs, frame_offset, extra, length_change, seed
+        self, random_bank, channels, n_fft, runs, frame_offset, extra, length_change, seed
     ):
         """Bit for bit istft(apply_bank(stft(x))): exactly n_fft samples
         (no runs, no offset, no extra), one run or several, a run boundary
         +-1 frame, and output lengths that trim or zero-pad."""
         rng = np.random.default_rng(seed)
-        bank = _random_bank(rng, channels, n_fft)
+        bank = random_bank(rng, channels, n_fft)
         hop = n_fft // 2
         frames = max(3, runs * _run_frames(channels, n_fft) + frame_offset)
         samples = (frames - 1) * hop + int(extra * hop)
@@ -213,23 +198,23 @@ class TestSteerAudio:
         assert np.array_equal(got, whole)
         assert got.tobytes() == whole.tobytes()  # also tells -0.0 from +0.0
 
-    def test_mono_and_transposed_input(self, rng):
-        bank = _random_bank(rng, 1, 64)
+    def test_mono_and_transposed_input(self, random_bank, rng):
+        bank = random_bank(rng, 1, 64)
         x = rng.standard_normal(1000)
         whole = istft(apply_bank(stft(x, 16000, 64, 32), bank), 1000)
         assert steer_audio(x, bank, 1000).tobytes() == whole.tobytes()
-        bank = _random_bank(rng, 3, 64)
+        bank = random_bank(rng, 3, 64)
         x = rng.standard_normal((1000, 3)).T  # not C-contiguous
         whole = istft(apply_bank(stft(x, 16000, 64, 32), bank), 1000)
         assert steer_audio(x, bank, 1000).tobytes() == whole.tobytes()
 
-    def test_short_input_rejected(self, rng):
-        bank = _random_bank(rng, 2, 64)
+    def test_short_input_rejected(self, random_bank, rng):
+        bank = random_bank(rng, 2, 64)
         with pytest.raises(DataError, match="need at least n_fft = 64 samples, got 63"):
             steer_audio(rng.standard_normal((2, 63)), bank)
 
-    def test_channel_mismatch_rejected(self, rng):
-        bank = _random_bank(rng, 2, 64)
+    def test_channel_mismatch_rejected(self, random_bank, rng):
+        bank = random_bank(rng, 2, 64)
         with pytest.raises(DataError, match="3-channel input vs 2-mic bank"):
             steer_audio(rng.standard_normal((3, 640)), bank)
 

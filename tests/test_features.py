@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beambank import features
 from beambank.beamformer import design_bank
-from beambank.dsp import apply_bank, stft
+from beambank.dsp import _run_frames, apply_bank, stft
 from beambank.errors import DataError, GridMismatchError, ParseError
 from beambank.features import (
     CorpusStats,
@@ -16,6 +18,7 @@ from beambank.features import (
     accumulate_stats,
     denormalize,
     export_features,
+    featurize_audio,
     featurize_bank_output,
     featurize_with_bank,
     hz_to_mel,
@@ -205,6 +208,59 @@ class TestFeaturizeWithBank:
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
         else:
             np.testing.assert_array_equal(got, expected)
+
+
+class TestFeaturizeAudio:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        channels=st.integers(1, 7),
+        n_fft=st.sampled_from([64, 128, 256, 512, 1024]),
+        runs=st.integers(0, 3),
+        frame_offset=st.integers(-1, 1),
+        extra=st.floats(0.0, 0.999),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_whole_signal_route(
+        self, random_bank, channels, n_fft, runs, frame_offset, extra, seed
+    ):
+        """featurize_with_bank(stft(x)) for exactly n_fft samples, one run
+        or several, and a run boundary +-1 frame. A run's batched products
+        may round the last float64 bit differently, so a float32 value may
+        differ by one unit in the last place."""
+        rng = np.random.default_rng(seed)
+        bank = random_bank(rng, channels, n_fft)
+        hop = n_fft // 2
+        frames = max(3, runs * _run_frames(channels, n_fft) + frame_offset)
+        x = rng.standard_normal((channels, (frames - 1) * hop + int(extra * hop)))
+
+        whole = featurize_with_bank(stft(x, 16000, n_fft, hop), bank)
+        got = featurize_audio(x, bank)
+        assert got.data.shape == whole.data.shape
+        np.testing.assert_array_max_ulp(got.data, whole.data, maxulp=1)
+        assert got.frame_rate == whole.frame_rate
+        assert got.direction_labels == whole.direction_labels
+
+    def test_log_mel_sees_one_run_at_a_time(self, random_bank, rng, monkeypatch):
+        bank = random_bank(rng, 3, 64)
+        run = _run_frames(3, 64)
+        x = rng.standard_normal((3, 2 * run * 32 + 100))  # two runs and a part
+        frames = []
+
+        def spy(channel, *args, **kwargs):
+            frames.append(channel.shape[1])
+            return log_mel(channel, *args, **kwargs)
+
+        monkeypatch.setattr(features, "log_mel", spy)
+        tensor = featurize_audio(x, bank)
+        assert frames == [run, run, tensor.num_frames - 2 * run]
+        assert tensor.data.dtype == np.float32 and tensor.data.flags.c_contiguous
+
+    def test_short_input_and_channel_mismatch_rejected(self, random_bank, rng):
+        bank = random_bank(rng, 2, 64)
+        with pytest.raises(DataError, match="need at least n_fft = 64 samples, got 63"):
+            featurize_audio(rng.standard_normal((2, 63)), bank)
+        with pytest.raises(DataError, match="3-channel input vs 2-mic bank"):
+            featurize_audio(rng.standard_normal((3, 640)), bank)
 
 
 def _random_tensor(rng, frames):
