@@ -61,7 +61,6 @@ from .features import (
     export_features,
     featurize_audio,
     featurize_bank_output,
-    featurize_with_bank,
     import_features,
     load_stats,
     log_mel,

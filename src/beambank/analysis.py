@@ -10,7 +10,7 @@ import numpy as np
 
 from .beamformer import _weights_of
 from .errors import DataError
-from .geometry import SOUND_SPEED, ArrayGeometry, DirectionSpec, far_field_atf, steering_vector
+from .geometry import SOUND_SPEED, ArrayGeometry, DirectionSpec, _steering_rows, steering_vector
 from .noise_model import NoiseCovariance
 
 EXPORT_DB_FLOOR = -80.0
@@ -63,17 +63,16 @@ def beam_pattern(
 
     ``h`` is a weight array or BeamformerWeights. Without a look direction
     the maximum response is the 0 dB reference. resolution_deg must pass
-    :func:`pattern_steps`; the grid covers (-180, 180] degrees.
+    :func:`pattern_steps`; the grid is k * resolution_deg for the steps
+    integers k with -180 < k * resolution_deg <= 180 degrees. Responses
+    equal ``np.vdot(h, far_field_atf(...).entries)`` per azimuth bit for bit.
     """
     w = _weights_of(h)
     steps = pattern_steps(resolution_deg)
-    half = steps // 2
-    azimuths = np.array([np.deg2rad((k - half + 1) * resolution_deg) for k in range(steps)])
-
-    responses = np.empty(steps, dtype=complex)
-    for i, az in enumerate(azimuths):
-        g = far_field_atf(geometry, DirectionSpec(azimuth=az), frequency, sound_speed)
-        responses[i] = np.vdot(w, g.entries)
+    azimuths = np.deg2rad((np.arange(steps) - (steps - 1) // 2) * resolution_deg)
+    units = np.stack([np.cos(azimuths), np.sin(azimuths), np.zeros(steps)], axis=-1)
+    g = _steering_rows(geometry, [frequency], sound_speed, unit=units)[0]
+    responses = np.matmul(w.conj()[None, None, :], g[:, :, None])[:, 0, 0]
     raw_db = 20.0 * np.log10(np.maximum(np.abs(responses), _MAG_FLOOR))
 
     if look is None:

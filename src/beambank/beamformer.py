@@ -594,8 +594,6 @@ def verify_bank(bank: BeamformerBank, atfs: AtfSet | None = None) -> BankReport:
 def save_bank(bank: BeamformerBank, path) -> None:
     """Write a bank: one JSON header line, then the (K+1, F, M) weights as
     little-endian complex128 (interleaved re/im float64); bit-exact."""
-    if any(callable(spec.psd) for spec in bank.nulls):
-        raise DataError("cannot serialize a bank whose null psd is a callable")
     header = {
         "magic": BANK_MAGIC,
         "geometry": {

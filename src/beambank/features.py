@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _container
 from .errors import DataError, ParseError
-from .dsp import Spectrogram, _analysis_runs, _bank_frames, _check_grid, sqrt_hann
+from .dsp import Spectrogram, _analysis_runs, _bank_frames, sqrt_hann
 
 NUM_MEL = 80
 LOG_FLOOR = 1e-10
@@ -128,33 +128,17 @@ def _steered_log_mel(conj_weights: np.ndarray, data: np.ndarray, fs: int, num_fi
     return log_mel(steered.transpose(1, 2, 0), fs, num_filters)
 
 
-def featurize_with_bank(spec: Spectrogram, bank, num_filters: int = NUM_MEL) -> FeatureTensor:
-    """Log-mel of ``spec`` steered through every direction of ``bank``.
-
-    Returns what ``featurize_bank_output(apply_bank(spec, bank),
-    bank.direction_labels())`` does, but steers with one batched (F, K, M)
-    @ (F, M, T) product instead of ``apply_bank``'s einsum; the two differ
-    only by float64 rounding.
-    """
-    _check_grid(spec, bank)
-    mel = _steered_log_mel(bank.weights.conj().transpose(1, 0, 2), spec.data, spec.fs, num_filters)
-    return FeatureTensor(
-        data=np.ascontiguousarray(mel.swapaxes(0, 1), dtype=np.float32),
-        frame_rate=spec.frame_rate,
-        direction_labels=bank.direction_labels(),
-    )
-
-
 def featurize_audio(audio, bank, num_filters: int = NUM_MEL) -> FeatureTensor:
-    """``featurize_with_bank(stft(audio, bank.fs, bank.n_fft, bank.n_fft // 2),
-    bank)``, one run of frames at a time.
+    """Log-mel of ``audio`` steered through every direction of ``bank``,
+    (frames, directions, num_filters) float32, one run of frames at a time.
 
     Each run from the frame engine's ``_analysis_runs`` is steered and
     turned into log-mel rows of one float32 tensor, so no whole-signal
     spectrogram, steered spectrogram or float64 log-mel is built. Rows match
-    the whole-signal route's up to float64 rounding in the batched products,
-    which float32 almost always hides. The audio's sample rate is the
-    caller's to check.
+    :func:`_steered_log_mel` of the whole-signal ``stft(audio, bank.fs,
+    bank.n_fft, bank.n_fft // 2)`` up to float64 rounding in the batched
+    products, which float32 almost always hides. The audio's sample rate is
+    the caller's to check.
     """
     x, n_frames = _bank_frames(audio, bank)
     conj_weights = bank.weights.conj().transpose(1, 0, 2)

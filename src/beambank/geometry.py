@@ -28,6 +28,11 @@ from .errors import (
 )
 
 MIN_MIC_SEPARATION = 1e-6
+# A design's (F * (K+1), M, M) complex128 eigenvector copy in
+# beamformer._loaded_designs takes 8193 * 64**2 * 16 B = 537 MB per bank
+# direction at 64 mics and MAX_N_FFT (16384); checked before any (M, M)
+# array is built.
+MAX_MICS = 64
 MIN_SOURCE_DISTANCE = 0.01
 SOUND_SPEED = 343.0
 
@@ -45,6 +50,8 @@ class ArrayGeometry:
         mics = np.asarray(self.mics, dtype=float)
         if mics.ndim != 2 or mics.shape[1] != 3 or mics.shape[0] < 1:
             raise DataError(f"geometry '{self.id}': mics must be an (M, 3) array")
+        if mics.shape[0] > MAX_MICS:
+            raise DataError(f"geometry '{self.id}': {mics.shape[0]} mics, at most {MAX_MICS}")
         if not np.all(np.isfinite(mics)):
             raise DataError(f"geometry '{self.id}': non-finite mic position")
         diffs = mics[:, None, :] - mics[None, :, :]
@@ -192,13 +199,18 @@ def steering_matrix(
 def _steering_rows(geometry, frequencies, sound_speed, unit=None, point=None) -> np.ndarray:
     """exp(-j omega tau) per frequency and mic: plane-wave delays toward
     ``unit``, or absolute delays and 1/r amplitudes from a source ``point``.
-    Every entry is an element-wise function of its own inputs only."""
+    ``unit`` may be one (3,) vector, giving (F, M) rows, or an (..., 3)
+    stack of them, giving (F, ..., M); a row of a stack equals the row of
+    its vector alone bit for bit. Every entry is an element-wise function
+    of its own inputs only."""
     freqs = np.asarray(frequencies, dtype=float).reshape(-1, 1)
     if np.any(freqs < 0):
         raise DataError("frequency must be non-negative")
     if point is None:
         # arrival delay relative to the origin; mics closer to the source lead
-        return np.exp(-2j * np.pi * freqs * (-(geometry.mics @ unit) / sound_speed))
+        lead = np.matmul(geometry.mics, unit[..., None])[..., 0]
+        freqs = freqs.reshape((-1,) + (1,) * lead.ndim)
+        return np.exp(-2j * np.pi * freqs * (-lead / sound_speed))
     p = np.asarray(point, dtype=float)
     d = np.linalg.norm(geometry.mics - p[None, :], axis=1)
     if d.min() <= MIN_SOURCE_DISTANCE:

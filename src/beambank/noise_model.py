@@ -9,7 +9,6 @@ not hard constraints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -23,27 +22,18 @@ REGULARIZATION_SCALE = 1e-6
 
 @dataclass(frozen=True)
 class PointNoiseSpec:
-    """A directional noise source: steering direction, weight, and PSD.
-
-    ``psd`` is a constant or a callable of frequency in Hz; the callable
-    form is the per-frequency override hook.
-    """
+    """A directional noise source: steering direction, weight, and a PSD
+    constant over frequency."""
 
     direction: DirectionSpec
     weight: float = 10.0
-    psd: float | Callable[[float], float] = 1.0
+    psd: float = 1.0
 
     def __post_init__(self):
         if not self.weight >= 0:
             raise DataError(f"point-noise weight {self.weight} must be >= 0")
-        if not callable(self.psd) and not self.psd > 0:
+        if not self.psd > 0:
             raise DataError(f"point-noise psd {self.psd} must be > 0")
-
-    def psd_at(self, frequency: float) -> float:
-        value = self.psd(frequency) if callable(self.psd) else self.psd
-        if not value > 0:
-            raise DataError(f"psd at {frequency} Hz is {value}, must be > 0")
-        return float(value)
 
 
 @dataclass(frozen=True)
@@ -106,8 +96,7 @@ def add_point_noises(
     out = np.array(matrices, dtype=complex)
     for spec in points:
         g = steering_matrix(geometry, spec.direction, frequencies, sound_speed)
-        scale = np.array([spec.weight * spec.psd_at(f) for f in frequencies])
-        out += scale[:, None, None] * (g[:, :, None] * g.conj()[:, None, :])
+        out += (spec.weight * spec.psd) * (g[:, :, None] * g.conj()[:, None, :])
     return out
 
 

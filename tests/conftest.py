@@ -6,7 +6,7 @@ import errno
 import numpy as np
 import pytest
 
-from beambank import _container
+from beambank import _container, features
 from beambank.beamformer import BeamformerBank
 from beambank.dsp import write_wav
 from beambank.geometry import ArrayGeometry, DirectionSpec, reference_glasses, reference_glasses_5
@@ -47,6 +47,22 @@ def random_bank():
     """Call with (rng, num_mics, n_fft[, num_looks]) for a 16 kHz bank of
     random weights: steering arithmetic needs no design."""
     return _random_bank
+
+
+def _whole_signal_features(spec, bank):
+    """(frames, directions, 80) float32 log-mel of a whole-signal
+    spectrogram steered through ``bank`` by the same batched product
+    featurize_audio applies to each run of frames."""
+    conj_weights = bank.weights.conj().transpose(1, 0, 2)
+    mel = features._steered_log_mel(conj_weights, spec.data, spec.fs, features.NUM_MEL)
+    return mel.swapaxes(0, 1).astype(np.float32)
+
+
+@pytest.fixture(scope="session")
+def whole_signal_features():
+    """Call with (spectrogram, bank): featurize_audio's whole-signal
+    reference."""
+    return _whole_signal_features
 
 
 def _tone_burst(rng, fs, seconds, f0):

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +13,16 @@ from beambank.analysis import (
     beam_pattern,
     directivity_index,
     export_pattern,
+    pattern_steps,
     white_noise_gain,
 )
-from beambank.beamformer import design_delay_and_sum
+from beambank.beamformer import design_bank, design_delay_and_sum
+from beambank.config import design_settings, load_config
 from beambank.errors import DataError
-from beambank.geometry import ArrayGeometry, DirectionSpec, steering_vector
+from beambank.geometry import ArrayGeometry, DirectionSpec, far_field_atf, steering_vector
 from beambank.noise_model import diffuse_covariance_sinc
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # half-wavelength pair at 1000 Hz: endfire delay-and-sum nulls broadside
 HALF_WAVE_PAIR = ArrayGeometry(
@@ -61,6 +66,69 @@ class TestBeamPattern:
         res, _, _ = _endfire_ds()
         pattern = beam_pattern(res, HALF_WAVE_PAIR, 1000.0)
         assert pattern.response_db.max() == pytest.approx(0.0, abs=1e-12)
+
+
+    @pytest.mark.parametrize("resolution", [360.0, 120.0, 72.0, 40.0, 24.0, 8.0, 1.6, 0.01])
+    def test_grid_is_multiples_of_step_inside_half_open_circle(self, resolution):
+        """Odd step counts too: the grid is k * step for the centred run of
+        integers k, so it never leaves (-180, 180] degrees."""
+        res, _, _ = _endfire_ds()
+        steps = pattern_steps(resolution)
+        deg = np.rad2deg(beam_pattern(res, HALF_WAVE_PAIR, 1000.0, resolution).azimuths)
+        k = np.arange(steps) - (steps - 1) // 2
+        np.testing.assert_allclose(deg, k * resolution, rtol=1e-12, atol=1e-9)
+        assert deg.min() > -180.0 and deg.max() <= 180.0 + 1e-9
+        assert np.all(np.diff(deg) > 0)
+
+
+def _pattern_oracle(w, geometry, frequency, resolution, look):
+    """beam_pattern's definition, one azimuth at a time: a far_field_atf and
+    an np.vdot per grid point; the look's grid response is the reference when
+    the look lies on the grid, else |h^H g(look)| from steering_vector, and
+    the peak without a look."""
+    steps = pattern_steps(resolution)
+    azimuths = [np.deg2rad((k - (steps - 1) // 2) * resolution) for k in range(steps)]
+    responses = np.array([
+        np.vdot(w, far_field_atf(geometry, DirectionSpec(azimuth=az), frequency).entries)
+        for az in azimuths
+    ])
+    raw = 20.0 * np.log10(np.maximum(np.abs(responses), 1e-300))
+    if look is None:
+        return np.array(azimuths), raw - raw.max()
+    hits = [i for i, az in enumerate(azimuths) if abs(az - look.azimuth) <= 1e-9]
+    if hits and not look.is_near_field and abs(look.elevation) <= 1e-12:
+        return np.array(azimuths), raw - raw[hits[0]]
+    ref = abs(np.vdot(w, steering_vector(geometry, look, frequency).entries))
+    return np.array(azimuths), raw - 20.0 * float(np.log10(max(ref, 1e-300)))
+
+
+@pytest.fixture(scope="module")
+def config_banks():
+    return {
+        name: design_bank(**{
+            k: v for k, v in design_settings(load_config(CONFIGS / f"{name}.yaml")).items()
+            if k != "atf_file"
+        })
+        for name in ("reference_design", "nulled_design")
+    }
+
+
+class TestPatternSweep:
+    @pytest.mark.parametrize("resolution", [1.0, 0.25, 7.5, 120.0, 1.6, 360.0])
+    @pytest.mark.parametrize("frequency", [0.0, 1000.0, 8000.0])
+    @pytest.mark.parametrize("name", ["reference_design", "nulled_design"])
+    def test_equals_per_azimuth_oracle(self, config_banks, name, frequency, resolution):
+        """Every look of the bank (the near-field mouth's is an off-grid
+        reference), and no look, at even and odd step counts: azimuths and
+        responses equal the per-azimuth definition bit for bit."""
+        bank = config_banks[name]
+        fi = int(np.flatnonzero(bank.frequencies == frequency)[0])
+        looks = list(zip(bank.weights[:, fi], bank.directions)) + [(bank.weights[0, fi], None)]
+        for w, look in looks:
+            got = beam_pattern(w, bank.geometry, frequency, resolution, look=look)
+            azimuths, expected = _pattern_oracle(w, bank.geometry, frequency, resolution, look)
+            np.testing.assert_array_equal(got.azimuths, azimuths)
+            np.testing.assert_array_equal(got.response_db, expected)
 
 
 class TestMetrics:

@@ -293,18 +293,6 @@ class TestBank:
         assert back.sound_speed == bank.sound_speed
         assert back.wng_margin == bank.wng_margin
 
-    def test_callable_psd_not_serializable(self, glasses5, tmp_path):
-        nulls = (
-            PointNoiseSpec(
-                direction=DirectionSpec(azimuth=1.0, elevation=0.0),
-                weight=1.0,
-                psd=lambda f: 1.0,
-            ),
-        )
-        bank = _small_bank(glasses5, nulls=nulls)
-        with pytest.raises(DataError):
-            save_bank(bank, tmp_path / "bad.bbk")
-
     def test_load_rejects_truncated_payload(self, glasses5, tmp_path):
         bank = _small_bank(glasses5)
         path = tmp_path / "bank.bbk"

@@ -27,27 +27,29 @@ from beambank.features import (
     accumulate_stats,
     export_features,
     featurize_bank_output,
-    featurize_with_bank,
     import_features,
     save_stats,
 )
+from beambank.geometry import MAX_MICS
 from beambank.simulate import MAX_ORDER, MAX_RIR_SECONDS
+
+
+def _forbidden(name):
+    """A stand-in for ``name`` that fails the test when called."""
+
+    def call(*args, **kwargs):
+        raise AssertionError(f"{name}{args} called")
+
+    return call
 
 
 @contextlib.contextmanager
 def _no_allocation(monkeypatch):
     """Make np.zeros and np.fft.rfftfreq fail the test if anything calls
     them inside the block: a size cap must act before any buffer is built."""
-
-    def forbidden(name):
-        def call(*args, **kwargs):
-            raise AssertionError(f"{name}{args} called")
-
-        return call
-
     with monkeypatch.context() as patch:
-        patch.setattr(np, "zeros", forbidden("np.zeros"))
-        patch.setattr(np.fft, "rfftfreq", forbidden("np.fft.rfftfreq"))
+        patch.setattr(np, "zeros", _forbidden("np.zeros"))
+        patch.setattr(np.fft, "rfftfreq", _forbidden("np.fft.rfftfreq"))
         yield
 
 
@@ -229,6 +231,28 @@ class TestDesign:
         assert f"sound_speed {speed} must be in [100, 2000] m/s" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source, expected", [("inline", 1), ("file", 2)])
+    def test_mic_count_above_cap_exits_before_pairwise_distances(
+        self, tmp_path, capsys, monkeypatch, source, expected
+    ):
+        rows = [[0.01 * i, 0.0, 0.0] for i in range(MAX_MICS + 1)]
+        cfg = tmp_path / "big.yaml"
+        if source == "inline":
+            cfg.write_text(f"geometry: {{id: big, mics: {rows}}}\nn_fft: 64\n")
+        else:
+            (tmp_path / "big_geometry.yaml").write_text(yaml.safe_dump({"id": "big", "mics": rows}))
+            # an explicit mouth: the default one is placed with np.linalg.norm
+            cfg.write_text("geometry_file: big_geometry.yaml\nn_fft: 64\n"
+                           "directions: {mouth: {range: 0.1, elevation: -37}}\n")
+        out = tmp_path / "x.bbk"
+        monkeypatch.setattr(np.linalg, "norm", _forbidden("np.linalg.norm"))
+        code, summary, err = run(capsys, "design", "--config", str(cfg), "--out", str(out))
+        assert code == expected
+        assert summary is None
+        assert len(err.strip().splitlines()) == 1
+        assert f"{MAX_MICS + 1} mics, at most {MAX_MICS}" in err
+        assert not out.exists()
+
     def test_help_states_n_fft_cap(self, capsys):
         assert main(["design", "--help"]) == 0
         assert f"<= {MAX_N_FFT}" in capsys.readouterr().out
@@ -315,6 +339,24 @@ class TestVerify:
         assert f"n_fft {2**40} must be" in err
         assert not (tmp_path / "p").exists()
 
+    @pytest.mark.parametrize("argv", [["verify"], ["pattern", "--out", "p"]])
+    def test_mic_count_above_cap_in_header_exits_2_before_pairwise_distances(
+        self, bank_file, tmp_path, capsys, monkeypatch, argv
+    ):
+        header, payload = bank_file.read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        header["geometry"]["mics"] = [[0.01 * i, 0.0, 0.0] for i in range(MAX_MICS + 1)]
+        big = tmp_path / "big.bbk"
+        big.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(np.linalg, "norm", _forbidden("np.linalg.norm"))
+        code, summary, err = run(capsys, *argv, "--bank", str(big))
+        assert code == 2
+        assert summary is None
+        assert len(err.strip().splitlines()) == 1
+        assert f"{MAX_MICS + 1} mics, at most {MAX_MICS}" in err
+        assert not (tmp_path / "p").exists()
+
 
 class TestPattern:
     def test_writes_one_csv_per_horizontal_direction(self, bank_file, tmp_path, capsys):
@@ -329,6 +371,21 @@ class TestPattern:
             assert path.exists()
             header = path.read_text().splitlines()[0]
             assert header == "azimuth_deg,response_db"
+
+    @pytest.mark.parametrize("resolution, azimuths", [
+        ("120", ["-120.000000", "0.000000", "120.000000"]),
+        ("0.01", [f"{0.01 * k:.6f}" for k in range(-17999, 18001)]),
+    ], ids=["odd-step-count", "finest"])
+    def test_grid_rows(self, bank_file, tmp_path, capsys, resolution, azimuths):
+        code, summary, _ = run(
+            capsys, "pattern", "--bank", str(bank_file), "--freq", "1000",
+            "--resolution", resolution, "--out", str(tmp_path),
+        )
+        assert code == 0
+        for name in summary["files"]:
+            lines = (tmp_path / name).read_text().splitlines()
+            assert lines[0] == "azimuth_deg,response_db"
+            assert [line.split(",")[0] for line in lines[1:]] == azimuths
 
     def test_off_grid_frequency_exits_2(self, bank_file, tmp_path, capsys):
         code, _, err = run(
@@ -580,7 +637,7 @@ class TestFeaturizeAndStats:
         assert summary["normalized"] is True
 
     def test_analyses_one_run_of_frames_at_a_time(
-        self, bank_file, tmp_path, rng, capsys, monkeypatch
+        self, bank_file, tmp_path, rng, capsys, monkeypatch, whole_signal_features
     ):
         """No rfft sees more frames than one run, every frame is analysed
         once, and the features match the whole-signal route's."""
@@ -588,7 +645,7 @@ class TestFeaturizeAndStats:
         wav = tmp_path / "long.wav"
         write_wav(wav, 0.1 * rng.standard_normal((5, samples)), 16000)
         audio, _ = read_wav(wav)
-        whole = featurize_with_bank(stft(audio, 16000, 64, 32), load_bank(bank_file))
+        whole = whole_signal_features(stft(audio, 16000, 64, 32), load_bank(bank_file))
 
         shapes, rfft = [], np.fft.rfft
 
@@ -605,7 +662,7 @@ class TestFeaturizeAndStats:
         assert max(shape[1] for shape in shapes) == _run_frames(5, 64)
         assert sum(shape[1] for shape in shapes) == samples // 32 + 1
         got = import_features(out)
-        np.testing.assert_array_max_ulp(got.data, whole.data, maxulp=1)
+        np.testing.assert_array_max_ulp(got.data, whole, maxulp=1)
 
     def test_input_shorter_than_n_fft_exits_2_with_one_line(
         self, bank_file, tmp_path, rng, capsys

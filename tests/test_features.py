@@ -20,7 +20,6 @@ from beambank.features import (
     export_features,
     featurize_audio,
     featurize_bank_output,
-    featurize_with_bank,
     hz_to_mel,
     import_features,
     load_stats,
@@ -161,7 +160,11 @@ def banks(glasses5, glasses7):
 class TestFeaturizeWithBank:
     @pytest.mark.parametrize("seconds", [None, 3.0], ids=["n_fft-samples", "3s"])
     @pytest.mark.parametrize("name", ["reference-5", "glasses-7x9"])
-    def test_equals_apply_then_featurize(self, banks, rng, monkeypatch, name, seconds):
+    def test_equals_apply_then_featurize(
+        self, banks, rng, monkeypatch, whole_signal_features, name, seconds
+    ):
+        """featurize_audio's batched steering product gives what apply_bank's
+        einsum and featurize_bank_output give, up to float64 rounding."""
         bank = banks[name]
         n = bank.n_fft if seconds is None else int(seconds * bank.fs)
         spec = stft(0.1 * rng.standard_normal((bank.num_mics, n)), bank.fs, bank.n_fft)
@@ -173,12 +176,10 @@ class TestFeaturizeWithBank:
 
         monkeypatch.setattr(features, "log_mel", spy)
         expected = featurize_bank_output(apply_bank(spec, bank), bank.direction_labels())
-        got = featurize_with_bank(spec, bank)
+        got = whole_signal_features(spec, bank)
         np.testing.assert_allclose(mels[1], mels[0], rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(got.data, expected.data)
-        assert got.data.shape == (spec.num_frames, bank.num_directions, 80)
-        assert got.direction_labels == expected.direction_labels
-        assert got.frame_rate == expected.frame_rate
+        np.testing.assert_array_equal(got, expected.data)
+        assert got.shape == (spec.num_frames, bank.num_directions, 80)
 
     @pytest.mark.parametrize(
         "channels, fs, n_fft",
@@ -190,8 +191,6 @@ class TestFeaturizeWithBank:
         spec = stft(rng.standard_normal((channels, 4000)), fs, n_fft)
         with pytest.raises(GridMismatchError):
             apply_bank(spec, bank)
-        with pytest.raises(GridMismatchError):
-            featurize_with_bank(spec, bank)
 
     @pytest.mark.parametrize("frames", [3, 94, 300])
     def test_log_mel_reads_frequency_major_view_in_place(self, rng, frames):
@@ -221,24 +220,26 @@ class TestFeaturizeAudio:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_whole_signal_route(
-        self, random_bank, channels, n_fft, runs, frame_offset, extra, seed
+        self, random_bank, whole_signal_features, channels, n_fft, runs, frame_offset, extra, seed
     ):
-        """featurize_with_bank(stft(x)) for exactly n_fft samples, one run
-        or several, and a run boundary +-1 frame. A run's batched products
-        may round the last float64 bit differently, so a float32 value may
-        differ by one unit in the last place."""
+        """The whole-signal stft(x) steered and featurized in one batch, for
+        exactly n_fft samples, one run or several, and a run boundary +-1
+        frame. A run's batched products may round the last float64 bit
+        differently, so a float32 value may differ by one unit in the last
+        place."""
         rng = np.random.default_rng(seed)
         bank = random_bank(rng, channels, n_fft)
         hop = n_fft // 2
         frames = max(3, runs * _run_frames(channels, n_fft) + frame_offset)
         x = rng.standard_normal((channels, (frames - 1) * hop + int(extra * hop)))
 
-        whole = featurize_with_bank(stft(x, 16000, n_fft, hop), bank)
+        spec = stft(x, 16000, n_fft, hop)
+        whole = whole_signal_features(spec, bank)
         got = featurize_audio(x, bank)
-        assert got.data.shape == whole.data.shape
-        np.testing.assert_array_max_ulp(got.data, whole.data, maxulp=1)
-        assert got.frame_rate == whole.frame_rate
-        assert got.direction_labels == whole.direction_labels
+        assert got.data.shape == whole.shape
+        np.testing.assert_array_max_ulp(got.data, whole, maxulp=1)
+        assert got.frame_rate == spec.frame_rate
+        assert got.direction_labels == bank.direction_labels()
 
     def test_log_mel_sees_one_run_at_a_time(self, random_bank, rng, monkeypatch):
         bank = random_bank(rng, 3, 64)

@@ -7,9 +7,11 @@ import pytest
 
 from beambank.errors import DataError, GridMismatchError
 from beambank.geometry import (
+    MAX_MICS,
     AtfSet,
     ArrayGeometry,
     DirectionSpec,
+    _steering_rows,
     export_atfs,
     far_field_atf,
     freefield_atfs,
@@ -20,6 +22,7 @@ from beambank.geometry import (
     reference_glasses_5,
     save_geometry,
     select_subset,
+    steering_matrix,
     steering_vector,
 )
 
@@ -63,6 +66,17 @@ class TestGeometry:
         with pytest.raises(DataError):
             ArrayGeometry(id="dup", mics=np.zeros((2, 3)))
 
+    def test_mic_count_capped_before_pairwise_distances(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.linalg.norm called")
+
+        mics = 0.01 * np.arange(3 * (MAX_MICS + 1), dtype=float).reshape(-1, 3)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "norm", forbidden)
+            with pytest.raises(DataError, match=f"{MAX_MICS + 1} mics, at most {MAX_MICS}"):
+                ArrayGeometry(id="big", mics=mics)
+        assert ArrayGeometry(id="cap", mics=mics[:MAX_MICS]).num_mics == MAX_MICS
+
     def test_reference_arrays(self, glasses7, glasses5):
         assert glasses7.num_mics == 7
         assert glasses5.num_mics == 5
@@ -105,6 +119,22 @@ class TestFarFieldAtf:
         d = DirectionSpec(azimuth=1.0, elevation=0.2)
         g = far_field_atf(glasses5, d, 0.0, 343.0).entries
         np.testing.assert_allclose(g, 1.0, atol=0)
+
+    def test_stack_of_unit_vectors_equals_one_direction_at_a_time(self, glasses7, rng):
+        """(F, ..., M) rows of a (..., 3) stack, each equal to its direction's
+        steering_matrix rows bit for bit."""
+        directions = [
+            DirectionSpec(azimuth=az, elevation=el)
+            for az, el in zip(rng.uniform(-math.pi, math.pi, 6), rng.uniform(-1.5, 1.5, 6))
+        ]
+        units = np.array([d.unit_vector() for d in directions]).reshape(2, 3, 3)
+        freqs = [0.0, 1000.0, 7987.5]
+        rows = _steering_rows(glasses7, freqs, 343.0, unit=units)
+        assert rows.shape == (3, 2, 3, 7)
+        for i, d in enumerate(directions):
+            np.testing.assert_array_equal(
+                rows[:, i // 3, i % 3], steering_matrix(glasses7, d, freqs, 343.0)
+            )
 
 
 class TestNearFieldAtf:

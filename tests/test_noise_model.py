@@ -87,13 +87,6 @@ class TestComposite:
         assert delta_one[0, 0].real == pytest.approx(10.0)
         assert np.linalg.matrix_rank(delta_one, tol=1e-9) == 1
 
-    def test_callable_psd(self):
-        d = DirectionSpec(azimuth=0.5, elevation=0.0)
-        spec = PointNoiseSpec(direction=d, weight=1.0, psd=lambda f: f / 1000.0)
-        base = diffuse_covariance_sinc(PAIR, 2000.0, 343.0)
-        cov = composite_covariance(base, [spec], PAIR, 343.0)
-        assert (cov.matrix - base.matrix)[0, 0].real == pytest.approx(2.0)
-
     def test_hermitian_guard(self):
         with pytest.raises(DataError):
             NoiseCovariance(frequency=100.0, matrix=np.array([[1.0, 2.0], [0.0, 1.0]]))
