@@ -57,7 +57,6 @@ from .features import (
     CorpusStats,
     FeatureTensor,
     accumulate_stats,
-    denormalize,
     export_features,
     featurize_audio,
     featurize_bank_output,
@@ -67,7 +66,6 @@ from .features import (
     mel_filterbank,
     normalize,
     save_stats,
-    stack_frames,
 )
 from .geometry import (
     BUILTIN_GEOMETRIES,
@@ -81,7 +79,6 @@ from .geometry import (
     freefield_atfs,
     import_atfs,
     load_geometry,
-    near_field_atf,
     reference_glasses,
     reference_glasses_5,
     save_geometry,
@@ -92,9 +89,7 @@ from .noise_model import (
     NoiseCovariance,
     PointNoiseSpec,
     composite_covariance,
-    diffuse_covariance_from_atfs,
     diffuse_covariance_sinc,
-    regularization_level,
     regularize,
 )
 from .simulate import (

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _container
 from .beamformer import _weights_of
 from .errors import DataError
 from .geometry import SOUND_SPEED, ArrayGeometry, DirectionSpec, _steering_rows, steering_vector
@@ -120,27 +120,20 @@ def directivity_index(h, g, phi_dd: NoiseCovariance) -> float:
 
 def export_pattern(pattern: BeamPattern, path, format: str = "csv") -> None:
     """Write (azimuth_deg, response_db) rows, ascending azimuth, 6 decimals,
-    responses floored at -80 dB."""
+    responses floored at -80 dB, through a temporary file and a rename."""
     az_deg = np.rad2deg(pattern.azimuths)
     db = np.maximum(pattern.response_db, EXPORT_DB_FLOOR)
     rows = [(round(float(a), 6), round(float(r), 6)) for a, r in zip(az_deg, db)]
-    try:
-        if format == "csv":
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["azimuth_deg", "response_db"])
-                for a, r in rows:
-                    writer.writerow([f"{a:.6f}", f"{r:.6f}"])
-        elif format == "json":
-            doc = {
-                "frequency_hz": pattern.frequency,
-                "azimuth_deg": [a for a, _ in rows],
-                "response_db": [r for _, r in rows],
-            }
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2)
-                fh.write("\n")
-        else:
-            raise DataError(f"unknown pattern format '{format}'")
-    except OSError as exc:
-        raise DataError(f"cannot write pattern to {path}: {exc}") from exc
+    if format == "csv":
+        lines = ["azimuth_deg,response_db"] + [f"{a:.6f},{r:.6f}" for a, r in rows]
+        text = "\r\n".join(lines) + "\r\n"
+    elif format == "json":
+        doc = {
+            "frequency_hz": pattern.frequency,
+            "azimuth_deg": [a for a, _ in rows],
+            "response_db": [r for _, r in rows],
+        }
+        text = json.dumps(doc, indent=2) + "\n"
+    else:
+        raise DataError(f"unknown pattern format '{format}'")
+    _container.replace(path, [text.encode("utf-8")])

@@ -362,25 +362,6 @@ def _geometry(s: dict, base_dir, context: str = "") -> ArrayGeometry:
         return select_subset(geometry, s["subset"])
 
 
-def geometry_from_config(cfg: dict, base_dir=".") -> ArrayGeometry:
-    """Resolve a geometry: builtin name, inline {id, mics}, or geometry_file,
-    plus an optional channel subset."""
-    return _geometry(_section(cfg, _GEOMETRY, ""), base_dir)
-
-
-def directions_from_config(cfg: dict) -> list[DirectionSpec]:
-    """Build a design config's look list: K horizontal azimuths (degrees)
-    followed by the near-field mouth point."""
-    return _section(cfg, _DESIGN, "")["directions"]
-
-
-def nulls_from_config(cfg: dict) -> tuple:
-    """Point-noise null list of a design config: azimuth/elevation in
-    degrees, optional range (meters) for near-field nulls, alpha weight,
-    flat psd."""
-    return tuple(_section(cfg, _DESIGN, "")["nulls"])
-
-
 def design_settings(cfg: dict, base_dir=".") -> dict:
     """Validate a design config and return design_bank keyword arguments.
 
@@ -413,7 +394,8 @@ def rir_settings(cfg: dict, base_dir=".") -> dict:
         placed = [k for k in ("geometry", "geometry_file", "subset", "position") if s[k] is not None]
         if placed:
             raise ConfigError(f"give either 'mics' or a geometry at a 'position', not both ({placed})")
-        mics = s["mics"]
+        with _as_config_error("mics"):
+            mics = ArrayGeometry(id="mics", mics=s["mics"]).mics
     elif s["position"] is None:
         raise ConfigError("config needs 'mics', or 'position' (array origin) with a geometry")
     else:

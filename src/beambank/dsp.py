@@ -291,25 +291,19 @@ class BlockProcessor:
     Concatenated push/flush output has exactly the pushed length. The
     first half window ramps in from silence, as in any streamed WOLA
     chain without center padding. The bank's weights are read at construction.
+    Frames step by n_fft/2, where the squared windows sum to one
+    (sin^2 + cos^2), so the overlap-added output is returned unnormalised.
     """
 
-    def __init__(self, bank, hop: int | None = None):
-        hop = bank.n_fft // 2 if hop is None else hop
-        if hop <= 0 or bank.n_fft % hop != 0:
-            raise DataError(f"hop {hop} must divide n_fft {bank.n_fft}")
+    def __init__(self, bank):
         self.bank = bank
         self.n_fft = bank.n_fft
-        self.hop = hop
+        self.hop = bank.n_fft // 2
         self.window = sqrt_hann(self.n_fft)
-        # steady-state WOLA gain of the squared window at this hop
-        mid = _window_sum(self.window, hop, 3 * (self.n_fft // hop))[self.n_fft : 2 * self.n_fft]
-        if np.max(np.abs(mid - mid[0])) > 1e-10 * mid[0]:
-            raise DataError(f"window/hop pair is not constant-overlap-add (hop {hop})")
-        self.cola = float(mid[0])
         self._conj_weights = bank.weights.conj()
         self._pending = np.zeros((bank.num_mics, 2 * self.n_fft))
         self._fill = 0  # _pending[:, :_fill] holds the pushed samples not yet emitted
-        self._carry = np.zeros((bank.num_directions, self.n_fft - hop))
+        self._carry = np.zeros((bank.num_directions, self.n_fft - self.hop))
 
     def push(self, block) -> np.ndarray:
         """Feed (channels, samples); return finalized steered samples."""
@@ -347,7 +341,7 @@ class BlockProcessor:
         self._carry = buf[:, emit:].copy()
         self._fill -= emit
         self._pending[:, : self._fill] = self._pending[:, emit : emit + self._fill]
-        return buf[:, :emit] / self.cola
+        return buf[:, :emit]
 
 
 # WAVE format tags, and the tail every KSDATAFORMAT_SUBTYPE GUID shares

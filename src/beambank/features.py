@@ -49,29 +49,25 @@ def mel_filterbank(num_filters: int, n_fft: int, fs: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _filterbank(num_filters: int, n_fft: int, fs: int) -> np.ndarray:
-    """Read-only :func:`mel_filterbank`, built once per process and grid."""
-    bank = mel_filterbank(num_filters, n_fft, fs)
+def _filterbank(n_fft: int, fs: int) -> np.ndarray:
+    """Read-only NUM_MEL-band :func:`mel_filterbank`, built once per process
+    and grid."""
+    bank = mel_filterbank(NUM_MEL, n_fft, fs)
     bank.flags.writeable = False
     return bank
 
 
-def mel_center_frequencies(num_filters: int, fs: int) -> np.ndarray:
-    edges_mel = np.linspace(hz_to_mel(0.0), hz_to_mel(fs / 2.0), num_filters + 2)
-    return mel_to_hz(edges_mel[1:-1])
-
-
-def log_mel(channel: np.ndarray, fs: int, num_filters: int = NUM_MEL) -> np.ndarray:
+def log_mel(channel: np.ndarray, fs: int) -> np.ndarray:
     """Natural-log mel energies of STFT frames, (..., frames, bins) ->
-    (..., frames, num_filters). The filterbank is built once per process
-    for each (num_filters, n_fft, fs). A strided input, such as a (K, T, F)
+    (..., frames, NUM_MEL). The filterbank is built once per process
+    for each (n_fft, fs). A strided input, such as a (K, T, F)
     view of frequency-major data, is read in place: the power keeps its
     layout and the stacked product reads each (frames, bins) block as is."""
     channel = np.asarray(channel)
     if channel.ndim < 2:
         raise DataError("log_mel expects (..., frames, bins)")
     n_fft = 2 * (channel.shape[-1] - 1)
-    bank = _filterbank(num_filters, n_fft, fs)
+    bank = _filterbank(n_fft, fs)
     power = np.abs(channel) ** 2
     return np.log(np.maximum(power @ bank.T, LOG_FLOOR))
 
@@ -105,32 +101,32 @@ class FeatureTensor:
         return self.data.shape[1]
 
 
-def featurize_bank_output(spec: Spectrogram, direction_labels, num_filters: int = NUM_MEL) -> FeatureTensor:
+def featurize_bank_output(spec: Spectrogram, direction_labels) -> FeatureTensor:
     """Log-mel of every steered channel, stacked on the direction axis."""
     labels = list(direction_labels)
     if spec.num_channels != len(labels):
         raise DataError(f"{spec.num_channels} channels vs {len(labels)} direction labels")
     return FeatureTensor(
         data=np.ascontiguousarray(
-            log_mel(spec.data, spec.fs, num_filters).swapaxes(0, 1), dtype=np.float32
+            log_mel(spec.data, spec.fs).swapaxes(0, 1), dtype=np.float32
         ),
         frame_rate=spec.frame_rate,
         direction_labels=labels,
     )
 
 
-def _steered_log_mel(conj_weights: np.ndarray, data: np.ndarray, fs: int, num_filters: int):
-    """(K, T, num_filters) log-mel of (M, T, F) spectra steered through
+def _steered_log_mel(conj_weights: np.ndarray, data: np.ndarray, fs: int):
+    """(K, T, NUM_MEL) log-mel of (M, T, F) spectra steered through
     (F, K, M) conjugate bank weights, by one batched (F, K, M) @ (F, M, T)
     product whose contiguous (F, K, T) result goes to :func:`log_mel` as a
     (K, T, F) view, with no transposing copy."""
     steered = np.matmul(conj_weights, data.transpose(2, 0, 1))
-    return log_mel(steered.transpose(1, 2, 0), fs, num_filters)
+    return log_mel(steered.transpose(1, 2, 0), fs)
 
 
-def featurize_audio(audio, bank, num_filters: int = NUM_MEL) -> FeatureTensor:
+def featurize_audio(audio, bank) -> FeatureTensor:
     """Log-mel of ``audio`` steered through every direction of ``bank``,
-    (frames, directions, num_filters) float32, one run of frames at a time.
+    (frames, directions, NUM_MEL) float32, one run of frames at a time.
 
     Each run from the frame engine's ``_analysis_runs`` is steered and
     turned into log-mel rows of one float32 tensor, so no whole-signal
@@ -142,9 +138,9 @@ def featurize_audio(audio, bank, num_filters: int = NUM_MEL) -> FeatureTensor:
     """
     x, n_frames = _bank_frames(audio, bank)
     conj_weights = bank.weights.conj().transpose(1, 0, 2)
-    data = np.empty((n_frames, bank.num_directions, num_filters), dtype=np.float32)
+    data = np.empty((n_frames, bank.num_directions, NUM_MEL), dtype=np.float32)
     for first, spec in _analysis_runs(x, sqrt_hann(bank.n_fft), n_frames):
-        mel = _steered_log_mel(conj_weights, spec, bank.fs, num_filters)
+        mel = _steered_log_mel(conj_weights, spec, bank.fs)
         data[first : first + spec.shape[1]] = mel.swapaxes(0, 1)
     return FeatureTensor(
         data=data, frame_rate=bank.fs / (bank.n_fft // 2), direction_labels=bank.direction_labels()
@@ -160,11 +156,11 @@ class CorpusStats:
     m2: np.ndarray
 
     @classmethod
-    def empty(cls, num_directions: int, num_mel: int = NUM_MEL) -> "CorpusStats":
+    def empty(cls, num_directions: int) -> "CorpusStats":
         return cls(
             count=0,
-            mean=np.zeros((num_directions, num_mel)),
-            m2=np.zeros((num_directions, num_mel)),
+            mean=np.zeros((num_directions, NUM_MEL)),
+            m2=np.zeros((num_directions, NUM_MEL)),
         )
 
     def add(self, tensor: FeatureTensor) -> "CorpusStats":
@@ -177,17 +173,6 @@ class CorpusStats:
             return self
         mean_b = x.mean(axis=0)
         m2_b = ((x - mean_b) ** 2).sum(axis=0)
-        return self._merge_moments(n_b, mean_b, m2_b)
-
-    def merge(self, other: "CorpusStats") -> "CorpusStats":
-        """Combine two partial accumulations (parallel/Chan merge)."""
-        if other.mean.shape != self.mean.shape:
-            raise DataError("stats shapes differ")
-        return self._merge_moments(other.count, other.mean, other.m2)
-
-    def _merge_moments(self, n_b: int, mean_b, m2_b) -> "CorpusStats":
-        if n_b == 0:
-            return self
         n_a = self.count
         n = n_a + n_b
         delta = mean_b - self.mean
@@ -207,7 +192,7 @@ def accumulate_stats(tensors) -> CorpusStats:
     stats = None
     for tensor in tensors:
         if stats is None:
-            stats = CorpusStats.empty(tensor.num_directions, tensor.data.shape[2])
+            stats = CorpusStats.empty(tensor.num_directions)
         stats = stats.add(tensor)
     if stats is None or stats.count < 1:
         raise DataError("no frames to accumulate")
@@ -225,38 +210,6 @@ def normalize(tensor: FeatureTensor, stats: CorpusStats) -> FeatureTensor:
         frame_rate=tensor.frame_rate,
         direction_labels=list(tensor.direction_labels),
     )
-
-
-def denormalize(tensor: FeatureTensor, stats: CorpusStats) -> FeatureTensor:
-    """Inverse of :func:`normalize` given the same stats."""
-    if tensor.data.shape[1:] != stats.mean.shape:
-        raise DataError(f"tensor shape {tensor.data.shape[1:]} vs stats shape {stats.mean.shape}")
-    scale = np.sqrt(stats.variance + VARIANCE_FLOOR)
-    data = tensor.data.astype(np.float64) * scale + stats.mean
-    return FeatureTensor(
-        data=data.astype(np.float32),
-        frame_rate=tensor.frame_rate,
-        direction_labels=list(tensor.direction_labels),
-    )
-
-
-def stack_frames(features: np.ndarray, factor: int = 6) -> np.ndarray:
-    """Concatenate each run of ``factor`` consecutive frame vectors,
-    zero-padding the tail: (frames, dim) -> (ceil(frames/factor), factor*dim).
-
-    Offered on raw features; downstream stacks typically apply this after
-    their own frame-rate reduction.
-    """
-    features = np.asarray(features)
-    if features.ndim != 2:
-        raise DataError("stack_frames expects (frames, dim)")
-    if factor < 1:
-        raise DataError("stack factor must be >= 1")
-    n, d = features.shape
-    steps = -(-n // factor)
-    padded = np.zeros((steps * factor, d), dtype=features.dtype)
-    padded[:n] = features
-    return padded.reshape(steps, factor * d)
 
 
 def export_features(tensor: FeatureTensor, path) -> None:
@@ -286,16 +239,15 @@ def import_features(path) -> FeatureTensor:
 
 
 def save_stats(stats: CorpusStats, path) -> None:
-    """Write corpus statistics as JSON (mean/variance per direction)."""
+    """Write corpus statistics as JSON (mean/variance per direction),
+    through a temporary file and a rename."""
     doc = {
         "magic": "beambank-stats-v1",
         "count": stats.count,
         "mean": stats.mean.tolist(),
         "variance": stats.variance.tolist(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    _container.replace(path, [(json.dumps(doc) + "\n").encode("utf-8")])
 
 
 def load_stats(path) -> CorpusStats:

@@ -160,18 +160,6 @@ def far_field_atf(
     return steering_vector(geometry, direction, frequency, sound_speed)
 
 
-def near_field_atf(
-    geometry: ArrayGeometry,
-    point,
-    frequency: float,
-    sound_speed: float = SOUND_SPEED,
-) -> SteeringVector:
-    """Point-source steering vector with 1/r amplitude, normalized so the
-    closest microphone has magnitude 1."""
-    entries = _steering_rows(geometry, [frequency], sound_speed, point=point)[0]
-    return SteeringVector(frequency=float(frequency), entries=entries)
-
-
 def steering_vector(
     geometry: ArrayGeometry,
     direction: DirectionSpec,
@@ -260,11 +248,11 @@ class AtfSet:
         ))
         return hits.argmax(axis=1)
 
-    def index_of(self, direction: DirectionSpec, tol: float = 1e-9) -> int:
+    def index_of(self, direction: DirectionSpec) -> int:
         for i, d in enumerate(self.directions):
             if (
-                abs(d.azimuth - direction.azimuth) <= tol
-                and abs(d.elevation - direction.elevation) <= tol
+                abs(d.azimuth - direction.azimuth) <= 1e-9
+                and abs(d.elevation - direction.elevation) <= 1e-9
                 and (d.range_m is None) == (direction.range_m is None)
             ):
                 return i
@@ -333,10 +321,10 @@ def import_atfs(path) -> AtfSet:
 
 
 def save_geometry(geometry: ArrayGeometry, path) -> None:
-    """Write a geometry file (YAML: {id, mics})."""
+    """Write a geometry file (YAML: {id, mics}) through a temporary file and
+    a rename."""
     doc = {"id": geometry.id, "mics": [[float(v) for v in row] for row in geometry.mics]}
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=False)
+    _container.replace(path, [yaml.safe_dump(doc, sort_keys=False).encode("utf-8")])
 
 
 def load_geometry(path) -> ArrayGeometry:

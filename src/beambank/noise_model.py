@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, raise_first
-from .geometry import SOUND_SPEED, ArrayGeometry, AtfSet, DirectionSpec, steering_matrix
+from .geometry import SOUND_SPEED, ArrayGeometry, DirectionSpec, steering_matrix
 
 HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-9
@@ -109,26 +109,6 @@ def diffuse_covariance_sinc(
     return NoiseCovariance(frequency=float(frequency), matrix=matrix)
 
 
-def diffuse_covariance_from_atfs(atfs: AtfSet, frequency: float) -> NoiseCovariance:
-    """Empirical isotropic covariance: average of g g^H over the set's
-    directions, trace-normalized to M.
-
-    A meaningful isotropic estimate needs a dense direction grid (8 or
-    more); fewer directions are accepted and yield the literal average.
-    """
-    fi = atfs.frequency_index(frequency)
-    vecs = atfs.vectors[:, fi, :]
-    if vecs.shape[0] < 1:
-        raise DataError("ATF set has no directions")
-    matrix = vecs.T @ vecs.conj() / vecs.shape[0]
-    trace = float(np.trace(matrix).real)
-    if not trace > 0:
-        raise DataError("ATF average has non-positive trace")
-    matrix *= atfs.num_mics / trace
-    matrix = 0.5 * (matrix + matrix.conj().T)
-    return NoiseCovariance(frequency=float(frequency), matrix=matrix)
-
-
 def composite_covariance(
     diffuse: NoiseCovariance,
     points: list[PointNoiseSpec],
@@ -144,11 +124,6 @@ def composite_covariance(
     f = diffuse.frequency
     matrix = add_point_noises(diffuse.matrix[None], points, geometry, [f], sound_speed)[0]
     return NoiseCovariance(frequency=f, matrix=matrix)
-
-
-def regularization_level(cov: NoiseCovariance) -> float:
-    """The diagonal-loading floor used before inversion: 1e-6 * trace / M."""
-    return REGULARIZATION_SCALE * float(np.trace(cov.matrix).real) / cov.num_mics
 
 
 def regularize_stack(matrices: np.ndarray) -> np.ndarray:

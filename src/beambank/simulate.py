@@ -525,34 +525,6 @@ def scene_to_dict(spec: SceneSpec) -> dict:
     }
 
 
-def scene_from_dict(doc: dict) -> SceneSpec:
-    try:
-        room = RoomSpec(
-            dimensions=np.asarray(doc["room"]["dimensions"], dtype=float),
-            absorption=tuple(doc["room"]["absorption"]),
-            max_order=int(doc["room"]["max_order"]),
-        )
-        return SceneSpec(
-            room=room,
-            geometry_id=str(doc["geometry_id"]),
-            wearer_position=np.asarray(doc["wearer_position"], dtype=float),
-            wearer_yaw=float(doc["wearer_yaw"]),
-            partner_azimuth=float(doc["partner_azimuth"]),
-            partner_distance=float(doc["partner_distance"]),
-            bystander_azimuth=None
-            if doc["bystander_azimuth"] is None
-            else float(doc["bystander_azimuth"]),
-            bystander_distance=None
-            if doc["bystander_distance"] is None
-            else float(doc["bystander_distance"]),
-            overlap_ratio=None if doc["overlap_ratio"] is None else float(doc["overlap_ratio"]),
-            snr_db=int(doc["snr_db"]),
-            seed=int(doc["seed"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad scene spec: {exc}") from exc
-
-
 @dataclass
 class ComposedScene:
     """Rendered scene audio plus the noise-scaling reference mixture.
@@ -630,13 +602,12 @@ def compose_scene(
     bystander_clip: Clip | None,
     fs: int,
     sound_speed: float = SOUND_SPEED,
-    self_other_overlap: float = SELF_OTHER_OVERLAP,
 ) -> ComposedScene:
     """Render a conversation: self through the near-field mouth path
     (direct + first-order reflections), partner and bystander through the
     room's full-order paths.
 
-    The partner starts so self and other overlap by ``self_other_overlap``
+    The partner starts so self and other overlap by ``SELF_OTHER_OVERLAP``
     of the shorter clip. The bystander onset realizes the spec's overlap
     ratio against the contiguous self+other span: a 0.5 ratio bystander
     straddles the span's end, a 0.0 ratio bystander starts after a short
@@ -663,7 +634,7 @@ def compose_scene(
 
     n_self = self_clip.samples.shape[0]
     n_other = other_clip.samples.shape[0]
-    onset_other = max(0, n_self - int(round(self_other_overlap * min(n_self, n_other))))
+    onset_other = max(0, n_self - int(round(SELF_OTHER_OVERLAP * min(n_self, n_other))))
     main_end = onset_other + n_other
 
     segments = [
@@ -743,7 +714,6 @@ def mix_noise(
     reference: np.ndarray,
     rng: np.random.Generator,
     fs: int,
-    loop: bool = True,
 ) -> np.ndarray:
     """Add noise scaled for the requested SNR against ``reference`` (the
     self+other mixture at the same mics, so of the scene's shape), measured
@@ -751,7 +721,7 @@ def mix_noise(
 
     Mono noise is replicated across channels with per-channel random
     integer delays up to 2 ms to break perfect coherence. Short noise is
-    looped (or rejected when loop=False).
+    looped.
     """
     scene_audio = np.atleast_2d(np.asarray(scene_audio, dtype=float))
     reference = np.atleast_2d(np.asarray(reference, dtype=float))
@@ -769,10 +739,6 @@ def mix_noise(
         needed = n_samples + int(delays.max())
         mono = noise[0]
         if mono.shape[0] < needed:
-            if not loop:
-                raise DataError(
-                    f"noise of {mono.shape[0]} samples shorter than scene ({needed}) with loop=False"
-                )
             reps = int(math.ceil(needed / mono.shape[0]))
             mono = np.tile(mono, reps)
         channels = np.stack([mono[d : d + n_samples] for d in delays])
@@ -780,8 +746,6 @@ def mix_noise(
         if noise.shape[0] != m:
             raise DataError(f"noise has {noise.shape[0]} channels, scene has {m}")
         if noise.shape[1] < n_samples:
-            if not loop:
-                raise DataError("noise shorter than scene with loop=False")
             reps = int(math.ceil(n_samples / noise.shape[1]))
             noise = np.tile(noise, (1, reps))
         channels = noise[:, :n_samples]
@@ -884,22 +848,25 @@ def render_scene(
     return composed
 
 
-def _render_one(args) -> dict:
+def _render_one(
+    index: int,
+    spec: SceneSpec,
+    geometry: ArrayGeometry,
+    clips: ClipSource,
+    noise: NoiseSource | None,
+    fs: int,
+    out_dir: Path,
+) -> dict:
     """Render and write one scene. A failure keeps its error class (and so
     its exit code) and names the scene index and seed."""
-    index, spec_doc, geometry_mics, geometry_id, clip_dirs, noise_dirs, fs, out_dir = args
     from .dsp import write_wav
 
     audio_name = f"scene_{index:05d}.wav"
     try:
-        spec = scene_from_dict(spec_doc)
-        geometry = ArrayGeometry(id=geometry_id, mics=np.asarray(geometry_mics))
-        clips = ClipSource(wavs=clip_dirs[0], texts=clip_dirs[1])
-        noise = None if noise_dirs is None else NoiseSource(wavs=noise_dirs)
         composed = render_scene(spec, geometry, clips, noise, fs)
-        write_wav(Path(out_dir) / audio_name, composed.audio, fs)
+        write_wav(out_dir / audio_name, composed.audio, fs)
     except (BeambankError, OSError) as exc:
-        raise type(exc)(f"scene {index:05d} (seed {spec_doc['seed']}): {exc}") from exc
+        raise type(exc)(f"scene {index:05d} (seed {spec.seed}): {exc}") from exc
     composed.manifest.audio_path = audio_name
     row = composed.manifest.to_dict()
     row["index"] = index
@@ -927,38 +894,22 @@ def build_dataset(
         raise DataError("dataset count must be >= 1")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    by_id = {g.id: g for g in geometries}
 
-    specs = []
-    root = np.random.SeedSequence(seed)
-    children = root.spawn(count)
-    for i in range(count):
-        rng = np.random.default_rng(children[i])
-        gi = int(rng.choice(len(geometries), p=weights))
-        spec = sample_scene(rng, [geometries[gi]])
-        specs.append(spec)
+    specs, scene_geometries = [], []
+    for child in np.random.SeedSequence(seed).spawn(count):
+        rng = np.random.default_rng(child)
+        geometry = geometries[int(rng.choice(len(geometries), p=weights))]
+        specs.append(sample_scene(rng, [geometry]))
+        scene_geometries.append(geometry)
 
-    jobs = [
-        (
-            i,
-            scene_to_dict(spec),
-            by_id[spec.geometry_id].mics.tolist(),
-            spec.geometry_id,
-            (clips.wavs, clips.texts),
-            None if noise is None else noise.wavs,
-            fs,
-            str(out_dir),
-        )
-        for i, spec in enumerate(specs)
-    ]
+    render = functools.partial(_render_one, clips=clips, noise=noise, fs=fs, out_dir=out_dir)
     workers = min(workers, count)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_render_one, jobs))
+            rows = list(pool.map(render, range(count), specs, scene_geometries))
     else:
-        rows = [_render_one(job) for job in jobs]
+        rows = list(map(render, range(count), specs, scene_geometries))
 
-    rows.sort(key=lambda r: r["index"])
     manifest_path = out_dir / "manifest.jsonl"
     _container.replace(
         manifest_path, [(json.dumps(row, sort_keys=True) + "\n").encode("utf-8") for row in rows]

@@ -54,7 +54,7 @@ def _whole_signal_features(spec, bank):
     spectrogram steered through ``bank`` by the same batched product
     featurize_audio applies to each run of frames."""
     conj_weights = bank.weights.conj().transpose(1, 0, 2)
-    mel = features._steered_log_mel(conj_weights, spec.data, spec.fs, features.NUM_MEL)
+    mel = features._steered_log_mel(conj_weights, spec.data, spec.fs)
     return mel.swapaxes(0, 1).astype(np.float32)
 
 

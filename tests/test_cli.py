@@ -494,11 +494,14 @@ class TestRir:
             ("geometry: reference_glasses_5", "mics: [[.nan, 2.0, 1.4]]", "mics[0]"),
             ("geometry: reference_glasses_5", 'mics: [["a", 2.0, 1.4]]', "mics[0]"),
             ("geometry: reference_glasses_5", "mics: [[1.5, 2.0, 1.4], [1.6, 2.0]]", "mics[1]"),
+            ("geometry: reference_glasses_5", "mics: [[1.5, 2.0, 1.4], [1.5, 2.0, 1.4]]",
+             "mics: geometry 'mics': two microphones coincide"),
             ("source: [4.5, 2.0, 1.6]", "source: [.nan, 2.0, 1.6]", "source"),
             ("dimensions: [6.0, 4.5, 2.8]", "dimensions: [.inf, 4.5, 2.8]", "room.dimensions"),
             ("absorption: 0.35", "absorption: .nan", "room.absorption"),
         ],
-        ids=["mic-nan", "mic-string", "mic-ragged", "source-nan", "room-inf", "absorption-nan"],
+        ids=["mic-nan", "mic-string", "mic-ragged", "mic-coincident", "source-nan", "room-inf",
+             "absorption-nan"],
     )
     def test_bad_position_exits_1_with_one_line(self, tmp_path, capsys, old, new, key):
         text = self.EXAMPLE.read_text()
@@ -512,6 +515,22 @@ class TestRir:
         assert summary is None
         assert len(err.strip().splitlines()) == 1
         assert key in err
+        assert not out.exists()
+
+    def test_mic_count_above_cap_exits_1_before_pairwise_distances(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        rows = [[1.0 + 0.01 * i, 2.0, 1.4] for i in range(MAX_MICS + 1)]
+        text = self.EXAMPLE.read_text().replace("position: [1.5, 2.2, 1.4]\n", "")
+        cfg = tmp_path / "room.yaml"
+        cfg.write_text(text.replace("geometry: reference_glasses_5", f"mics: {rows}"))
+        out = tmp_path / "rir.wav"
+        monkeypatch.setattr(np.linalg, "norm", _forbidden("np.linalg.norm"))
+        code, summary, err = run(capsys, "rir", "--config", str(cfg), "--out", str(out))
+        assert code == 1
+        assert summary is None
+        assert len(err.strip().splitlines()) == 1
+        assert f"mics: geometry 'mics': {MAX_MICS + 1} mics, at most {MAX_MICS}" in err
         assert not out.exists()
 
     def test_help_states_order_cap(self, capsys):

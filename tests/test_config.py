@@ -11,10 +11,7 @@ from beambank.config import (
     dataset_settings,
     default_mouth_direction,
     design_settings,
-    directions_from_config,
-    geometry_from_config,
     load_config,
-    nulls_from_config,
     resolve_int_setting,
     resolve_setting,
     rir_settings,
@@ -59,42 +56,44 @@ class TestLoadConfig:
 
 class TestGeometry:
     def test_builtin_by_name(self):
-        geom = geometry_from_config({"geometry": "reference_glasses_5"})
+        geom = design_settings({"geometry": "reference_glasses_5"})["geometry"]
         assert geom.num_mics == 5
 
     def test_unknown_builtin(self):
         with pytest.raises(ConfigError):
-            geometry_from_config({"geometry": "no_such_array"})
+            design_settings({"geometry": "no_such_array"})
 
     def test_inline_mapping(self):
-        geom = geometry_from_config(
+        geom = design_settings(
             {"geometry": {"id": "tri", "mics": [[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0]]}}
-        )
+        )["geometry"]
         assert geom.id == "tri" and geom.num_mics == 3
 
     def test_geometry_file_resolves_against_base_dir(self, tmp_path):
         (tmp_path / "geom.yaml").write_text(
             "id: pair\nmics:\n- [0, 0, 0]\n- [0.1, 0, 0]\n"
         )
-        geom = geometry_from_config({"geometry_file": "geom.yaml"}, base_dir=tmp_path)
+        geom = design_settings({"geometry_file": "geom.yaml"}, base_dir=tmp_path)["geometry"]
         assert geom.id == "pair"
 
     def test_exactly_one_source_required(self, tmp_path):
         with pytest.raises(ConfigError):
-            geometry_from_config({})
+            design_settings({})
         with pytest.raises(ConfigError):
-            geometry_from_config(
+            design_settings(
                 {"geometry": "reference_glasses_5", "geometry_file": "x.yaml"}
             )
 
     def test_subset(self):
-        geom = geometry_from_config({"geometry": "reference_glasses_7", "subset": [0, 1, 2]})
+        geom = design_settings(
+            {"geometry": "reference_glasses_7", "subset": [0, 1, 2]}
+        )["geometry"]
         assert geom.num_mics == 3
 
 
 class TestDirections:
     def test_defaults(self):
-        dirs = directions_from_config({})
+        dirs = design_settings({"geometry": "reference_glasses_5"})["directions"]
         labels = [d.label() for d in dirs]
         assert labels == ["az0", "az90", "az180", "az270", "mouth"]
         mouth = dirs[-1]
@@ -103,24 +102,28 @@ class TestDirections:
         assert mouth.elevation == pytest.approx(-0.6435011087932844)
 
     def test_degrees_converted_at_the_boundary(self):
-        dirs = directions_from_config({"directions": {"horizontal": [45.0, -45.0]}})
+        dirs = design_settings(
+            {"geometry": "reference_glasses_5", "directions": {"horizontal": [45.0, -45.0]}}
+        )["directions"]
         assert dirs[0].azimuth == pytest.approx(math.radians(45.0))
         assert dirs[1].azimuth == pytest.approx(math.radians(-45.0))
 
     def test_mouth_override_needs_range(self):
         with pytest.raises(ConfigError):
-            directions_from_config(
-                {"directions": {"mouth": {"azimuth": 0.0, "elevation": -30.0}}}
-            )
-        dirs = directions_from_config(
-            {"directions": {"mouth": {"azimuth": 0.0, "elevation": -30.0, "range": 0.12}}}
-        )
+            design_settings({
+                "geometry": "reference_glasses_5",
+                "directions": {"mouth": {"azimuth": 0.0, "elevation": -30.0}},
+            })
+        dirs = design_settings({
+            "geometry": "reference_glasses_5",
+            "directions": {"mouth": {"azimuth": 0.0, "elevation": -30.0, "range": 0.12}},
+        })["directions"]
         assert dirs[-1].range_m == pytest.approx(0.12)
         assert dirs[-1].elevation == pytest.approx(math.radians(-30.0))
 
     def test_unknown_direction_key(self):
         with pytest.raises(ConfigError):
-            directions_from_config({"directions": {"vertical": [0]}})
+            design_settings({"geometry": "reference_glasses_5", "directions": {"vertical": [0]}})
 
     def test_default_mouth_matches_wearer_anatomy(self):
         d = default_mouth_direction()
@@ -131,23 +134,28 @@ class TestDirections:
 
 class TestNulls:
     def test_defaults_applied(self):
-        nulls = nulls_from_config({"nulls": [{"azimuth": 135.0}]})
+        nulls = design_settings(
+            {"geometry": "reference_glasses_5", "nulls": [{"azimuth": 135.0}]}
+        )["nulls"]
         assert len(nulls) == 1
         assert nulls[0].weight == 10.0
         assert nulls[0].psd == 1.0
         assert nulls[0].direction.azimuth == pytest.approx(math.radians(135.0))
 
     def test_alpha_and_psd(self):
-        nulls = nulls_from_config(
-            {"nulls": [{"azimuth": 90.0, "elevation": 10.0, "alpha": 50.0, "psd": 2.0}]}
-        )
+        nulls = design_settings({
+            "geometry": "reference_glasses_5",
+            "nulls": [{"azimuth": 90.0, "elevation": 10.0, "alpha": 50.0, "psd": 2.0}],
+        })["nulls"]
         assert nulls[0].weight == 50.0
         assert nulls[0].psd == 2.0
         assert nulls[0].direction.elevation == pytest.approx(math.radians(10.0))
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
-            nulls_from_config({"nulls": [{"azimuth": 0.0, "weight": 3.0}]})
+            design_settings(
+                {"geometry": "reference_glasses_5", "nulls": [{"azimuth": 0.0, "weight": 3.0}]}
+            )
 
 
 class TestDesignSettings:
@@ -259,7 +267,9 @@ class TestSettingsTable:
 
     def test_nested_key_is_named(self):
         with pytest.raises(ConfigError, match=r"^nulls\[1\]\.alpha: expected a finite number"):
-            nulls_from_config({"nulls": [{"azimuth": 0.0}, {"azimuth": 90.0, "alpha": "x"}]})
+            design_settings(
+                {**self.BASE, "nulls": [{"azimuth": 0.0}, {"azimuth": 90.0, "alpha": "x"}]}
+            )
 
     def test_non_string_unknown_key(self):
         with pytest.raises(ConfigError, match=r"unknown keys \[1, 'foo'\]"):
@@ -271,9 +281,10 @@ class TestSettingsTable:
             (lambda: room_from_config({"dimensions": [6, 5, 3], "max_order": 31}),
              "room: max_order 31"),
             (lambda: room_from_config({"dimensions": [6, 5, 3], "absorption": 0}), "room: absorption"),
-            (lambda: geometry_from_config({"geometry": "reference_glasses_5", "subset": [0, 0]}),
+            (lambda: design_settings({"geometry": "reference_glasses_5", "subset": [0, 0]}),
              "subset: duplicate"),
-            (lambda: directions_from_config({"directions": {"mouth": {"range": 0.001}}}),
+            (lambda: design_settings({"geometry": "reference_glasses_5",
+                                      "directions": {"mouth": {"range": 0.001}}}),
              "directions.mouth: range"),
         ],
         ids=["max-order", "absorption", "subset", "mouth-range"],

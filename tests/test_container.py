@@ -1,6 +1,6 @@
 """The binary container shared by bank, ATF and feature files: truncated
 and malformed files are rejected as data errors, and an interrupted write
-leaves the previous file in place."""
+of any output file leaves the previous file in place."""
 
 import contextlib
 import io
@@ -11,17 +11,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beambank.analysis import beam_pattern, export_pattern
 from beambank.beamformer import design_bank, load_bank, save_bank
 from beambank.cli import main
 from beambank.config import default_mouth_direction
 from beambank.errors import DataError, ParseError
-from beambank.features import FeatureTensor, export_features, import_features
+from beambank.features import (
+    FeatureTensor,
+    accumulate_stats,
+    export_features,
+    import_features,
+    save_stats,
+)
 from beambank.geometry import (
     DirectionSpec,
     export_atfs,
     freefield_atfs,
     import_atfs,
     reference_glasses_5,
+    save_geometry,
 )
 
 FORMATS = {
@@ -29,27 +37,48 @@ FORMATS = {
     "atf": (export_atfs, import_atfs),
     "feat": (export_features, import_features),
 }
+# every writer that replaces its target atomically: the containers, then
+# the text outputs
+WRITERS = {
+    **{name: write for name, (write, _) in FORMATS.items()},
+    "stats": save_stats,
+    "pattern.csv": export_pattern,
+    "pattern.json": lambda pattern, path: export_pattern(pattern, path, format="json"),
+    "geometry": save_geometry,
+}
 FUZZ = settings(max_examples=60, deadline=None)
 
 
 @pytest.fixture(scope="module")
-def saved(tmp_path_factory):
-    """Format name -> (path of a saved file, its bytes)."""
-    root = tmp_path_factory.mktemp("container")
+def objects():
+    """Writer name -> an object it writes."""
     geometry = reference_glasses_5()
     directions = [DirectionSpec(azimuth=0.0), DirectionSpec(azimuth=np.pi),
                   default_mouth_direction()]
     freqs = np.fft.rfftfreq(64, 1.0 / 16000)
     rng = np.random.default_rng(3)
-    objects = {
-        "bank": design_bank(geometry, directions, fs=16000, n_fft=64),
+    bank = design_bank(geometry, directions, fs=16000, n_fft=64)
+    pattern = beam_pattern(bank.weights[0, 4], geometry, float(freqs[4]), look=directions[0])
+    labels = ["az0", "az180", "mouth"]
+    return {
+        "bank": bank,
         "atf": freefield_atfs(geometry, directions, freqs),
-        "feat": FeatureTensor(rng.standard_normal((7, 3, 8)), 31.25, ["az0", "az180", "mouth"]),
+        "feat": FeatureTensor(rng.standard_normal((7, 3, 8)), 31.25, labels),
+        "stats": accumulate_stats([FeatureTensor(rng.standard_normal((5, 3, 80)), 31.25, labels)]),
+        "pattern.csv": pattern,
+        "pattern.json": pattern,
+        "geometry": geometry,
     }
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory, objects):
+    """Writer name -> (path of a saved file, its bytes)."""
+    root = tmp_path_factory.mktemp("container")
     out = {}
-    for name, obj in objects.items():
+    for name, write in WRITERS.items():
         path = root / f"saved.{name}"
-        FORMATS[name][0](obj, path)
+        write(objects[name], path)
         out[name] = (path, path.read_bytes())
     return out
 
@@ -104,13 +133,12 @@ def test_non_object_header_is_a_parse_error(saved, name, value):
         FORMATS[name][1](bad)
 
 
-@pytest.mark.parametrize("name", list(FORMATS))
+@pytest.mark.parametrize("name", list(WRITERS))
 def test_write_failing_in_the_payload_keeps_the_previous_file(
-    saved, name, tmp_path, monkeypatch, disk_full
+    objects, saved, name, tmp_path, monkeypatch, disk_full
 ):
-    path, blob = saved[name]
-    write, read = FORMATS[name]
-    obj = read(path)
+    _, blob = saved[name]
+    write, obj = WRITERS[name], objects[name]
     target = tmp_path / f"out.{name}"
     target.write_bytes(b"previous contents")
     disk_full(len(blob) - 8)

@@ -226,8 +226,8 @@ def nlcmv_bank(glasses5):
 
 
 class TestBlockProcessor:
-    def _stream(self, bank, audio, rng=None, hop=None):
-        proc = BlockProcessor(bank, hop=hop)
+    def _stream(self, bank, audio, rng=None):
+        proc = BlockProcessor(bank)
         chunks = []
         cursor = 0
         while cursor < audio.shape[1]:
@@ -257,18 +257,17 @@ class TestBlockProcessor:
         core = slice(512, 20480 - 512)
         np.testing.assert_allclose(streamed[:, core], offline[:, core], atol=1e-10)
 
-    @pytest.mark.parametrize("hop", [256, 128])
-    def test_nlcmv_bank_interior_matches_offline(self, nlcmv_bank, rng, hop):
-        """All five nlcmv beams, streamed in random blocks at half and quarter
-        hop, reproduce the offline chain away from the edges."""
+    def test_nlcmv_bank_interior_matches_offline(self, nlcmv_bank, rng):
+        """All five nlcmv beams, streamed in random blocks, reproduce the
+        offline chain away from the edges."""
         audio = rng.standard_normal((5, 12000))
-        spec = stft(audio, fs=16000, n_fft=512, hop=hop)
+        spec = stft(audio, fs=16000, n_fft=512)
         offline = istft(apply_bank(spec, nlcmv_bank), num_samples=audio.shape[1])
-        streamed = self._stream(nlcmv_bank, audio, rng, hop=hop)
+        streamed = self._stream(nlcmv_bank, audio, rng)
         assert streamed.shape == (5, 12000)
         core = slice(512, 12000 - 512)
         np.testing.assert_allclose(streamed[:, core], offline[:, core], atol=1e-10)
-        again = self._stream(nlcmv_bank, audio, rng, hop=hop)
+        again = self._stream(nlcmv_bank, audio, rng)
         np.testing.assert_allclose(again, streamed, atol=1e-12)
 
 

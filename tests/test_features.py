@@ -1,4 +1,4 @@
-"""Log-mel features, corpus statistics, normalization, frame stacking."""
+"""Log-mel features, corpus statistics, normalization."""
 
 import math
 
@@ -16,7 +16,6 @@ from beambank.features import (
     FeatureTensor,
     _filterbank,
     accumulate_stats,
-    denormalize,
     export_features,
     featurize_audio,
     featurize_bank_output,
@@ -24,12 +23,10 @@ from beambank.features import (
     import_features,
     load_stats,
     log_mel,
-    mel_center_frequencies,
     mel_filterbank,
     mel_to_hz,
     normalize,
     save_stats,
-    stack_frames,
 )
 from beambank.geometry import DirectionSpec
 
@@ -50,6 +47,13 @@ class TestMelScale:
         assert np.all(np.diff(m) > 0)
 
 
+def _mel_centers(num_filters, fs):
+    """The triangle apexes: num_filters points equally spaced in mel
+    strictly between 0 Hz and fs/2."""
+    edges = np.linspace(hz_to_mel(0.0), hz_to_mel(fs / 2.0), num_filters + 2)
+    return mel_to_hz(edges[1:-1])
+
+
 class TestFilterbank:
     def test_shape_and_unit_peaks(self):
         fb = mel_filterbank(80, 512, 16000)
@@ -63,7 +67,7 @@ class TestFilterbank:
         assert dense.max() <= 1.0
 
     def test_centers_span_the_band(self):
-        centers = mel_center_frequencies(80, 16000)
+        centers = _mel_centers(80, 16000)
         assert centers.shape == (80,)
         assert np.all(np.diff(centers) > 0)
         assert centers[0] > 0
@@ -74,7 +78,7 @@ class TestFilterbank:
 
     def test_triangles_peak_at_centers(self):
         fb = mel_filterbank(80, 512, 16000)
-        centers = mel_center_frequencies(80, 16000)
+        centers = _mel_centers(80, 16000)
         freqs = np.fft.rfftfreq(512, 1.0 / 16000)
         for i in (0, 20, 60, 79):
             peak_bin = int(np.argmax(fb[i]))
@@ -122,7 +126,7 @@ class TestLogMel:
 
 class TestFilterbankCache:
     def test_cached_filterbank_is_read_only(self):
-        fb = _filterbank(80, 512, 16000)
+        fb = _filterbank(512, 16000)
         assert not fb.flags.writeable
         with pytest.raises(ValueError):
             fb[0, 0] = 1.0
@@ -280,28 +284,12 @@ class TestCorpusStats:
         np.testing.assert_allclose(stats.variance, flat.var(axis=0), atol=1e-10)
         assert stats.count == 96
 
-    def test_merge_equals_single_pass(self, rng):
-        tensors = [_random_tensor(rng, n) for n in (20, 40, 10, 5)]
-        whole = accumulate_stats(tensors)
-        left = accumulate_stats(tensors[:2])
-        right = accumulate_stats(tensors[2:])
-        merged = left.merge(right)
-        np.testing.assert_allclose(merged.mean, whole.mean, atol=1e-12)
-        np.testing.assert_allclose(merged.m2, whole.m2, rtol=1e-12)
-        assert merged.count == whole.count
-
     def test_normalize_centers_the_corpus(self, rng):
         tensors = [_random_tensor(rng, 64) for _ in range(3)]
         stats = accumulate_stats(tensors)
         normed = np.concatenate([normalize(t, stats).data for t in tensors], axis=0)
         assert abs(float(normed.mean())) < 1e-6
         assert float(normed.var()) == pytest.approx(1.0, abs=1e-3)
-
-    def test_denormalize_roundtrip(self, rng):
-        t = _random_tensor(rng, 50)
-        stats = accumulate_stats([t])
-        back = denormalize(normalize(t, stats), stats)
-        np.testing.assert_allclose(back.data, t.data, atol=1e-4)
 
     def test_save_load_roundtrip(self, rng, tmp_path):
         stats = accumulate_stats([_random_tensor(rng, 40)])
@@ -319,28 +307,6 @@ class TestCorpusStats:
         path.write_bytes(blob)
         with pytest.raises(ParseError):
             load_stats(path)
-
-
-class TestStackFrames:
-    def test_divisible(self, rng):
-        x = rng.standard_normal((12, 80)).astype(np.float32)
-        out = stack_frames(x, 6)
-        assert out.shape == (2, 480)
-        np.testing.assert_array_equal(out[0], x[:6].reshape(-1))
-        np.testing.assert_array_equal(out[1], x[6:].reshape(-1))
-
-    def test_ragged_tail_zero_padded(self, rng):
-        x = rng.standard_normal((7, 80)).astype(np.float32)
-        out = stack_frames(x, 6)
-        assert out.shape == (2, 480)
-        np.testing.assert_array_equal(out[1, :80], x[6])
-        np.testing.assert_array_equal(out[1, 80:], 0.0)
-
-    def test_bad_inputs(self, rng):
-        with pytest.raises(DataError):
-            stack_frames(rng.standard_normal((2, 3, 4)))
-        with pytest.raises(DataError):
-            stack_frames(rng.standard_normal((10, 4)), factor=0)
 
 
 class TestFeatureIo:

@@ -17,7 +17,6 @@ from beambank.geometry import (
     freefield_atfs,
     import_atfs,
     load_geometry,
-    near_field_atf,
     reference_glasses,
     reference_glasses_5,
     save_geometry,
@@ -140,14 +139,16 @@ class TestFarFieldAtf:
 class TestNearFieldAtf:
     def test_amplitude_follows_inverse_distance(self):
         geom = ArrayGeometry(id="pair", mics=np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]]))
-        g = near_field_atf(geom, [0.2, 0.0, 0.0], 1000.0, 343.0).entries
+        source = DirectionSpec(azimuth=0.0, range_m=0.2)
+        g = steering_vector(geom, source, 1000.0, 343.0).entries
         # distances 0.2 and 0.1; the closest mic is normalized to magnitude 1
         assert np.abs(g[1]) == pytest.approx(1.0, abs=1e-12)
         assert np.abs(g[0]) == pytest.approx(0.5, abs=1e-12)
 
     def test_phase_matches_absolute_distance(self):
         geom = ArrayGeometry(id="one", mics=np.array([[0.0, 0.0, 0.0]]))
-        g = near_field_atf(geom, [0.343, 0.0, 0.0], 500.0, 343.0).entries
+        source = DirectionSpec(azimuth=0.0, range_m=0.343)
+        g = steering_vector(geom, source, 500.0, 343.0).entries
         # travel time 1 ms at 500 Hz: half a cycle, phase pi
         assert abs(np.angle(g[0])) == pytest.approx(math.pi, abs=1e-9)
 

@@ -11,9 +11,8 @@ from beambank.noise_model import (
     NoiseCovariance,
     PointNoiseSpec,
     composite_covariance,
-    diffuse_covariance_from_atfs,
     diffuse_covariance_sinc,
-    regularization_level,
+    diffuse_covariances,
     regularize,
 )
 
@@ -47,9 +46,9 @@ class TestDiffuseSinc:
 
 class TestDiffuseFromAtfs:
     def test_matches_analytic_model_on_dense_sphere(self):
-        """Dual route: averaging plane-wave outer products over a dense
-        near-uniform sphere grid must reproduce the analytic spherical
-        coherence."""
+        """Oracle: the average of plane-wave outer products g g^H over a
+        dense near-uniform sphere grid reproduces diffuse_covariances on
+        every bin of a frequency grid."""
         n_el, n_az = 60, 120
         els = np.arcsin(np.linspace(-1.0, 1.0, n_el + 1)[:-1] + 1.0 / (n_el))
         dirs = [
@@ -57,16 +56,12 @@ class TestDiffuseFromAtfs:
             for el in els
             for a in range(n_az)
         ]
-        atfs = freefield_atfs(PAIR, dirs, np.array([1000.0]), 343.0)
-        cov = diffuse_covariance_from_atfs(atfs, 1000.0)
-        ref = diffuse_covariance_sinc(PAIR, 1000.0, 343.0)
-        np.testing.assert_allclose(cov.matrix, ref.matrix, atol=2e-3)
-
-    def test_trace_normalized(self, glasses5):
-        dirs = [DirectionSpec(azimuth=a, elevation=0.0) for a in np.linspace(-3, 3, 24)]
-        atfs = freefield_atfs(glasses5, dirs, np.array([500.0, 1000.0]), 343.0)
-        cov = diffuse_covariance_from_atfs(atfs, 500.0)
-        assert np.trace(cov.matrix).real == pytest.approx(glasses5.num_mics)
+        freqs = np.array([0.0, 500.0, 1000.0])
+        vecs = freefield_atfs(PAIR, dirs, freqs, 343.0).vectors  # (D, F, M)
+        sphere = np.einsum("dfm,dfn->fmn", vecs, vecs.conj()) / len(dirs)
+        model = diffuse_covariances(PAIR, freqs, 343.0)
+        assert model.shape == sphere.shape
+        np.testing.assert_allclose(model, sphere, atol=2e-3)
 
 
 class TestComposite:
@@ -94,8 +89,11 @@ class TestComposite:
 
 class TestRegularize:
     def test_level_is_relative_trace(self):
-        cov = NoiseCovariance(frequency=0.0, matrix=np.eye(4) * 2.0)
-        assert regularization_level(cov) == pytest.approx(2e-6)
+        """A singular covariance is lifted by 1e-6 * trace / M on the diagonal
+        alone: 1e-6 * 8 / 4 here."""
+        m = 2.0 * np.ones((4, 4))  # rank one, trace 8
+        lift = regularize(NoiseCovariance(frequency=0.0, matrix=m)).matrix - m
+        np.testing.assert_allclose(lift, 2e-6 * np.eye(4), rtol=1e-9, atol=0)
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)

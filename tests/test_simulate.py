@@ -34,9 +34,7 @@ from beambank.simulate import (
     render_scene,
     sample_room,
     sample_scene,
-    scene_from_dict,
     scene_positions,
-    scene_to_dict,
 )
 
 
@@ -296,14 +294,6 @@ class TestSceneSpec:
         spec = self._base(bystander_azimuth=None, bystander_distance=None, overlap_ratio=None)
         assert not spec.has_bystander
 
-    def test_roundtrip_through_dict(self):
-        spec = self._base()
-        back = scene_from_dict(json.loads(json.dumps(scene_to_dict(spec))))
-        assert back.partner_azimuth == spec.partner_azimuth
-        assert back.snr_db == spec.snr_db
-        np.testing.assert_allclose(back.wearer_position, spec.wearer_position)
-        np.testing.assert_allclose(back.room.dimensions, spec.room.dimensions)
-
     def test_positions_respect_yaw(self, glasses5):
         spec = self._base(wearer_yaw=math.pi / 2, partner_azimuth=0.0)
         pos = scene_positions(spec, glasses5)
@@ -557,12 +547,6 @@ class TestMixNoise:
         mix_noise(reference, noise, 10.0, reference, rng, fs)
         np.testing.assert_array_equal(noise, kept)
 
-    def test_loop_false_rejects_short_noise(self, rng):
-        fs = 16000
-        reference = rng.standard_normal((2, fs))
-        with pytest.raises(DataError):
-            mix_noise(reference, rng.standard_normal(100), 10.0, reference, rng, fs, loop=False)
-
     @pytest.mark.parametrize("shape", [(1, 16000), (2, 15999)])
     def test_reference_of_another_shape_rejected(self, rng, shape):
         scene, reference = rng.standard_normal((2, 16000)), rng.standard_normal(shape)
@@ -632,8 +616,8 @@ class TestRenderAndDataset:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
-                return map(fn, jobs)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
         clips_dir, noise_dir = corpus_dirs
