@@ -28,9 +28,9 @@ from .config import (
     config_epilog,
     dataset_settings,
     design_settings,
+    environment_epilog,
     load_config,
-    resolve_int_setting,
-    resolve_setting,
+    log_level,
     rir_settings,
 )
 from .dsp import read_wav, steer_audio, write_wav
@@ -47,16 +47,6 @@ from .geometry import import_atfs
 from .simulate import ClipSource, NoiseSource, build_dataset, generate_rir_ism
 
 _LOG = logging.getLogger("beambank")
-
-GLOBAL_EPILOG = """\
-environment:
-  BEAMBANK_SEED        seed used when neither --seed nor the config sets one
-  BEAMBANK_WORKERS     worker count (otherwise: config, then logical cores)
-  BEAMBANK_LOG_LEVEL   log level when --log-level is absent
-
-precedence for seed/workers/log level: flag, then environment variable,
-then config file, then built-in default.
-"""
 
 DESIGN_EPILOG, RIR_EPILOG, DATASET_EPILOG = map(config_epilog, ("design", "rir", "dataset"))
 
@@ -148,41 +138,34 @@ def cmd_rir(args) -> dict:
     }
 
 
-def _run_dataset(args, count_override=None) -> dict:
-    settings = dataset_settings(load_config(args.config), base_dir=_config_base(args.config))
-    seed = resolve_int_setting(args.seed, "SEED", settings["seed"], 0)
-    workers = resolve_int_setting(
-        getattr(args, "workers", None), "WORKERS", settings["workers"], os.cpu_count() or 1,
-        minimum=1,
+def _run_dataset(args, **flags) -> dict:
+    s = dataset_settings(
+        load_config(args.config), _config_base(args.config),
+        dict(flags, seed=args.seed, out_dir=args.out),
     )
-    out_dir = args.out if args.out is not None else settings["out_dir"]
-    if out_dir is None:
+    if s["out_dir"] is None:
         raise ConfigError("no output directory: set 'out_dir' in the config or pass --out")
-    clips = ClipSource.from_directory(settings["clips_dir"])
-    noise = (
-        None if settings["noise_dir"] is None
-        else NoiseSource.from_directory(settings["noise_dir"])
-    )
-    count = settings["count"] if count_override is None else count_override
+    clips = ClipSource.from_directory(s["clips_dir"])
+    noise = None if s["noise_dir"] is None else NoiseSource.from_directory(s["noise_dir"])
     manifest = build_dataset(
-        settings["catalog"], clips, noise, count, out_dir,
-        seed=seed, fs=settings["fs"], workers=workers,
+        s["catalog"], clips, noise, s["count"], s["out_dir"],
+        seed=s["seed"], fs=s["fs"], workers=s["workers"],
     )
     return {
         "command": args.command,
         "manifest": str(manifest),
-        "scenes": count,
-        "out_dir": str(out_dir),
-        "seed": seed,
+        "scenes": s["count"],
+        "out_dir": str(s["out_dir"]),
+        "seed": s["seed"],
     }
 
 
 def cmd_scene(args) -> dict:
-    return _run_dataset(args, count_override=1)
+    return _run_dataset(args, count=1)
 
 
 def cmd_dataset(args) -> dict:
-    return _run_dataset(args)
+    return _run_dataset(args, workers=args.workers)
 
 
 def cmd_apply(args) -> dict:
@@ -341,13 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
             "Design, analyze, and apply fixed beamformer banks for wearable "
             "arrays, and synthesize conversation scenes with feature output."
         ),
-        epilog=GLOBAL_EPILOG,
+        epilog=environment_epilog(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument(
-        "--log-level", default=None,
-        help="debug | info | warning | error (default warning)",
-    )
+    parser.add_argument("--log-level", help="debug | info | warning | error (default warning)")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add(name, help_text, epilog=None):
@@ -380,15 +360,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("scene", "render a single conversation scene", DATASET_EPILOG)
     p.add_argument("--config", required=True, help="scene config file (YAML)")
-    p.add_argument("--seed", type=int, default=None, help="base seed override")
-    p.add_argument("--out", default=None, help="output directory override")
+    p.add_argument("--seed", type=int, help="base seed override")
+    p.add_argument("--out", help="output directory override")
     p.set_defaults(func=cmd_scene)
 
     p = add("dataset", "render a multi-scene dataset with a manifest", DATASET_EPILOG)
     p.add_argument("--config", required=True, help="dataset config file (YAML)")
-    p.add_argument("--seed", type=int, default=None, help="base seed override")
-    p.add_argument("--workers", type=int, default=None, help="worker count override")
-    p.add_argument("--out", default=None, help="output directory override")
+    p.add_argument("--seed", type=int, help="base seed override")
+    p.add_argument("--workers", type=int, help="worker count override")
+    p.add_argument("--out", help="output directory override")
     p.set_defaults(func=cmd_dataset)
 
     p = add("apply", "steer a multichannel wav through every bank direction")
@@ -428,21 +408,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits for usage errors and --help; keep main() returning
         return int(exc.code or 0)
-    level = str(resolve_setting(args.log_level, "LOG_LEVEL", None, "warning"))
-    numeric = getattr(logging, level.upper(), None)
-    if not isinstance(numeric, int):
-        print(f"beambank: unknown log level {level!r}", file=sys.stderr)
-        return 1
-    logging.basicConfig(
-        level=numeric, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
-    )
     try:
+        logging.basicConfig(
+            level=log_level(args.log_level), stream=sys.stderr,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
         summary = args.func(args)
     except BeambankError as exc:
         print(f"beambank {args.command}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except OSError as exc:
-        print(f"beambank {args.command}: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:
+        print(f"beambank {args.command}: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     code = summary.pop("_exit", 0)
     print(json.dumps(summary, sort_keys=True))

@@ -5,20 +5,19 @@ converted to radians at this boundary; distances are meters. Unknown keys
 are rejected everywhere so that a typo fails loudly instead of silently
 falling back to a default, and a key set to null counts as unset.
 
-Each section is one tuple of ``_Key`` rows (name, reader, default, help),
-read by ``_section`` and printed as ``--help`` text by ``config_epilog``. A
-range the library already enforces is checked only there, and its
-``DataError`` is re-raised as a ``ConfigError`` naming the key.
-
-Settings precedence, highest first: command-line flag, environment variable
-(``BEAMBANK_SEED``, ``BEAMBANK_WORKERS``, ``BEAMBANK_LOG_LEVEL``), config
-file, built-in default. Relative paths inside a config resolve against the
-config file's own directory.
+Each section is one tuple of ``_Key`` rows (name, reader, default, help,
+``BEAMBANK_*`` name), read by ``_section`` and printed as ``--help`` text by
+``config_epilog`` and ``environment_epilog``. A range the library already
+enforces is checked only there, and its ``DataError`` is re-raised as a
+``ConfigError`` naming the key. ``_in_effect`` puts a flag, else a
+``BEAMBANK_*`` variable, over the config value or default, each read by the
+row's reader. Relative paths resolve against the config file's directory.
 """
 
 from __future__ import annotations
 
 import contextlib
+import logging
 import math
 import os
 import sys
@@ -49,18 +48,20 @@ from .noise_model import PointNoiseSpec
 from .simulate import DEFAULT_MAX_ORDER, MAX_ORDER, MOUTH_OFFSET, RoomSpec, _normalize_catalog
 
 ENV_PREFIX = "BEAMBANK_"
+MAX_WORKERS = 64  # scene-renderer processes of one dataset run
 
 _REQUIRED = object()
 
 
 class _Key(NamedTuple):
-    """One config key: ``read(value, dotted_key)`` parses a present value
-    (and the default); a ``None`` default leaves an absent key as None."""
+    """One setting: ``read(value, dotted_key)`` parses a present value and
+    the default, which is called if callable (None leaves the key None)."""
 
     name: str
     read: Callable
     default: object
     help: str
+    env: str | None = None
 
 
 def load_config(path) -> dict:
@@ -100,9 +101,26 @@ def _section(mapping, rows, context: str) -> dict:
         value = mapping.get(row.name)
         if value is None and row.default is _REQUIRED:
             raise ConfigError(f"{where} needs '{row.name}'")
-        value = row.default if value is None else value
+        if value is None:
+            value = row.default() if callable(row.default) else row.default
         out[row.name] = None if value is None else row.read(value, _dotted(context, row.name))
     return out
+
+
+def _in_effect(values: dict, rows, flags: dict) -> dict:
+    """Replace a row's config value or default in ``values`` by its flag in
+    ``flags`` when that is not None, else by its ``BEAMBANK_*`` variable when
+    that is set and not empty. A variable's text is an integer when int()
+    reads it and text otherwise; the row's reader checks either."""
+    for row in rows:
+        text = os.environ.get(ENV_PREFIX + row.env, "") if row.env else ""
+        if flags.get(row.name) is not None:
+            values[row.name] = row.read(flags[row.name], row.name)
+        elif text:
+            with contextlib.suppress(ValueError):
+                text = int(text)
+            values[row.name] = row.read(text, f"{row.name} ({ENV_PREFIX}{row.env})")
+    return values
 
 
 @contextlib.contextmanager
@@ -124,12 +142,13 @@ def _number(value, context: str) -> float:
     return float(value)
 
 
-def _integer(minimum: int | None = None) -> Callable:
+def _integer(minimum=-math.inf, maximum=math.inf) -> Callable:
     def read(value, context: str) -> int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{context}: expected an integer, got {value!r}")
-        if minimum is not None and value < minimum:
-            raise ConfigError(f"{context} {value} must be >= {minimum}")
+        if not minimum <= value <= maximum:
+            bound = f">= {minimum}" if value < minimum else f"<= {maximum}"
+            raise ConfigError(f"{context} {value} must be {bound}")
         return value
 
     return read
@@ -139,6 +158,14 @@ def _text(value, context: str) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{context}: expected a string, got {value!r}")
     return value
+
+
+def _log_level(value, context: str) -> int:
+    """A ``logging`` level name in any case (``debug``, ``WARN``, ...)."""
+    level = getattr(logging, str(value).upper(), None)
+    if not isinstance(level, int):
+        raise ConfigError(f"{context}: unknown level {value!r}")
+    return level
 
 
 def _choice(*options) -> Callable:
@@ -308,10 +335,15 @@ _DATASET = (
     _Key("noise_dir", _text, None, "directory of noise wav files"),
     _Key("count", _integer(1), 1, "number of scenes, >= 1 ('scene' renders 1)"),
     _FS,
-    _Key("seed", _integer(0), None, "base seed, >= 0 (default 0); scene i uses the i-th child seed"),
-    _Key("workers", _integer(1), None, "parallel scene renderers, >= 1 (default: logical cores)"),
+    _Key("seed", _integer(0), 0, "base seed, >= 0; scene i uses the i-th child seed",
+         env="SEED"),
+    _Key("workers", _integer(1, MAX_WORKERS), lambda: min(os.cpu_count() or 1, MAX_WORKERS),
+         f"parallel scene renderers, 1 to {MAX_WORKERS}, default the logical core count "
+         f"(at most {MAX_WORKERS})", env="WORKERS"),
     _Key("out_dir", _text, None, "output directory (--out overrides)"),
 )
+_LOG_LEVEL = _Key("log_level", _log_level, "warning", "debug | info | warning | error",
+                  env="LOG_LEVEL")
 # per command: (section name, rows) in --help order
 _SECTIONS = {
     "design": (("", _DESIGN), ("directions", _DIRECTIONS), ("directions.mouth", _MOUTH),
@@ -320,6 +352,20 @@ _SECTIONS = {
     "dataset": (("", _DATASET), ("geometries[i]", _CATALOG_ENTRY),
                 ("inline geometry", _INLINE_GEOMETRY)),
 }
+
+
+def _help_rows(rows, name=lambda row: row.name, indent: int = 18) -> list:
+    """One help entry per row: its name, then its help and default."""
+    lines = []
+    for row in rows:
+        text = row.help
+        if row.default is _REQUIRED:
+            text += ", required"
+        elif not (row.default is None or callable(row.default) or isinstance(row.default, dict)):
+            text += f", default {_show(row.default)}"
+        first, *rest = textwrap.wrap(text, 78 - indent)
+        lines += [f"  {name(row):<{indent - 2}}{first}"] + [" " * indent + line for line in rest]
+    return lines
 
 
 def config_epilog(command: str) -> str:
@@ -331,16 +377,19 @@ def config_epilog(command: str) -> str:
         "the config file's directory.",
     ]
     for section, rows in _SECTIONS[command]:
-        lines += ["", f"{section or 'top-level'} keys:"]
-        for row in rows:
-            text = row.help
-            if row.default is _REQUIRED:
-                text += ", required"
-            elif row.default is not None and not isinstance(row.default, dict):
-                text += f", default {_show(row.default)}"
-            first, *rest = textwrap.wrap(text, 60)
-            lines += [f"  {row.name:<16}{first}"] + [" " * 18 + line for line in rest]
+        lines += ["", f"{section or 'top-level'} keys:"] + _help_rows(rows)
     return "\n".join(lines) + "\n"
+
+
+def environment_epilog() -> str:
+    """``beambank --help`` text for the ``BEAMBANK_*`` variables, printed
+    from the rows that name them."""
+    rows = [row for row in _DATASET + (_LOG_LEVEL,) if row.env]
+    return "\n".join([
+        "environment (a flag beats its variable, the variable beats the config key;",
+        "an empty variable counts as unset):",
+        *_help_rows(rows, lambda row: ENV_PREFIX + row.env, indent=22),
+    ]) + "\n"
 
 
 def _path(base_dir, value):
@@ -424,45 +473,19 @@ def _catalog(entries: list, base_dir) -> list:
     return catalog
 
 
-def dataset_settings(cfg: dict, base_dir=".") -> dict:
+def dataset_settings(cfg: dict, base_dir=".", flags: dict | None = None) -> dict:
     """Validate a scene/dataset config and return build_dataset-style
-    keyword arguments (paths resolved, sources not yet opened)."""
+    keyword arguments (paths resolved, sources not yet opened), the
+    ``flags`` ({key: value or None}) and ``BEAMBANK_*`` variables in effect."""
     s = _section(cfg, _DATASET, "")
     check_solver_settings(fs=s["fs"], error=ConfigError)
-    return {
-        "catalog": _catalog(s["geometries"], base_dir),
-        "clips_dir": _path(base_dir, s["clips_dir"]),
-        "noise_dir": _path(base_dir, s["noise_dir"]),
-        "count": s["count"],
-        "fs": s["fs"],
-        # None (not 0) when unset so the BEAMBANK_SEED fallback can act
-        "seed": s["seed"],
-        "workers": s["workers"],
-        "out_dir": _path(base_dir, s["out_dir"]),
-    }
+    for key in ("clips_dir", "noise_dir", "out_dir"):
+        s[key] = _path(base_dir, s[key])
+    s["catalog"] = _catalog(s.pop("geometries"), base_dir)
+    return _in_effect(s, _DATASET, flags or {})
 
 
-def resolve_setting(flag_value, env_name: str, config_value, default):
-    """Precedence: flag > BEAMBANK_<env_name> > config value > default."""
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(ENV_PREFIX + env_name)
-    if env:
-        return env
-    if config_value is not None:
-        return config_value
-    return default
-
-
-def resolve_int_setting(flag_value, env_name: str, config_value, default, minimum: int = 0):
-    """:func:`resolve_setting` as an integer of at least ``minimum``."""
-    value = resolve_setting(flag_value, env_name, config_value, default)
-    try:
-        value = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"{env_name.lower()}: expected an integer, got {value!r}"
-        ) from None
-    if value < minimum:
-        raise ConfigError(f"{env_name.lower()} {value} must be >= {minimum}")
-    return value
+def log_level(flag=None) -> int:
+    """The ``logging`` level in effect (flag, BEAMBANK_LOG_LEVEL, warning)."""
+    rows = (_LOG_LEVEL,)
+    return _in_effect(_section({}, rows, ""), rows, {"log_level": flag})["log_level"]

@@ -431,25 +431,18 @@ def read_wav(path, expected_fs: int | None = None) -> tuple[np.ndarray, int]:
     return audio, fs
 
 
-def write_wav(path, audio, fs: int, pcm16: bool = False) -> None:
-    """Write (channels, samples) audio as float32 WAV (or PCM16) through a
-    temporary file and a rename; docs/formats.md gives the exact layout."""
+def write_wav(path, audio, fs: int) -> None:
+    """Write (channels, samples) audio as float32 WAV through a temporary
+    file and a rename; docs/formats.md gives the exact layout."""
     x = _as_2d(audio)
-    if pcm16:
-        x = (np.clip(x, -1.0, 32767.0 / 32768.0) * 32768.0).round()
-    payload = np.ascontiguousarray(x.T, dtype="<i2" if pcm16 else "<f4")
+    payload = np.ascontiguousarray(x.T, dtype="<f4")
     channels, frames = x.shape
-    fs, width = int(fs), payload.itemsize
-    fmt = struct.pack(
-        "<HHIIHH", _PCM if pcm16 else _FLOAT, channels, fs,
-        fs * channels * width, channels * width, 8 * width,
-    )
-    if pcm16:
-        head = b"fmt " + struct.pack("<I", 16) + fmt
-    else:
-        # non-PCM: a cbSize of 0 and a fact chunk with the frame count
-        head = b"fmt " + struct.pack("<I", 18) + fmt + b"\0\0"
-        head += b"fact" + struct.pack("<II", 4, frames)
+    fs = int(fs)
+    # non-PCM: an 18-byte fmt chunk with a cbSize of 0, and a fact chunk
+    # with the frame count
+    head = b"fmt " + struct.pack("<IHHIIHHH", 18, _FLOAT, channels, fs, fs * channels * 4,
+                                 channels * 4, 32, 0)
+    head += b"fact" + struct.pack("<II", 4, frames)
     head += b"data" + struct.pack("<I", payload.nbytes)
     size = 4 + len(head) + payload.nbytes
     if size > 0xFFFFFFFF:

@@ -24,6 +24,7 @@ import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -905,8 +906,11 @@ def build_dataset(
     render = functools.partial(_render_one, clips=clips, noise=noise, fs=fs, out_dir=out_dir)
     workers = min(workers, count)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(render, range(count), specs, scene_geometries))
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                rows = list(pool.map(render, range(count), specs, scene_geometries))
+        except BrokenProcessPool as exc:  # a worker was killed, e.g. out of memory
+            raise BeambankError(f"a scene worker process died: {exc}") from exc
     else:
         rows = list(map(render, range(count), specs, scene_geometries))
 

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beambank
-from beambank import config
+from beambank import cli, config, simulate
 from beambank.beamformer import MAX_FS, MAX_N_FFT, load_bank, save_bank
 from beambank.cli import main
 from beambank.dsp import _run_frames, apply_bank, istft, read_wav, stft, write_wav
@@ -790,6 +791,8 @@ class TestSceneAndDataset:
             (None, ("--seed", "-1"), {}, "seed"),
             (("count: 2", "count: 2\nworkers: 0"), ("--workers", "1"), {}, "workers"),
             (("seed: 7", "seed: -5"), ("--seed", "3"), {}, "seed"),
+            (None, (), {"BEAMBANK_SEED": "abc"}, "BEAMBANK_SEED"),
+            (None, (), {"BEAMBANK_WORKERS": "1.5"}, "BEAMBANK_WORKERS"),
             ((GEOMETRY_ENTRY, "- {geometry: reference_glasses_5, proportion: .nan}\n"
               "- {geometry: reference_glasses_7, proportion: 0.5}"), (), {},
              "geometries[0].proportion"),
@@ -802,7 +805,7 @@ class TestSceneAndDataset:
         ids=["fs-negative", "fs-0", "fs-above-cap", "count-0", "config-workers-0",
              "flag-workers-0", "flag-workers-negative", "env-workers-0", "seed-negative",
              "config-workers-0-overridden", "config-seed-negative-overridden",
-             "proportion-nan", "proportions-sum", "duplicate-geometry-id"],
+             "env-seed-text", "env-workers-fraction", "proportion-nan", "proportions-sum", "duplicate-geometry-id"],
     )
     def test_bad_setting_exits_1(
         self, dataset_cfg, tmp_path, capsys, monkeypatch, edit, argv, env, named
@@ -821,6 +824,90 @@ class TestSceneAndDataset:
         assert len(err.strip().splitlines()) == 1
         assert named in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [config.MAX_WORKERS + 1, 10**9])
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    def test_workers_above_cap_exits_1_before_any_pool(
+        self, dataset_cfg, tmp_path, capsys, monkeypatch, source, workers
+    ):
+        """The cap acts on every source before a scene is sampled or a
+        pool is built; no process is started."""
+        pools = []
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", lambda **kw: pools.append(kw))
+        monkeypatch.setattr(simulate, "sample_scene", _forbidden("sample_scene"))
+        cfg, argv = tmp_path / "many.yaml", []
+        text = dataset_cfg.read_text().replace("count: 2", "count: 100")
+        if source == "config":
+            text += f"workers: {workers}\n"
+        elif source == "env":
+            monkeypatch.setenv("BEAMBANK_WORKERS", str(workers))
+        else:
+            argv = ["--workers", str(workers)]
+        cfg.write_text(text)
+        out = tmp_path / "d"
+        code, summary, err = run(capsys, "dataset", "--config", str(cfg), "--out", str(out), *argv)
+        assert code == 1
+        assert summary is None
+        assert err.strip().splitlines() == [
+            f"beambank dataset: workers{' (BEAMBANK_WORKERS)' if source == 'env' else ''} "
+            f"{workers} must be <= {config.MAX_WORKERS}"
+        ]
+        assert pools == [] and not out.exists()
+
+    def test_dead_worker_exits_2_with_one_line(self, dataset_cfg, tmp_path, capsys, monkeypatch):
+        """A worker process that dies (killed, out of memory) breaks the
+        pool; that is one line and exit 2, not a traceback."""
+
+        class DeadPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, *args):
+                raise BrokenProcessPool("a process in the pool was terminated abruptly")
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", DeadPool)
+        code, summary, err = run(
+            capsys, "dataset", "--config", str(dataset_cfg), "--out", str(tmp_path / "d"),
+            "--workers", "2",
+        )
+        assert code == 2
+        assert summary is None
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and "scene worker process died" in lines[0]
+        assert not (tmp_path / "d" / "manifest.jsonl").exists()
+
+    def test_seed_from_any_source_gives_the_same_dataset(
+        self, dataset_cfg, tmp_path, capsys, monkeypatch
+    ):
+        """Seed 7 by flag, by BEAMBANK_SEED or by the config key writes the
+        same bytes, and the summary reports the seed in effect."""
+        unseeded = tmp_path / "unseeded.yaml"
+        unseeded.write_text(dataset_cfg.read_text().replace("seed: 7\n", ""))
+        runs = {
+            "config": (dataset_cfg, [], None),
+            "flag": (unseeded, ["--seed", "7"], None),
+            "env": (unseeded, [], "7"),
+            "default": (unseeded, [], None),
+        }
+        files = {}
+        for name, (cfg, argv, env) in runs.items():
+            with monkeypatch.context() as patch:
+                if env is not None:
+                    patch.setenv("BEAMBANK_SEED", env)
+                out = tmp_path / name
+                code, summary, _ = run(
+                    capsys, "dataset", "--config", str(cfg), "--out", str(out), *argv
+                )
+            assert code == 0
+            assert summary["seed"] == (0 if name == "default" else 7)
+            files[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert files["flag"] == files["env"] == files["config"] != files["default"]
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_worker_failure_names_scene(self, corpus_dirs, tmp_path, capsys, workers):
@@ -914,6 +1001,44 @@ def test_help_names_rate_cap(capsys, command):
     assert f"<= {MAX_FS}," in capsys.readouterr().out
 
 
+def test_help_lists_every_environment_variable(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    rows = [row for _, rows in sum(config._SECTIONS.values(), ()) for row in rows]
+    names = {f"BEAMBANK_{row.env}" for row in rows + [config._LOG_LEVEL] if row.env}
+    assert names == {"BEAMBANK_SEED", "BEAMBANK_WORKERS", "BEAMBANK_LOG_LEVEL"}
+    for name in names:
+        assert re.search(rf"^  {name} ", out, re.M), name
+
+
+@pytest.mark.parametrize(
+    "argv, env, code",
+    [(["--log-level", "bogus"], None, 1), ([], "bogus", 1), (["--log-level", "DEBUG"], "bogus", 2),
+     ([], "warn", 2), ([], "", 2)],
+    ids=["flag-bogus", "env-bogus", "flag-hides-env", "env-warn", "env-empty"],
+)
+def test_log_level_sources(capsys, monkeypatch, tmp_path, argv, env, code):
+    """An unknown level exits 1 with one line; a known one (or an empty
+    variable) lets the command run on to its own exit 2 for a missing bank."""
+    if env is not None:
+        monkeypatch.setenv("BEAMBANK_LOG_LEVEL", env)
+    got, summary, err = run(capsys, *argv, "verify", "--bank", str(tmp_path / "absent.bank"))
+    assert (got, summary) == (code, None)
+    assert len(err.strip().splitlines()) == 1
+    assert ("log_level" in err and "unknown level" in err) == (code == 1)
+
+
+@pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 8.0 TiB")])
+def test_memory_error_exits_2_with_one_line(capsys, monkeypatch, tmp_path, error):
+    def exhausted(path):
+        raise error
+
+    monkeypatch.setattr(cli, "load_bank", exhausted)
+    code, summary, err = run(capsys, "verify", "--bank", str(tmp_path / "x.bank"))
+    assert (code, summary) == (2, None)
+    assert err.strip().splitlines() == [f"beambank verify: {str(error) or 'out of memory'}"]
+
+
 @pytest.mark.parametrize("command", ["design", "rir", "dataset"])
 def test_help_lists_every_config_key(capsys, command):
     assert main([command, "--help"]) == 0
@@ -934,6 +1059,7 @@ OUT_OF_RANGE = {
     "n_fft": [0, -512, 511, MAX_N_FFT + 2],
     "count": [0, -1],
     "seed": [-1],
+    "workers": [0, config.MAX_WORKERS + 1, 10**9],
     "max_order": [-1, MAX_ORDER + 1, 10**9],
     "absorption": [0, -0.1, 1.01],
     "dimensions": [0, -6.0],
@@ -998,7 +1124,7 @@ BAD_FLAG_VALUES = {
     ("scene", "--seed"): _NOT_A_NUMBER | _NON_INTEGER | st.integers(max_value=-1).map(str),
     ("dataset", "--seed"): _NOT_A_NUMBER | _NON_INTEGER | st.integers(max_value=-1).map(str),
     ("dataset", "--workers"): _NOT_A_NUMBER | _NON_INTEGER
-    | st.integers(max_value=0).map(str),
+    | st.integers(max_value=0).map(str) | st.integers(min_value=config.MAX_WORKERS + 1).map(str),
 }
 
 

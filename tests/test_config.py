@@ -1,6 +1,7 @@
 """Config parsing: strict keys, unit conversion, precedence, path anchoring."""
 
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,7 @@ from beambank.config import (
     default_mouth_direction,
     design_settings,
     load_config,
-    resolve_int_setting,
-    resolve_setting,
+    log_level,
     rir_settings,
     room_from_config,
 )
@@ -217,15 +217,6 @@ class TestRoom:
 
 
 class TestDatasetSettings:
-    def test_seed_stays_none_when_unset(self, tmp_path):
-        cfg = {
-            "geometries": [{"geometry": "reference_glasses_5"}],
-            "count": 2,
-            "clips_dir": "clips",
-        }
-        s = dataset_settings(cfg, base_dir=tmp_path)
-        assert s["seed"] is None
-
     def test_seed_zero_is_preserved(self, tmp_path):
         cfg = {
             "geometries": [{"geometry": "reference_glasses_5"}],
@@ -301,23 +292,83 @@ class TestSettingsTable:
 
 
 class TestPrecedence:
-    def test_flag_wins(self, monkeypatch):
-        monkeypatch.setenv("BEAMBANK_SEED", "5")
-        assert resolve_setting(9, "SEED", 3, 1) == 9
+    """The seed and worker count in effect: flag, then BEAMBANK_* variable,
+    then config key, then default."""
 
-    def test_env_beats_config(self, monkeypatch):
-        monkeypatch.setenv("BEAMBANK_SEED", "5")
-        assert resolve_int_setting(None, "SEED", 3, 1) == 5
+    CFG = {"geometries": [{"geometry": "reference_glasses_5"}], "clips_dir": "clips"}
 
-    def test_config_beats_default(self, monkeypatch):
-        monkeypatch.delenv("BEAMBANK_SEED", raising=False)
-        assert resolve_int_setting(None, "SEED", 3, 1) == 3
+    @pytest.fixture(autouse=True)
+    def clean_env(self, monkeypatch):
+        for name in ("SEED", "WORKERS", "LOG_LEVEL"):
+            monkeypatch.delenv(f"BEAMBANK_{name}", raising=False)
+        self.monkeypatch = monkeypatch
 
-    def test_default_last(self, monkeypatch):
-        monkeypatch.delenv("BEAMBANK_SEED", raising=False)
-        assert resolve_int_setting(None, "SEED", None, 1) == 1
+    def effect(self, config=(), flags=None, **env):
+        for name, text in env.items():
+            self.monkeypatch.setenv(f"BEAMBANK_{name}", text)
+        s = dataset_settings({**self.CFG, **dict(config)}, flags=flags)
+        return s["seed"], s["workers"]
 
-    def test_bad_env_value(self, monkeypatch):
-        monkeypatch.setenv("BEAMBANK_SEED", "not-a-number")
-        with pytest.raises(ConfigError):
-            resolve_int_setting(None, "SEED", None, 1)
+    def test_flag_wins(self):
+        config = {"seed": 3, "workers": 3}
+        assert self.effect(config, {"seed": 9, "workers": 9}, SEED="5", WORKERS="5") == (9, 9)
+
+    def test_env_beats_config(self):
+        assert self.effect({"seed": 3, "workers": 3}, SEED="5", WORKERS="5") == (5, 5)
+
+    def test_config_beats_default(self):
+        assert self.effect({"seed": 3, "workers": 3}) == (3, 3)
+
+    def test_default_last(self):
+        assert self.effect() == (0, min(os.cpu_count() or 1, config.MAX_WORKERS))
+
+    def test_bad_env_value(self):
+        with pytest.raises(ConfigError, match=r"^seed \(BEAMBANK_SEED\): expected an integer"):
+            self.effect(SEED="not-a-number")
+
+    def test_empty_variable_counts_as_unset(self):
+        assert self.effect({"seed": 3, "workers": 3}, SEED="", WORKERS="") == (3, 3)
+
+    @pytest.mark.parametrize("text, value", [("7", 7), (" 7\n", 7), ("+7", 7), ("0_7", 7)])
+    def test_variable_is_an_integer_where_int_reads_it(self, text, value):
+        assert self.effect(SEED=text, WORKERS=text) == (value, value)
+
+    @pytest.mark.parametrize("name, text", [("SEED", "abc"), ("SEED", "-1"), ("WORKERS", "1.5"),
+                                            ("WORKERS", "0"), ("WORKERS", "65")])
+    def test_bad_variable_is_named(self, name, text):
+        with pytest.raises(ConfigError, match=rf"^{name.lower()} \(BEAMBANK_{name}\)"):
+            self.effect(**{name: text})
+
+    def test_flag_hides_a_bad_variable(self):
+        """A variable is checked only when no flag overrides it."""
+        assert self.effect(flags={"seed": 1, "workers": 1}, SEED="abc", WORKERS="0") == (1, 1)
+
+    @pytest.mark.parametrize("key, bad", [("seed", -5), ("seed", "5"), ("workers", 0),
+                                          ("workers", config.MAX_WORKERS + 1)])
+    def test_config_is_checked_under_a_flag(self, key, bad):
+        with pytest.raises(ConfigError, match=rf"^{key}"):
+            self.effect({key: bad}, {key: 1})
+
+    def test_count_and_out_dir_flags(self, tmp_path):
+        cfg = {**self.CFG, "count": 5, "out_dir": "out"}
+        s = dataset_settings(cfg, base_dir=tmp_path)
+        assert (s["count"], s["out_dir"]) == (5, os.path.join(tmp_path, "out"))
+        s = dataset_settings(cfg, base_dir=tmp_path, flags={"count": 1, "out_dir": "here"})
+        assert (s["count"], s["out_dir"]) == (1, "here")
+
+    @pytest.mark.parametrize("flag, env, level", [
+        (None, None, 30), ("debug", "error", 10), ("Warn", None, 30), (None, "CRITICAL", 50),
+        (None, "", 30), ("fatal", "bogus", 50),
+    ])
+    def test_log_level(self, flag, env, level):
+        if env is not None:
+            self.monkeypatch.setenv("BEAMBANK_LOG_LEVEL", env)
+        assert log_level(flag) == level
+
+    @pytest.mark.parametrize("flag, env", [("bogus", None), (None, "bogus"), ("", None),
+                                           (None, "10")])
+    def test_unknown_log_level(self, flag, env):
+        if env is not None:
+            self.monkeypatch.setenv("BEAMBANK_LOG_LEVEL", env)
+        with pytest.raises(ConfigError, match="log_level"):
+            log_level(flag)

@@ -89,18 +89,13 @@ def test_unknown_chunks_and_their_pad_bytes_are_skipped(tmp_path, rng):
 
 
 @pytest.mark.parametrize("channels", [1, 5])
-@pytest.mark.parametrize("pcm16", [False, True])
-def test_write_then_read_round_trip(pcm16, channels, tmp_path, rng):
+def test_write_then_read_round_trip(channels, tmp_path, rng):
     audio = rng.uniform(-1.5, 1.5, (channels, 321))
     path = tmp_path / "out.wav"
-    write_wav(path, audio, FS, pcm16=pcm16)
+    write_wav(path, audio, FS)
     back, fs = read_wav(path)
-    if pcm16:
-        expected = (np.clip(audio, -1.0, 32767 / 32768) * 32768.0).round() / 32768.0
-    else:
-        expected = audio.astype(np.float32).astype(np.float64)
     assert fs == FS
-    np.testing.assert_array_equal(back, expected)
+    np.testing.assert_array_equal(back, audio.astype(np.float32).astype(np.float64))
 
 
 def test_float32_layout(tmp_path):
@@ -115,18 +110,14 @@ def test_float32_layout(tmp_path):
     assert blob[50:58] == b"data" + struct.pack("<I", 140) and len(blob) == 58 + 140
 
 
-@pytest.mark.parametrize(
-    "channels, pcm16", [(1, False), (5, False), (3, True), (1, True)]
-)
-def test_writer_bytes_equal_scipy(channels, pcm16, tmp_path, rng):
+@pytest.mark.parametrize("channels", [1, 5])
+def test_writer_bytes_equal_scipy(channels, tmp_path, rng):
     wavfile = pytest.importorskip("scipy.io.wavfile")
     audio = rng.uniform(-1.2, 1.2, (channels, 999))
     ours, theirs = tmp_path / "ours.wav", tmp_path / "theirs.wav"
-    write_wav(ours, audio, FS, pcm16=pcm16)
+    write_wav(ours, audio, FS)
     data = audio.T if channels > 1 else audio[0]
-    if pcm16:
-        data = (np.clip(data, -1.0, 32767 / 32768) * 32768.0).round().astype(np.int16)
-    wavfile.write(theirs, FS, data.astype(np.int16 if pcm16 else np.float32))
+    wavfile.write(theirs, FS, data.astype(np.float32))
     assert ours.read_bytes() == theirs.read_bytes()
 
 
@@ -174,15 +165,15 @@ def test_missing_file_is_a_data_error(tmp_path):
 
 @pytest.fixture(scope="module")
 def samples(tmp_path_factory):
-    """Name -> (path to overwrite, original bytes) of one file per writer
-    and one extensible PCM24 file with an odd-sized LIST chunk."""
+    """Name -> (path to overwrite, original bytes) of one written float32
+    file, one plain PCM16 file and one extensible PCM24 file with an
+    odd-sized LIST chunk."""
     root = tmp_path_factory.mktemp("wav")
     rng = np.random.default_rng(5)
-    out = {}
-    for name, channels, pcm16 in (("float32x5", 5, False), ("pcm16x3", 3, True)):
-        path = root / f"{name}.wav"
-        write_wav(path, rng.uniform(-1, 1, (channels, 40)), FS, pcm16)
-        out[name] = (path, path.read_bytes())
+    path = root / "float32x5.wav"
+    write_wav(path, rng.uniform(-1, 1, (5, 40)), FS)
+    out = {"float32x5": (path, path.read_bytes())}
+    out["pcm16x3"] = (root / "pcm16x3.wav", _wav(_samples("pcm16", (40, 3), rng), PCM, 2))
     raw = _samples("pcm24", (30, 2), rng)
     blob = _wav(raw, PCM, 3, extensible=True, chunks=[(b"LIST", b"INFOodd")])
     out["pcm24ext"] = (root / "pcm24ext.wav", blob)
