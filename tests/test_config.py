@@ -217,6 +217,19 @@ class TestRoom:
 
 
 class TestDatasetSettings:
+    def test_seed_stays_none_when_unset(self, tmp_path, monkeypatch):
+        """The name predates the default seed: an unset seed no longer stays
+        None for a later lookup but resolves at once to the row's default 0,
+        the same fixed seed on every run."""
+        monkeypatch.delenv("BEAMBANK_SEED", raising=False)
+        cfg = {
+            "geometries": [{"geometry": "reference_glasses_5"}],
+            "count": 2,
+            "clips_dir": "clips",
+        }
+        s = dataset_settings(cfg, base_dir=tmp_path)
+        assert s["seed"] == 0
+
     def test_seed_zero_is_preserved(self, tmp_path):
         cfg = {
             "geometries": [{"geometry": "reference_glasses_5"}],
