@@ -26,7 +26,6 @@ from .errors import (
     DataError,
     DegenerateSteeringError,
     IllConditionedError,
-    ParseError,
     SolverError,
     raise_first,
 )
@@ -624,8 +623,7 @@ def save_bank(bank: BeamformerBank, path) -> None:
 def load_bank(path) -> BeamformerBank:
     """Read a bank written by :func:`save_bank`; a malformed file, or one
     whose settings fail :func:`check_solver_settings`, raises ParseError."""
-    header, flat = _container.read(path, BANK_MAGIC, "<c16")
-    try:
+    with _container.reading(path, BANK_MAGIC, "bank") as (header, payload):
         geometry = ArrayGeometry(
             id=str(header["geometry"]["id"]),
             mics=np.asarray(header["geometry"]["mics"], dtype=float),
@@ -639,7 +637,7 @@ def load_bank(path) -> BeamformerBank:
         }
         check_solver_settings(**settings, fs=fs, n_fft=n_fft, method=method,
                               num_mics=geometry.num_mics)
-        weights = _container.shaped(flat, (len(directions), n_fft // 2 + 1, geometry.num_mics))
+        weights = payload("<c16", (len(directions), n_fft // 2 + 1, geometry.num_mics))
         diag = header.get("diagnostics") or {}
         return BeamformerBank(
             geometry=geometry,
@@ -662,5 +660,3 @@ def load_bank(path) -> BeamformerBank:
             **{key: None if diag.get(key) is None else np.asarray(diag[key], dtype=dtype)
                for key, dtype in _DIAGNOSTICS.items()},
         )
-    except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError, DataError) as exc:
-        raise ParseError(f"{path}: bad bank: {exc}") from exc

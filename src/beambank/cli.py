@@ -22,9 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
+from ._container import parsing
 from .analysis import MIN_RESOLUTION_DEG, beam_pattern, export_pattern, pattern_steps
 from .beamformer import design_bank, load_bank, save_bank, verify_bank
 from .config import (
+    LOG_LEVEL_HELP,
     config_epilog,
     dataset_settings,
     design_settings,
@@ -34,7 +36,7 @@ from .config import (
     rir_settings,
 )
 from .dsp import read_wav, steer_audio, write_wav
-from .errors import BeambankError, ConfigError, DataError, ParseError
+from .errors import BeambankError, ConfigError, DataError
 from .features import (
     accumulate_stats,
     export_features,
@@ -44,7 +46,7 @@ from .features import (
     save_stats,
 )
 from .geometry import import_atfs
-from .simulate import ClipSource, NoiseSource, build_dataset, generate_rir_ism
+from .simulate import ClipSource, NoiseSource, SceneManifest, build_dataset, generate_rir_ism
 
 _LOG = logging.getLogger("beambank")
 
@@ -193,43 +195,28 @@ def _featurize_wav(wav_path, bank, stats):
     return tensor
 
 
-def _manifest_wavs(manifest_path, geometry_id=None) -> tuple:
+def _manifest_wavs(manifest_path, geometry_id) -> tuple:
     """Audio paths from a manifest; rows for other geometries are counted,
     not processed (a bank only fits its own array)."""
     root = Path(manifest_path).parent
     wavs, skipped = [], 0
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        try:
-            lines = list(fh)
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{manifest_path}: manifest is not UTF-8: {exc}") from exc
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            row = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise ParseError(f"{manifest_path}: bad manifest line: {exc}") from exc
-        if not isinstance(row, dict):
-            raise ParseError(
-                f"{manifest_path}: manifest line is a JSON {type(row).__name__}, not an object"
-            )
-        if not row.get("audio_path") or not isinstance(row["audio_path"], str):
-            raise DataError(f"{manifest_path}: manifest row without audio_path")
-        if geometry_id is not None and row.get("geometry_id") != geometry_id:
-            skipped += 1
-            continue
-        wavs.append(root / row["audio_path"])
+    with open(manifest_path, "r", encoding="utf-8") as fh, parsing(manifest_path, "manifest"):
+        for line in fh:
+            if not line.strip():
+                continue
+            row = SceneManifest.from_dict(json.loads(line))
+            if not row.audio_path:
+                raise ValueError("row without audio_path")
+            if row.geometry_id != geometry_id:
+                skipped += 1
+            else:
+                wavs.append(root / row.audio_path)
     if not wavs:
-        raise DataError(
-            f"{manifest_path}: no scenes"
-            + (f" with geometry '{geometry_id}'" if geometry_id is not None else "")
-        )
+        raise DataError(f"{manifest_path}: no scenes with geometry '{geometry_id}'")
     return wavs, skipped
 
 
-def _input_wavs(path, geometry_id=None) -> tuple:
+def _input_wavs(path, geometry_id) -> tuple:
     path = Path(path)
     if path.suffix == ".jsonl":
         return _manifest_wavs(path, geometry_id)
@@ -327,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=environment_epilog(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("--log-level", help="debug | info | warning | error (default warning)")
+    parser.add_argument("--log-level", help=LOG_LEVEL_HELP)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add(name, help_text, epilog=None):
@@ -414,12 +401,11 @@ def main(argv=None) -> int:
             format="%(levelname)s %(name)s: %(message)s",
         )
         summary = args.func(args)
-    except BeambankError as exc:
-        print(f"beambank {args.command}: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except (OSError, MemoryError) as exc:
-        print(f"beambank {args.command}: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 2
+    except (BeambankError, OSError, MemoryError) as exc:
+        # one stderr line, also for messages that span several (YAML's)
+        message = " ".join(str(exc).split()) or "out of memory"
+        print(f"beambank {args.command}: {message}", file=sys.stderr)
+        return getattr(exc, "exit_code", 2)
     code = summary.pop("_exit", 0)
     print(json.dumps(summary, sort_keys=True))
     return code

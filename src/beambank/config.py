@@ -45,7 +45,8 @@ from .geometry import (
     select_subset,
 )
 from .noise_model import PointNoiseSpec
-from .simulate import DEFAULT_MAX_ORDER, MAX_ORDER, MOUTH_OFFSET, RoomSpec, _normalize_catalog
+from .simulate import (DEFAULT_MAX_ORDER, MAX_ORDER, MAX_SCENES, MOUTH_OFFSET, RoomSpec,
+                       _normalize_catalog)
 
 ENV_PREFIX = "BEAMBANK_"
 MAX_WORKERS = 64  # scene-renderer processes of one dataset run
@@ -333,7 +334,8 @@ _DATASET = (
          _REQUIRED, "list of mappings of the geometries[i] keys below"),
     _Key("clips_dir", _text, _REQUIRED, "directory of paired utterance files (x.wav + x.txt)"),
     _Key("noise_dir", _text, None, "directory of noise wav files"),
-    _Key("count", _integer(1), 1, "number of scenes, >= 1 ('scene' renders 1)"),
+    _Key("count", _integer(1, MAX_SCENES), 1,
+         f"number of scenes, 1 to {MAX_SCENES} ('scene' renders 1)"),
     _FS,
     _Key("seed", _integer(0), 0, "base seed, >= 0; scene i uses the i-th child seed",
          env="SEED"),
@@ -344,6 +346,7 @@ _DATASET = (
 )
 _LOG_LEVEL = _Key("log_level", _log_level, "warning", "debug | info | warning | error",
                   env="LOG_LEVEL")
+LOG_LEVEL_HELP = f"{_LOG_LEVEL.help}, default {_LOG_LEVEL.default}"
 # per command: (section name, rows) in --help order
 _SECTIONS = {
     "design": (("", _DESIGN), ("directions", _DIRECTIONS), ("directions.mouth", _MOUTH),

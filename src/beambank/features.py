@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _container
-from .errors import DataError, ParseError
+from .errors import DataError
 from .dsp import Spectrogram, _analysis_runs, _bank_frames, sqrt_hann
 
 NUM_MEL = 80
@@ -23,6 +23,7 @@ LOG_FLOOR = 1e-10
 VARIANCE_FLOOR = 1e-8
 
 FEATURE_MAGIC = "beambank-feat-v1"
+STATS_MAGIC = "beambank-stats-v1"
 
 
 def hz_to_mel(f):
@@ -227,22 +228,19 @@ def export_features(tensor: FeatureTensor, path) -> None:
 
 def import_features(path) -> FeatureTensor:
     """Read a tensor written by :func:`export_features`."""
-    header, flat = _container.read(path, FEATURE_MAGIC, "<f4")
-    try:
+    with _container.reading(path, FEATURE_MAGIC, "feature file") as (header, payload):
         return FeatureTensor(
-            data=_container.shaped(flat, [int(v) for v in header["shape"]]),
+            data=payload("<f4", [int(v) for v in header["shape"]]),
             frame_rate=float(header["frame_rate"]),
             direction_labels=[str(v) for v in header["direction_labels"]],
         )
-    except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError, DataError) as exc:
-        raise ParseError(f"{path}: bad feature file: {exc}") from exc
 
 
 def save_stats(stats: CorpusStats, path) -> None:
     """Write corpus statistics as JSON (mean/variance per direction),
     through a temporary file and a rename."""
     doc = {
-        "magic": "beambank-stats-v1",
+        "magic": STATS_MAGIC,
         "count": stats.count,
         "mean": stats.mean.tolist(),
         "variance": stats.variance.tolist(),
@@ -251,18 +249,19 @@ def save_stats(stats: CorpusStats, path) -> None:
 
 
 def load_stats(path) -> CorpusStats:
-    """Read statistics written by :func:`save_stats`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (ValueError, RecursionError) as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-    try:
+    """Read statistics written by :func:`save_stats`: a count >= 1, and a
+    finite (directions, mel) mean with a variance of that shape, finite and
+    >= 0."""
+    with open(path, "r", encoding="utf-8") as fh, _container.parsing(path, "stats file"):
+        doc = _container.check_magic(json.load(fh), STATS_MAGIC)
         count = int(doc["count"])
         mean = np.asarray(doc["mean"], dtype=float)
         variance = np.asarray(doc["variance"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: bad stats field: {exc}") from exc
-    if np.any(variance < 0) or count < 1:
-        raise ParseError(f"{path}: invalid stats (count {count})")
-    return CorpusStats(count=count, mean=mean, m2=variance * count)
+        if mean.ndim != 2 or variance.shape != mean.shape:
+            raise ValueError(f"mean {mean.shape} and variance {variance.shape} are not "
+                             "of one (directions, mel) shape")
+        finite = np.isfinite(mean).all() and ((variance >= 0) & (variance < np.inf)).all()
+        if count < 1 or not finite:  # a NaN variance fails both comparisons
+            raise ValueError(f"needs a count >= 1 (got {count}), a finite mean and a "
+                             "finite variance >= 0")
+        return CorpusStats(count=count, mean=mean, m2=variance * count)

@@ -23,7 +23,6 @@ from .errors import (
     DegenerateSourceError,
     GridMismatchError,
     InvalidSubsetError,
-    ParseError,
     raise_first,
 )
 
@@ -309,15 +308,12 @@ def export_atfs(atfs: AtfSet, path) -> None:
 
 def import_atfs(path) -> AtfSet:
     """Read an AtfSet written by :func:`export_atfs`; bit-exact round trip."""
-    header, flat = _container.read(path, ATF_MAGIC, "<c16")
-    try:
+    with _container.reading(path, ATF_MAGIC, "ATF file") as (header, payload):
         freqs = np.asarray(header["frequencies"], dtype=float)
         directions = [_direction_from_dict(d) for d in header["directions"]]
         shape = (len(directions), len(freqs), int(header["num_mics"]))
         return AtfSet(geometry_id=str(header["id"]), directions=directions,
-                      frequencies=freqs, vectors=_container.shaped(flat, shape))
-    except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError, DataError) as exc:
-        raise ParseError(f"{path}: bad ATF file: {exc}") from exc
+                      frequencies=freqs, vectors=payload("<c16", shape))
 
 
 def save_geometry(geometry: ArrayGeometry, path) -> None:
@@ -329,14 +325,11 @@ def save_geometry(geometry: ArrayGeometry, path) -> None:
 
 def load_geometry(path) -> ArrayGeometry:
     """Read a geometry file written by :func:`save_geometry` (YAML or JSON)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-    if not isinstance(doc, dict) or "id" not in doc or "mics" not in doc:
-        raise ParseError(f"{path}: geometry file needs 'id' and 'mics' fields")
-    return ArrayGeometry(id=str(doc["id"]), mics=np.asarray(doc["mics"], dtype=float))
+    with open(path, "r", encoding="utf-8") as fh, _container.parsing(path, "geometry file"):
+        doc = yaml.safe_load(fh)
+        if not isinstance(doc, dict) or "id" not in doc or "mics" not in doc:
+            raise ValueError("needs 'id' and 'mics' fields")
+        return ArrayGeometry(id=str(doc["id"]), mics=np.asarray(doc["mics"], dtype=float))
 
 
 def reference_glasses() -> ArrayGeometry:

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _container
-from .errors import BeambankError, DataError, ParseError
+from .errors import BeambankError, DataError
 from .geometry import SOUND_SPEED, ArrayGeometry
 
 ROOM_DIMS_LOW = np.array([5.0, 5.0, 2.0])
@@ -61,6 +61,7 @@ MOUTH_OFFSET = np.array([0.08, 0.0, -0.06])
 ACTIVITY_FLOOR = 1e-8
 MAX_DECORRELATION_DELAY_S = 2e-3
 MANIFEST_SCHEMA = "beambank-scene-v1"
+MAX_SCENES = 100_000  # per dataset: scene_00000.wav to scene_99999.wav
 
 # taps on each side of a pulse center; the pulse is 2 * _HALF_TAPS + 1 long
 _HALF_TAPS = 40
@@ -486,22 +487,25 @@ class SceneManifest:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SceneManifest":
-        try:
-            manifest = cls(
-                schema=doc["schema"],
-                fs=int(doc["fs"]),
-                num_samples=int(doc["num_samples"]),
-                geometry_id=str(doc["geometry_id"]),
-                segments=[
-                    Segment(int(s["start"]), int(s["end"]), str(s["speaker"]), str(s["transcript"]))
-                    for s in doc["segments"]
-                ],
-                reference=str(doc["reference"]),
-                scene=doc["scene"],
-                audio_path=doc.get("audio_path"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad scene manifest: {exc}") from exc
+        """A manifest from a complete row; read it inside ``_container.parsing``."""
+        if not isinstance(doc, dict):
+            raise TypeError(f"row is a JSON {type(doc).__name__}, not an object")
+        audio_path = doc.get("audio_path")
+        if not isinstance(audio_path, (str, type(None))):
+            raise TypeError(f"audio_path {audio_path!r} is not a string")
+        manifest = cls(
+            schema=doc["schema"],
+            fs=int(doc["fs"]),
+            num_samples=int(doc["num_samples"]),
+            geometry_id=str(doc["geometry_id"]),
+            segments=[
+                Segment(int(s["start"]), int(s["end"]), str(s["speaker"]), str(s["transcript"]))
+                for s in doc["segments"]
+            ],
+            reference=str(doc["reference"]),
+            scene=doc["scene"],
+            audio_path=audio_path,
+        )
         manifest.validate()
         return manifest
 
@@ -793,7 +797,8 @@ class ClipSource:
         from .dsp import read_wav
 
         audio, _ = read_wav(self.wavs[index], expected_fs=fs)
-        transcript = Path(self.texts[index]).read_text(encoding="utf-8").strip()
+        with _container.parsing(self.texts[index], "transcript"):
+            transcript = Path(self.texts[index]).read_text(encoding="utf-8").strip()
         return Clip(samples=audio[0], transcript=transcript)
 
 
@@ -891,8 +896,8 @@ def build_dataset(
     reproducible for any worker count. Returns the manifest path.
     """
     geometries, weights = _normalize_catalog(catalog)
-    if count < 1:
-        raise DataError("dataset count must be >= 1")
+    if not 1 <= count <= MAX_SCENES:
+        raise DataError(f"dataset count {count} must be 1 to {MAX_SCENES}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

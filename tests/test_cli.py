@@ -202,6 +202,38 @@ class TestDesign:
         assert summary is None
         assert "missing." in err
 
+    @pytest.mark.parametrize(
+        "mics",
+        [b"[[a, b, c]]", b"[[0, 0, 0], [1, 2]]", b"[" * 2000 + b"]" * 2000,
+         b"[[1" + b"0" * 5000 + b", 0, 0]]", b"[[0, 0, 0]]\n\xff\xfe", b"["],
+        ids=["non-numeric", "ragged", "deep", "5000-digits", "not-utf8", "yaml-syntax"],
+    )
+    def test_malformed_geometry_file_exits_2_with_one_line(self, tmp_path, capsys, mics):
+        """Each of these was a traceback, or (YAML syntax) three stderr lines."""
+        geometry = tmp_path / "g.yaml"
+        geometry.write_bytes(b"id: g\nmics: " + mics + b"\n")
+        cfg = tmp_path / "design.yaml"
+        cfg.write_text(f"geometry_file: {geometry}\nn_fft: 64\n")
+        out = tmp_path / "x.bbk"
+        code, summary, err = run(capsys, "design", "--config", str(cfg), "--out", str(out))
+        assert code == 2
+        assert summary is None
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"beambank design: {geometry}: bad geometry file: ")
+        assert not out.exists()
+
+    def test_config_yaml_syntax_error_exits_1_with_one_line(self, tmp_path, capsys):
+        """PyYAML's message spans three lines; the CLI prints it on one."""
+        cfg = tmp_path / "design.yaml"
+        cfg.write_text("geometry: [\n")
+        out = tmp_path / "x.bbk"
+        code, summary, err = run(capsys, "design", "--config", str(cfg), "--out", str(out))
+        assert code == 1
+        assert summary is None
+        [line] = err.splitlines()
+        assert line.startswith(f"beambank design: {cfg}: invalid YAML: while parsing a flow node ")
+        assert line.endswith(f'in "{cfg}", line 2, column 1')
+
     @pytest.mark.parametrize("n_fft", [MAX_N_FFT + 2, 2**40])
     def test_n_fft_above_cap_exits_1_before_allocating(
         self, design_cfg, tmp_path, capsys, monkeypatch, n_fft
@@ -721,6 +753,36 @@ class TestFeaturizeAndStats:
         assert summary is None
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.update(count=1e400), "cannot convert float infinity to integer"),
+            (lambda doc: doc.update(variance=doc["variance"][:1]),
+             "mean (5, 80) and variance (1, 80) are not of one (directions, mel) shape"),
+            (lambda doc: doc.pop("magic"), "not a beambank-stats-v1 file (magic None)"),
+        ],
+        ids=["count-1e400", "variance-broadcast", "no-magic"],
+    )
+    def test_malformed_stats_exits_2_with_one_line(
+        self, bank_file, input_wav, tmp_path, capsys, edit, message
+    ):
+        """A count of 1e400 was a traceback; a (1, 80) variance beside a
+        (5, 80) mean was broadcast, and featurize exited 0."""
+        doc = {"magic": "beambank-stats-v1", "count": 7, "mean": [[0.0] * 80] * 5,
+               "variance": [[1.0] * 80] * 5}
+        edit(doc)
+        stats = tmp_path / "stats.json"
+        stats.write_text(json.dumps(doc))
+        out = tmp_path / "x.feat"
+        code, summary, err = run(
+            capsys, "featurize", str(input_wav), "--bank", str(bank_file),
+            "--stats", str(stats), "--out", str(out),
+        )
+        assert code == 2
+        assert summary is None
+        assert err.splitlines() == [f"beambank featurize: {stats}: bad stats file: {message}"]
+        assert not out.exists()
+
     def test_stats_file_not_utf8_exits_2(self, bank_file, input_wav, tmp_path, capsys):
         stats = tmp_path / "stats.json"
         stats.write_bytes(b"\xff\xfe{}")
@@ -853,6 +915,50 @@ class TestSceneAndDataset:
             f"{workers} must be <= {config.MAX_WORKERS}"
         ]
         assert pools == [] and not out.exists()
+
+    @pytest.mark.parametrize("count", [simulate.MAX_SCENES + 1, 10**9])
+    @pytest.mark.parametrize("command", ["scene", "dataset"])
+    def test_count_above_cap_exits_1_before_any_seed(
+        self, dataset_cfg, tmp_path, capsys, monkeypatch, command, count
+    ):
+        """Scene names keep five digits; no per-scene seed is spawned."""
+        seeds = []
+        monkeypatch.setattr(simulate.np.random, "SeedSequence", lambda *a: seeds.append(a))
+        cfg = tmp_path / "many.yaml"
+        cfg.write_text(dataset_cfg.read_text().replace("count: 2", f"count: {count}"))
+        out = tmp_path / "d"
+        code, summary, err = run(capsys, command, "--config", str(cfg), "--out", str(out))
+        assert code == 1
+        assert summary is None
+        assert err.splitlines() == [f"beambank {command}: count {count} must be <= 100000"]
+        assert seeds == [] and not out.exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_transcript_not_utf8_exits_2_with_one_line(
+        self, corpus_dirs, tmp_path, capsys, workers
+    ):
+        """This was a UnicodeDecodeError traceback at either worker count."""
+        clips = tmp_path / "clips"
+        shutil.copytree(corpus_dirs[0], clips)
+        (clips / "utt0.txt").write_bytes(b"hello \xff\xfe there")
+        cfg = tmp_path / "bad_text.yaml"
+        cfg.write_text(
+            "geometries:\n- geometry: reference_glasses_5\n"
+            f"clips_dir: {clips}\nnoise_dir: {corpus_dirs[1]}\ncount: 6\nseed: 7\n"
+        )
+        code, summary, err = run(
+            capsys, "dataset", "--config", str(cfg), "--out", str(tmp_path / "d"),
+            "--workers", workers,
+        )
+        assert code == 2
+        assert summary is None
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert re.fullmatch(
+            rf"beambank dataset: scene 0000\d \(seed \d+\): {re.escape(str(clips))}/utt0\.txt: "
+            r"bad transcript: 'utf-8' codec can't decode byte 0xff in position 6: "
+            r"invalid start byte", lines[0]
+        )
 
     def test_dead_worker_exits_2_with_one_line(self, dataset_cfg, tmp_path, capsys, monkeypatch):
         """A worker process that dies (killed, out of memory) breaks the
@@ -1009,6 +1115,13 @@ def test_help_lists_every_environment_variable(capsys):
     assert names == {"BEAMBANK_SEED", "BEAMBANK_WORKERS", "BEAMBANK_LOG_LEVEL"}
     for name in names:
         assert re.search(rf"^  {name} ", out, re.M), name
+
+
+def test_log_level_help_comes_from_its_row(capsys):
+    assert main(["--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    row = config._LOG_LEVEL
+    assert f"--log-level LOG_LEVEL {row.help}, default {row.default} " in out
 
 
 @pytest.mark.parametrize(

@@ -600,6 +600,20 @@ class TestRenderAndDataset:
             build_dataset(catalog(glasses5, glasses7), None, None, count=6, out_dir=out)
         assert not out.exists()
 
+    @pytest.mark.parametrize("count", [0, simulate.MAX_SCENES + 1, 10**9])
+    def test_count_outside_cap_rejected_before_any_seed(
+        self, glasses5, tmp_path, monkeypatch, count
+    ):
+        """The cap keeps scene names at five digits and acts before the
+        per-scene seeds are spawned or any spec is sampled."""
+        seeds = []
+        monkeypatch.setattr(simulate.np.random, "SeedSequence", lambda *a: seeds.append(a))
+        monkeypatch.setattr(simulate, "sample_scene", lambda *a: pytest.fail("scene sampled"))
+        out = tmp_path / "ds"
+        with pytest.raises(DataError, match=f"dataset count {count} must be 1 to 100000"):
+            build_dataset([glasses5], None, None, count=count, out_dir=out)
+        assert seeds == [] and not out.exists()
+
     @pytest.mark.parametrize("count, pools", [(2, [2]), (1, [])])
     def test_starts_no_more_workers_than_scenes(
         self, glasses5, corpus_dirs, tmp_path, monkeypatch, count, pools
