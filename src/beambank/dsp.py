@@ -388,9 +388,9 @@ def read_wav(path, expected_fs: int | None = None) -> tuple[np.ndarray, int]:
     """Read a WAV file as (channels, samples) float64 in [-1, 1].
 
     PCM of 16, 24 or 32 bits is scaled by 2^-(bits-1); float32 and float64
-    pass through. See docs/formats.md for the accepted subset; anything
-    else is a DataError. A sample-rate mismatch with ``expected_fs`` is an
-    error; there is no resampling.
+    pass through, and a NaN or infinite one is refused. See docs/formats.md
+    for the accepted subset; anything else is a DataError. A sample-rate
+    mismatch with ``expected_fs`` is an error; there is no resampling.
     """
     try:
         with open(path, "rb") as fh:
@@ -416,6 +416,8 @@ def read_wav(path, expected_fs: int | None = None) -> tuple[np.ndarray, int]:
         )
     if tag == _FLOAT:
         data, scale = np.frombuffer(body, f"<f{width}"), 1.0
+        if not np.isfinite(data).all():
+            raise DataError(f"{path}: float samples must be finite (found NaN or inf)")
     elif width == 3:
         # left-justify each 24-bit sample in an int32
         wide = np.zeros((len(body) // 3, 4), np.uint8)

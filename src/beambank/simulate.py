@@ -6,15 +6,6 @@ fractionally delayed 81-tap windowed-sinc pulse. Scenes place a wearer
 (self), a conversation partner in the frontal sector, and optionally an
 out-of-sector bystander, then mix noise at an integer-dB SNR measured
 against the self+other mixture only.
-
-Each clip reaches the mics by overlap-add convolution with its RIR. An
-output of at most 32768 samples (``_ONE_SHOT_MAX``), or a RIR longer than
-half a block, takes one block: a single zero-padded real FFT of the 5-smooth
-length ``_fast_len(n)``, bit for bit the transform earlier versions used for
-every clip. Longer outputs are cut into 16384-point blocks
-(``_BLOCK_SIZE``). Their sums run in another order, so the float64 result
-moves in its last bits. Written as float32, such a scene's WAV can differ
-from an earlier version's in a few samples, each by one float32 step.
 """
 
 from __future__ import annotations
@@ -25,7 +16,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -471,25 +462,15 @@ class SceneManifest:
             raise DataError("segments must be ordered by start sample")
 
     def to_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "fs": self.fs,
-            "num_samples": self.num_samples,
-            "geometry_id": self.geometry_id,
-            "segments": [
-                {"start": s.start, "end": s.end, "speaker": s.speaker, "transcript": s.transcript}
-                for s in self.segments
-            ],
-            "reference": self.reference,
-            "scene": self.scene,
-            "audio_path": self.audio_path,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SceneManifest":
         """A manifest from a complete row; read it inside ``_container.parsing``."""
         if not isinstance(doc, dict):
             raise TypeError(f"row is a JSON {type(doc).__name__}, not an object")
+        if doc.get("schema") != MANIFEST_SCHEMA:
+            raise ValueError(f"not a {MANIFEST_SCHEMA} row (schema {doc.get('schema')!r})")
         audio_path = doc.get("audio_path")
         if not isinstance(audio_path, (str, type(None))):
             raise TypeError(f"audio_path {audio_path!r} is not a string")
@@ -511,23 +492,10 @@ class SceneManifest:
 
 
 def scene_to_dict(spec: SceneSpec) -> dict:
-    return {
-        "room": {
-            "dimensions": spec.room.dimensions.tolist(),
-            "absorption": np.asarray(spec.room.absorption).tolist(),
-            "max_order": spec.room.max_order,
-        },
-        "geometry_id": spec.geometry_id,
-        "wearer_position": spec.wearer_position.tolist(),
-        "wearer_yaw": spec.wearer_yaw,
-        "partner_azimuth": spec.partner_azimuth,
-        "partner_distance": spec.partner_distance,
-        "bystander_azimuth": spec.bystander_azimuth,
-        "bystander_distance": spec.bystander_distance,
-        "overlap_ratio": spec.overlap_ratio,
-        "snr_db": spec.snr_db,
-        "seed": spec.seed,
-    }
+    doc = asdict(spec)
+    doc["room"] = {key: np.asarray(value).tolist() for key, value in doc["room"].items()}
+    doc["wearer_position"] = spec.wearer_position.tolist()
+    return doc
 
 
 @dataclass
@@ -543,30 +511,11 @@ class ComposedScene:
     manifest: SceneManifest
 
 
-# _convolve_place's block rule, from a sweep over clips of 1-8 s and 5-7
-# mic RIRs of 450-2900 taps on a 2-core x86-64 host. Up to 32768 output
-# samples one zero-padded transform ran within noise of 16384-point blocks
-# (0.64-1.11x); from 36000 on the blocks took 0.60-0.81 of its time.
-# 16384 was at or near the fastest of the 5-smooth sizes 6144-20000.
-_ONE_SHOT_MAX = 32768
+# _convolve_place's block size, from a sweep over clips of 1-8 s and 5-7
+# mic RIRs of 450-2900 taps on a 2-core x86-64 host: 16384 was at or near
+# the fastest of the 5-smooth sizes 6144-20000, and within noise of one
+# zero-padded transform (0.64-1.11x its time) on outputs of up to 32768.
 _BLOCK_SIZE = 16384
-
-
-def _fast_len(n: int) -> int:
-    """The smallest 2^a 3^b 5^c >= n: a real-FFT length with only small
-    prime factors."""
-    best = 1 << max(n - 1, 0).bit_length()
-    five = 1
-    while five < best:
-        odd = five
-        while odd < best:
-            size = odd
-            while size < n:
-                size *= 2
-            best = min(best, size)
-            odd *= 3
-        five *= 5
-    return best
 
 
 def _convolve_place(total: np.ndarray, clip: np.ndarray, rir: RIR, onset: int):
@@ -577,23 +526,18 @@ def _convolve_place(total: np.ndarray, clip: np.ndarray, rir: RIR, onset: int):
     The clip is cut into blocks of ``step`` samples. The blocks go through
     one batched real FFT of ``size`` points and the taps through one more;
     the products go back through one batched inverse, and each block's
-    ``step + taps - 1`` output samples are added at its own offset. An
-    output of at most ``_ONE_SHOT_MAX`` samples, or a RIR longer than half
-    a block, takes one block of ``_fast_len(n)`` points: one zero-padded
-    transform of the whole clip. Longer outputs take ``_BLOCK_SIZE``-point
-    blocks with ``step = _BLOCK_SIZE - taps + 1``.
+    ``step + taps - 1`` output samples are added at its own offset. The
+    size is ``_BLOCK_SIZE``, or for a RIR longer than half of that the
+    power of two at least twice its length, and ``step = size - taps + 1``.
     """
     n_clip, n_taps = clip.shape[0], rir.taps.shape[1]
-    n = n_clip + n_taps - 1
-    if n <= _ONE_SHOT_MAX or 2 * n_taps > _BLOCK_SIZE:
-        size, step = _fast_len(n), n_clip
-    else:
-        size, step = _BLOCK_SIZE, _BLOCK_SIZE - n_taps + 1
+    size = max(_BLOCK_SIZE, 1 << (2 * n_taps - 1).bit_length())
+    step = size - n_taps + 1
     count = -(-n_clip // step)
     blocks = np.pad(clip, (0, count * step - n_clip)).reshape(count, step)
     spectrum = np.fft.rfft(blocks, size, axis=1)[:, None, :] * np.fft.rfft(rir.taps, size, axis=1)
     wet = np.fft.irfft(spectrum, size, axis=2)
-    stop = min(onset + n, total.shape[1])
+    stop = min(onset + n_clip + n_taps - 1, total.shape[1])
     for block, start in zip(wet, range(onset, stop, step)):
         end = min(start + step + n_taps - 1, stop)
         total[:, start:end] += block[:, : end - start]
@@ -736,6 +680,8 @@ def mix_noise(
         raise DataError(
             f"reference shape {reference.shape} differs from the scene's {scene_audio.shape}"
         )
+    if noise.shape[1] == 0:
+        raise DataError("noise recording has no samples")
 
     max_delay = int(round(MAX_DECORRELATION_DELAY_S * fs))
     mono_noise = noise.shape[0] == 1

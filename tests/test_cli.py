@@ -754,6 +754,27 @@ class TestFeaturizeAndStats:
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize(
+        "non_finite", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
+    )
+    @pytest.mark.parametrize("command", ["apply", "featurize", "stats"])
+    def test_non_finite_recording_exits_2_with_one_line(
+        self, bank_file, input_wav, tmp_path, capsys, command, non_finite
+    ):
+        """`apply` wrote NaN output and exited 0; `featurize` named no file."""
+        audio = read_wav(input_wav)[0]
+        audio[2, 4000] = non_finite
+        bad = tmp_path / "bad.wav"
+        write_wav(bad, audio, 16000)
+        out = tmp_path / "out"
+        code, summary, err = run(capsys, command, str(bad), "--bank", str(bank_file),
+                                 "--out", str(out))
+        assert (code, summary) == (2, None)
+        assert err.splitlines() == [
+            f"beambank {command}: {bad}: float samples must be finite (found NaN or inf)"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "edit, message",
         [
             (lambda doc: doc.update(count=1e400), "cannot convert float infinity to integer"),
@@ -960,6 +981,55 @@ class TestSceneAndDataset:
             r"invalid start byte", lines[0]
         )
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_non_finite_clip_exits_2_with_one_line(self, corpus_dirs, tmp_path, capsys, workers):
+        """One NaN sample in a clip used to make the whole scene NaN, exit 0."""
+        clips = tmp_path / "clips"
+        shutil.copytree(corpus_dirs[0], clips)
+        for wav in clips.glob("*.wav"):
+            audio = read_wav(wav)[0]
+            audio[0, 100] = math.nan
+            write_wav(wav, audio, 16000)
+        cfg = tmp_path / "nan_clips.yaml"
+        cfg.write_text(
+            "geometries:\n- geometry: reference_glasses_5\n"
+            f"clips_dir: {clips}\nnoise_dir: {corpus_dirs[1]}\ncount: 2\nseed: 7\n"
+        )
+        code, summary, err = run(
+            capsys, "dataset", "--config", str(cfg), "--out", str(tmp_path / "d"),
+            "--workers", workers,
+        )
+        assert (code, summary) == (2, None)
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert re.fullmatch(
+            rf"beambank dataset: scene 0000\d \(seed \d+\): {re.escape(str(clips))}/utt\d\.wav: "
+            r"float samples must be finite \(found NaN or inf\)", lines[0]
+        )
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_empty_noise_exits_2_with_one_line(self, corpus_dirs, tmp_path, capsys, workers):
+        """A 0-frame noise WAV was a ZeroDivisionError traceback, exit 1."""
+        noise = tmp_path / "noise"
+        noise.mkdir()
+        write_wav(noise / "empty.wav", np.zeros((1, 0)), 16000)
+        cfg = tmp_path / "empty_noise.yaml"
+        cfg.write_text(
+            "geometries:\n- geometry: reference_glasses_5\n"
+            f"clips_dir: {corpus_dirs[0]}\nnoise_dir: {noise}\ncount: 2\nseed: 7\n"
+        )
+        code, summary, err = run(
+            capsys, "dataset", "--config", str(cfg), "--out", str(tmp_path / "d"),
+            "--workers", workers,
+        )
+        assert (code, summary) == (2, None)
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert re.fullmatch(
+            r"beambank dataset: scene 0000\d \(seed \d+\): noise recording has no samples",
+            lines[0],
+        )
+
     def test_dead_worker_exits_2_with_one_line(self, dataset_cfg, tmp_path, capsys, monkeypatch):
         """A worker process that dies (killed, out of memory) breaks the
         pool; that is one line and exit 2, not a traceback."""
@@ -1068,6 +1138,26 @@ class TestSceneAndDataset:
         assert summary["files"] == 2
         assert summary["skipped_other_geometry"] == 0
         assert len(list(feat_dir.glob("*.feat"))) == 2
+
+    def test_manifest_of_another_schema_exits_2_with_one_line(
+        self, dataset_cfg, bank_file, tmp_path, capsys
+    ):
+        """A row of any schema used to be featurized as a scene."""
+        out = tmp_path / "ds"
+        code, _, _ = run(capsys, "dataset", "--config", str(dataset_cfg), "--out", str(out))
+        assert code == 0
+        manifest = out / "manifest.jsonl"
+        manifest.write_text(manifest.read_text().replace("beambank-scene-v1", "beambank-scene-v2"))
+        feat_dir = tmp_path / "feats"
+        code, summary, err = run(
+            capsys, "featurize", str(manifest), "--bank", str(bank_file), "--out", str(feat_dir)
+        )
+        assert (code, summary) == (2, None)
+        assert err.splitlines() == [
+            f"beambank featurize: {manifest}: bad manifest: not a beambank-scene-v1 row "
+            "(schema 'beambank-scene-v2')"
+        ]
+        assert list(feat_dir.glob("*.feat")) == []
 
     def test_featurize_and_stats_match_per_file_route(
         self, dataset_cfg, bank_file, tmp_path, capsys

@@ -233,6 +233,22 @@ def test_any_field_value_loads_or_is_one_parse_error(saved, tmp_path, name):
 
 
 @pytest.mark.parametrize(
+    "value", ['"beambank-scene-v2"', '"abc"', '{"a": 1}', "[1, [2]]", "null", "true", "-1", None],
+    ids=["v2", "string", "object", "list", "null", "true", "number", "missing"],
+)
+def test_manifest_row_of_another_schema_is_refused(saved, tmp_path, value):
+    """A row's ``schema`` is the manifest's ``magic``: a row of any other
+    schema, or none, used to be read as a scene."""
+    row = json.loads(saved["manifest"][1])
+    text = json.dumps({k: v for k, v in row.items() if k != "schema"})
+    if value is not None:
+        text = json.dumps({**row, "schema": "@@"}).replace('"@@"', value)
+    path = tmp_path / "schema.jsonl"
+    path.write_text(text + "\n")
+    assert "not a beambank-scene-v1 row (schema " in _refused("manifest", path)
+
+
+@pytest.mark.parametrize(
     "mics",
     [b"[[a, b, c]]", b"[[0, 0, 0], [1, 2]]", DEEP.encode(), b"[[1" + b"0" * 5000 + b", 0, 0]]",
      b"[[0, 0, 0]]\n\xff\xfe", b"[", b"[[0, 0, .nan]]"],

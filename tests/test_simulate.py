@@ -3,6 +3,8 @@
 import itertools
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from beambank.errors import DataError
 from beambank.geometry import ArrayGeometry
 from beambank.simulate import (
     _BLOCK_SIZE,
-    _ONE_SHOT_MAX,
     ACTIVITY_FLOOR,
     MAX_ORDER,
     MAX_RIR_SECONDS,
@@ -24,7 +25,6 @@ from beambank.simulate import (
     SceneSpec,
     _active_span,
     _convolve_place,
-    _fast_len,
     _image_lattice,
     _image_sources,
     build_dataset,
@@ -423,11 +423,6 @@ class TestComposeScene:
 
 
 class TestConvolvePlace:
-    def test_fast_len_is_the_least_5_smooth_length(self):
-        smooth = [n for n in range(1, 5000) if _is_5_smooth(n)]
-        for n in range(1, 4000):
-            assert _fast_len(n) == next(m for m in smooth if m >= n)
-
     @pytest.mark.parametrize("onset", [0, 600])
     def test_equals_direct_convolution_placed_at_onset(self, rng, onset):
         """The 1076 output samples land from ``onset`` on, cut at the end of
@@ -441,65 +436,42 @@ class TestConvolvePlace:
         np.testing.assert_allclose(total[:, onset:end], direct, atol=1e-12)
         assert not total[:, :onset].any() and not total[:, end:].any()
 
-    @pytest.mark.parametrize("n_clip, mics, n_taps", [(16000, 5, 2048), (24001, 7, 3001)])
-    def test_bit_identical_to_scipy_fftconvolve(self, rng, n_clip, mics, n_taps):
-        signal = pytest.importorskip("scipy.signal")
-        fft = pytest.importorskip("scipy.fft")
-        for n in (1, 2, 7, 11, 13, 4097, 18048, 27001, 99991):
-            assert _fast_len(n) == fft.next_fast_len(n, real=True)
-        clip = rng.standard_normal(n_clip)
-        taps = rng.standard_normal((mics, n_taps))
-        total = np.zeros((mics, n_clip + n_taps - 1))
-        _convolve_place(total, clip, RIR("x", taps, 16000), 0)
-        np.testing.assert_array_equal(total, signal.fftconvolve(clip[None, :], taps, axes=1))
-
-    # (clip, taps, onset, total length, FFT size the rule picks): outputs just
-    # below, at and above the one-shot limit; a clip of exactly three block
-    # steps; and blocks cut, or wholly dropped, at the end of ``total``
+    # (clip, taps, onset, total length, FFT size and block count the rule
+    # picks): a clip of less than one block step, of exactly one, two and
+    # three steps; blocks cut, or wholly dropped, at the end of ``total``;
+    # and RIRs just below, at and just above half a block, the last of
+    # which doubles the block
     @pytest.mark.parametrize(
-        "n_clip, n_taps, onset, total_len, size",
+        "n_clip, n_taps, onset, total_len, size, count",
         [
-            (_ONE_SHOT_MAX - 300, 300, 0, _ONE_SHOT_MAX, _fast_len(_ONE_SHOT_MAX - 1)),
-            (_ONE_SHOT_MAX - 299, 300, 0, _ONE_SHOT_MAX, _ONE_SHOT_MAX),
-            (_ONE_SHOT_MAX - 298, 300, 0, _ONE_SHOT_MAX + 1, _BLOCK_SIZE),
-            (3 * (_BLOCK_SIZE - 999), 1000, 0, 3 * _BLOCK_SIZE, _BLOCK_SIZE),
-            (60000, 500, 700, 30000, _BLOCK_SIZE),
+            (1000, 77, 0, 1076, _BLOCK_SIZE, 1),
+            (_BLOCK_SIZE - 299, 300, 0, _BLOCK_SIZE, _BLOCK_SIZE, 1),
+            (2 * (_BLOCK_SIZE - 299), 300, 0, 2 * _BLOCK_SIZE, _BLOCK_SIZE, 2),
+            (3 * (_BLOCK_SIZE - 999), 1000, 0, 3 * _BLOCK_SIZE, _BLOCK_SIZE, 3),
+            (60000, 500, 700, 30000, _BLOCK_SIZE, 4),
+            (20000, _BLOCK_SIZE // 2 - 1, 0, 30000, _BLOCK_SIZE, 3),
+            (20000, _BLOCK_SIZE // 2, 0, 30000, _BLOCK_SIZE, 3),
+            (20000, _BLOCK_SIZE // 2 + 1, 0, 30000, 2 * _BLOCK_SIZE, 1),
         ],
-        ids=["below-limit", "at-limit", "above-limit", "three-steps", "cut-at-end"],
+        ids=["short-clip", "one-step", "two-steps", "three-steps", "cut-at-end",
+             "below-limit", "at-limit", "above-limit"],
     )
     def test_block_rule_equals_direct_convolution(
-        self, rng, monkeypatch, n_clip, n_taps, onset, total_len, size
+        self, rng, monkeypatch, n_clip, n_taps, onset, total_len, size, count
     ):
-        sizes, rfft = [], np.fft.rfft
-        monkeypatch.setattr(np.fft, "rfft", lambda a, n, **kw: sizes.append(n) or rfft(a, n, **kw))
+        calls, rfft = [], np.fft.rfft
+        monkeypatch.setattr(
+            np.fft, "rfft", lambda a, n, **kw: calls.append((a.shape, n)) or rfft(a, n, **kw)
+        )
         clip = rng.standard_normal(n_clip)
         taps = 0.1 * rng.standard_normal((2, n_taps))
         total = np.zeros((2, total_len))
         _convolve_place(total, clip, RIR("x", taps, 16000), onset)
-        assert sizes == [size, size]
+        assert calls == [((count, size - n_taps + 1), size), ((2, n_taps), size)]
         end = min(onset + n_clip + n_taps - 1, total_len)
         direct = np.stack([np.convolve(clip, t)[: end - onset] for t in taps])
         np.testing.assert_allclose(total[:, onset:end], direct, rtol=0, atol=1e-12)
         assert not total[:, :onset].any() and not total[:, end:].any()
-
-    def test_rir_longer_than_half_a_block_keeps_one_transform(self, rng):
-        """Above the one-shot limit, a RIR of more than half a block still
-        takes the one zero-padded transform, bit for bit."""
-        clip = rng.standard_normal(_ONE_SHOT_MAX)
-        taps = rng.standard_normal((2, _BLOCK_SIZE // 2 + 1))
-        n = clip.shape[0] + taps.shape[1] - 1
-        total = np.zeros((2, n))
-        _convolve_place(total, clip, RIR("x", taps, 16000), 0)
-        size = _fast_len(n)
-        one_shot = np.fft.irfft(np.fft.rfft(clip, size) * np.fft.rfft(taps, size), size)
-        np.testing.assert_array_equal(total, one_shot[:, :n])
-
-
-def _is_5_smooth(n: int) -> bool:
-    for p in (2, 3, 5):
-        while n % p == 0:
-            n //= p
-    return n == 1
 
 
 def _abs_envelope_span(reference):
@@ -553,6 +525,13 @@ class TestMixNoise:
         with pytest.raises(DataError, match="reference shape"):
             mix_noise(scene, rng.standard_normal(20000), 10.0, reference, rng, 16000)
 
+    @pytest.mark.parametrize("shape", [(0,), (1, 0), (2, 0)], ids=["1-d", "mono", "two-channel"])
+    def test_empty_noise_rejected(self, rng, shape):
+        """An empty noise recording was a ZeroDivisionError while looping it."""
+        scene = rng.standard_normal((2, 16000))
+        with pytest.raises(DataError, match="noise recording has no samples"):
+            mix_noise(scene, np.zeros(shape), 10.0, scene, rng, 16000)
+
 
 class TestRenderAndDataset:
     def test_render_is_deterministic(self, rng, glasses5, corpus_dirs):
@@ -581,6 +560,29 @@ class TestRenderAndDataset:
             man = SceneManifest.from_dict(row)
             assert (out / man.audio_path).exists()
             assert man.geometry_id == glasses5.id
+
+    def test_manifest_row_keys_are_the_documented_keys(self, glasses5, corpus_dirs, tmp_path):
+        """A written row's keys, its segments' and its scene recipe's are
+        those docs/formats.md lists, so a new record field cannot reach the
+        file undocumented."""
+        doc = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text()
+        part = doc.split("\n## Scene manifest (`manifest.jsonl`)\n", 1)[1].split("\n## ", 1)[0]
+        table = {}
+        for line in part.splitlines():
+            if line.startswith("| `"):
+                keys, meaning = line.split(" | ")[:2]
+                table.update(dict.fromkeys(re.findall(r"`(\w+)`", keys), meaning))
+        clips_dir, noise_dir = corpus_dirs
+        manifest_path = build_dataset(
+            [glasses5], ClipSource.from_directory(clips_dir), NoiseSource.from_directory(noise_dir),
+            count=3, fs=16000, seed=11, workers=1, out_dir=tmp_path / "ds",
+        )
+        for row in map(json.loads, manifest_path.read_text().splitlines()):
+            assert sorted(row) == sorted(table)
+            fields = sorted(re.search(r"\{(.*)\}", table["segments"]).group(1).split(", "))
+            assert all(sorted(seg) == fields for seg in row["segments"])
+            scene_keys = set(row["scene"]) | set(row["scene"]["room"])
+            assert scene_keys == set(re.findall(r"`(\w+)`", table["scene"]))
 
     @pytest.mark.parametrize(
         "catalog, named",

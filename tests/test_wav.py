@@ -149,6 +149,21 @@ def test_unsupported_sample_format_is_a_data_error(tag, width, bits, tmp_path):
         read_wav(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("extensible", [False, True], ids=["plain", "extensible"])
+@pytest.mark.parametrize("name", ["float32", "float64"])
+def test_non_finite_float_sample_is_a_data_error(name, extensible, value, tmp_path, rng):
+    """One NaN sample in a clip used to turn a whole rendered scene into
+    NaN, and one in a recording every steered output sample after it."""
+    raw = _samples(name, (257, 3), rng)
+    raw[100, 1] = value
+    path = tmp_path / "in.wav"
+    path.write_bytes(_wav(raw, *FORMATS[name], extensible=extensible))
+    with pytest.raises(DataError) as info:
+        read_wav(path, expected_fs=FS)
+    assert str(info.value) == f"{path}: float samples must be finite (found NaN or inf)"
+
+
 @pytest.mark.parametrize("magic", [b"RIFX", b"RF64", b"FORM"])
 def test_other_containers_are_a_data_error(magic, tmp_path, rng):
     blob = _wav(_samples("pcm16", (10, 1), rng), PCM, 2)
