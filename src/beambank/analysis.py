@@ -9,13 +9,12 @@ import numpy as np
 
 from . import _container
 from .beamformer import _weights_of
+from .constants import MIN_RESOLUTION_DEG, SOUND_SPEED
 from .errors import DataError
-from .geometry import SOUND_SPEED, ArrayGeometry, DirectionSpec, _steering_rows, steering_vector
+from .geometry import ArrayGeometry, DirectionSpec, _steering_rows, steering_vector
 from .noise_model import NoiseCovariance
 
 EXPORT_DB_FLOOR = -80.0
-# finest beam-pattern azimuth step: 36000 points per sweep
-MIN_RESOLUTION_DEG = 0.01
 # numerical guard: 20*log10 of an exact null would be -inf
 _MAG_FLOOR = 1e-300
 

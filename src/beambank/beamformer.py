@@ -22,6 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _container
+from .constants import (
+    MAX_FS,
+    MAX_N_FFT,
+    METHODS,
+    SOUND_SPEED,
+    SOUND_SPEED_RANGE,
+    WNG_TOLERANCE,
+)
 from .errors import (
     DataError,
     DegenerateSteeringError,
@@ -30,7 +38,6 @@ from .errors import (
     raise_first,
 )
 from .geometry import (
-    SOUND_SPEED,
     ArrayGeometry,
     AtfSet,
     DirectionSpec,
@@ -48,15 +55,6 @@ from .noise_model import (
     regularize_stack,
 )
 
-WNG_TOLERANCE = 1e-8
-# top common audio rate; bounds every buffer sized from fs
-MAX_FS = 384000
-# one second at 16 kHz; bounds the (K+1, n_fft/2+1, M) weights and the
-# (n_fft/2+1, M, M) covariances a design or a bank file allocates
-MAX_N_FFT = 16384
-# plausible sound speeds in m/s: from sulfur hexafluoride (about 130) to
-# water (about 1480)
-SOUND_SPEED_RANGE = (100.0, 2000.0)
 MAX_BISECTION_STEPS = 60
 LOADING_CAP_SCALE = 1e6
 DISTORTIONLESS_TOL = 1e-6
@@ -64,7 +62,6 @@ SLACKNESS_BOUND = 1e-8
 
 BANK_MAGIC = "beambank-bank-v1"
 
-METHODS = ("delay_and_sum", "superdirective", "mvdr", "nlcmv")
 # per-design solver diagnostics a bank carries, (K+1, F) each, and their dtypes
 _DIAGNOSTICS = {"loading": float, "constraint": float, "iterations": int, "objective": float}
 # verify's invariants, in the order a failure is reported within one design
@@ -621,8 +618,9 @@ def save_bank(bank: BeamformerBank, path) -> None:
 
 
 def load_bank(path) -> BeamformerBank:
-    """Read a bank written by :func:`save_bank`; a malformed file, or one
-    whose settings fail :func:`check_solver_settings`, raises ParseError."""
+    """Read a bank written by :func:`save_bank`; a malformed file, one whose
+    settings fail :func:`check_solver_settings`, or one with a non-finite
+    weight raises ParseError."""
     with _container.reading(path, BANK_MAGIC, "bank") as (header, payload):
         geometry = ArrayGeometry(
             id=str(header["geometry"]["id"]),
@@ -638,11 +636,19 @@ def load_bank(path) -> BeamformerBank:
         check_solver_settings(**settings, fs=fs, n_fft=n_fft, method=method,
                               num_mics=geometry.num_mics)
         weights = payload("<c16", (len(directions), n_fft // 2 + 1, geometry.num_mics))
+        frequencies = np.fft.rfftfreq(n_fft, 1.0 / fs)
+
+        def at(i):  # the first bad (direction, bin), direction-major
+            di, fi = divmod(i, frequencies.shape[0])
+            return (f"non-finite weight at {directions[di].label()}, "
+                    f"bin {fi} ({frequencies[fi]:g} Hz)")
+
+        raise_first(np.isfinite(weights).all(axis=2).ravel(), ValueError, at)
         diag = header.get("diagnostics") or {}
         return BeamformerBank(
             geometry=geometry,
             directions=directions,
-            frequencies=np.fft.rfftfreq(n_fft, 1.0 / fs),
+            frequencies=frequencies,
             weights=weights,
             fs=fs,
             n_fft=n_fft,

@@ -9,6 +9,10 @@ Every run prints exactly one JSON summary line to stdout; messages and
 logging go to stderr. Outputs are deterministic given (config, seed) and
 carry no timestamps. Exit codes: 0 success, 1 usage or config problem,
 2 data problem, 3 numerical failure.
+
+At module level this file imports only the standard library, ``config``,
+``constants`` and ``errors``, so ``--help`` and usage errors load no numpy;
+each command imports the library modules it runs.
 """
 
 from __future__ import annotations
@@ -20,11 +24,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from ._container import parsing
-from .analysis import MIN_RESOLUTION_DEG, beam_pattern, export_pattern, pattern_steps
-from .beamformer import design_bank, load_bank, save_bank, verify_bank
 from .config import (
     LOG_LEVEL_HELP,
     config_epilog,
@@ -35,18 +34,8 @@ from .config import (
     log_level,
     rir_settings,
 )
-from .dsp import read_wav, steer_audio, write_wav
+from .constants import MIN_RESOLUTION_DEG
 from .errors import BeambankError, ConfigError, DataError
-from .features import (
-    accumulate_stats,
-    export_features,
-    featurize_audio,
-    load_stats,
-    normalize,
-    save_stats,
-)
-from .geometry import import_atfs
-from .simulate import ClipSource, NoiseSource, SceneManifest, build_dataset, generate_rir_ism
 
 _LOG = logging.getLogger("beambank")
 
@@ -65,6 +54,9 @@ def _config_base(path: str) -> str:
 
 
 def cmd_design(args) -> dict:
+    from .beamformer import design_bank, save_bank
+    from .geometry import import_atfs
+
     settings = design_settings(load_config(args.config), base_dir=_config_base(args.config))
     atf_file = settings.pop("atf_file")
     atfs = None if atf_file is None else import_atfs(atf_file)
@@ -87,6 +79,11 @@ def cmd_design(args) -> dict:
 
 
 def cmd_pattern(args) -> dict:
+    import numpy as np
+
+    from .analysis import beam_pattern, export_pattern, pattern_steps
+    from .beamformer import load_bank
+
     pattern_steps(args.resolution, error=ConfigError)
     if not (np.isfinite(args.freq) and args.freq >= 0):
         raise ConfigError(f"--freq {args.freq} Hz must be finite and >= 0")
@@ -125,6 +122,11 @@ def cmd_pattern(args) -> dict:
 
 
 def cmd_rir(args) -> dict:
+    import numpy as np
+
+    from .dsp import write_wav
+    from .simulate import generate_rir_ism
+
     settings = rir_settings(load_config(args.config), base_dir=_config_base(args.config))
     rir = generate_rir_ism(
         settings["room"], settings["source"], settings["mics"],
@@ -141,6 +143,8 @@ def cmd_rir(args) -> dict:
 
 
 def _run_dataset(args, **flags) -> dict:
+    from .simulate import ClipSource, NoiseSource, build_dataset
+
     s = dataset_settings(
         load_config(args.config), _config_base(args.config),
         dict(flags, seed=args.seed, out_dir=args.out),
@@ -171,6 +175,9 @@ def cmd_dataset(args) -> dict:
 
 
 def cmd_apply(args) -> dict:
+    from .beamformer import load_bank
+    from .dsp import read_wav, steer_audio, write_wav
+
     bank = load_bank(args.bank)
     audio, fs = read_wav(args.input, expected_fs=bank.fs)
     steered = steer_audio(audio, bank, num_samples=audio.shape[1])
@@ -184,6 +191,9 @@ def cmd_apply(args) -> dict:
 
 
 def _featurize_wav(wav_path, bank, stats):
+    from .dsp import read_wav
+    from .features import featurize_audio, normalize
+
     audio, _ = read_wav(wav_path, expected_fs=bank.fs)
     if audio.shape[0] != bank.num_mics:
         raise DataError(
@@ -198,6 +208,9 @@ def _featurize_wav(wav_path, bank, stats):
 def _manifest_wavs(manifest_path, geometry_id) -> tuple:
     """Audio paths from a manifest; rows for other geometries are counted,
     not processed (a bank only fits its own array)."""
+    from ._container import parsing
+    from .simulate import SceneManifest
+
     root = Path(manifest_path).parent
     wavs, skipped = [], 0
     with open(manifest_path, "r", encoding="utf-8") as fh, parsing(manifest_path, "manifest"):
@@ -224,6 +237,9 @@ def _input_wavs(path, geometry_id) -> tuple:
 
 
 def cmd_featurize(args) -> dict:
+    from .beamformer import load_bank
+    from .features import export_features, load_stats
+
     bank = load_bank(args.bank)
     stats = None if args.stats is None else load_stats(args.stats)
     inp = Path(args.input)
@@ -253,6 +269,9 @@ def cmd_featurize(args) -> dict:
 
 
 def cmd_stats(args) -> dict:
+    from .beamformer import load_bank
+    from .features import accumulate_stats, save_stats
+
     bank = load_bank(args.bank)
     wavs, skipped = _input_wavs(args.input, bank.geometry.id)
     stats = accumulate_stats(_featurize_wav(w, bank, None) for w in wavs)
@@ -267,6 +286,11 @@ def cmd_stats(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
+    import numpy as np
+
+    from .beamformer import load_bank, verify_bank
+    from .geometry import import_atfs
+
     bank = load_bank(args.bank)
     atfs = None
     if bank.atf_source == "file":

@@ -12,6 +12,11 @@ enforces is checked only there, and its ``DataError`` is re-raised as a
 ``ConfigError`` naming the key. ``_in_effect`` puts a flag, else a
 ``BEAMBANK_*`` variable, over the config value or default, each read by the
 row's reader. Relative paths resolve against the config file's directory.
+
+The module imports only the standard library, ``constants`` and ``errors``:
+``--help`` prints these rows and the log level is read from them before any
+command runs. numpy, yaml and the library are imported by the readers and
+``*_settings`` functions that use them.
 """
 
 from __future__ import annotations
@@ -22,31 +27,29 @@ import math
 import os
 import sys
 import textwrap
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-import numpy as np
-import yaml
-
-from .beamformer import (
+from .constants import (
+    BUILTIN_GEOMETRY_NAMES,
+    DEFAULT_MAX_ORDER,
     MAX_FS,
     MAX_N_FFT,
+    MAX_ORDER,
+    MAX_SCENES,
     METHODS,
+    MOUTH_OFFSET,
+    SOUND_SPEED,
     SOUND_SPEED_RANGE,
     WNG_TOLERANCE,
-    check_solver_settings,
 )
 from .errors import ConfigError, DataError
-from .geometry import (
-    BUILTIN_GEOMETRIES,
-    SOUND_SPEED,
-    ArrayGeometry,
-    DirectionSpec,
-    load_geometry,
-    select_subset,
-)
-from .noise_model import PointNoiseSpec
-from .simulate import (DEFAULT_MAX_ORDER, MAX_ORDER, MAX_SCENES, MOUTH_OFFSET, RoomSpec,
-                       _normalize_catalog)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .geometry import ArrayGeometry, DirectionSpec
+    from .noise_model import PointNoiseSpec
+    from .simulate import RoomSpec
 
 ENV_PREFIX = "BEAMBANK_"
 MAX_WORKERS = 64  # scene-renderer processes of one dataset run
@@ -67,6 +70,8 @@ class _Key(NamedTuple):
 
 def load_config(path) -> dict:
     """Read a YAML config file; the top level must be a mapping."""
+    import yaml
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)
@@ -192,6 +197,8 @@ def _list(item: Callable, empty_ok: bool = False) -> Callable:
 
 
 def _vector3(value, context: str) -> np.ndarray:
+    import numpy as np
+
     if not isinstance(value, list) or len(value) != 3:
         raise ConfigError(f"{context}: expected [x, y, z] in meters, got {value!r}")
     return np.array([_number(v, context) for v in value])
@@ -199,6 +206,8 @@ def _vector3(value, context: str) -> np.ndarray:
 
 def _positions(value, context: str) -> np.ndarray:
     """(M, 3) positions from a non-empty list of [x, y, z] rows."""
+    import numpy as np
+
     return np.array(_list(_vector3)(value, context))
 
 
@@ -208,6 +217,8 @@ def _absorption(value, context: str):
 
 def _array(value, context: str) -> ArrayGeometry:
     """A builtin geometry name or an inline {id, mics} mapping."""
+    from .geometry import BUILTIN_GEOMETRIES, ArrayGeometry
+
     if isinstance(value, str):
         if value not in BUILTIN_GEOMETRIES:
             raise ConfigError(
@@ -222,6 +233,10 @@ def _array(value, context: str) -> ArrayGeometry:
 def default_mouth_direction() -> DirectionSpec:
     """Near-field point at the wearer's mouth offset (8 cm forward, 6 cm
     below the array origin)."""
+    import numpy as np
+
+    from .geometry import DirectionSpec
+
     offset = np.asarray(MOUTH_OFFSET, dtype=float)
     dist = float(np.linalg.norm(offset))
     return DirectionSpec(
@@ -232,12 +247,16 @@ def default_mouth_direction() -> DirectionSpec:
 
 
 def _point(s: dict, context: str) -> DirectionSpec:
+    from .geometry import DirectionSpec
+
     with _as_config_error(context):
         return DirectionSpec(math.radians(s["azimuth"]), math.radians(s["elevation"]), s["range"])
 
 
 def _directions(value, context: str) -> list[DirectionSpec]:
     """K horizontal looks followed by the near-field mouth point."""
+    from .geometry import DirectionSpec
+
     s = _section(value, _DIRECTIONS, context)
     with _as_config_error(_dotted(context, "horizontal")):
         looks = [DirectionSpec(azimuth=math.radians(az)) for az in s["horizontal"]]
@@ -245,6 +264,8 @@ def _directions(value, context: str) -> list[DirectionSpec]:
 
 
 def _null(value, context: str) -> PointNoiseSpec:
+    from .noise_model import PointNoiseSpec
+
     s = _section(value, _NULL, context)
     direction = _point(s, context)
     with _as_config_error(context):
@@ -252,6 +273,8 @@ def _null(value, context: str) -> PointNoiseSpec:
 
 
 def room_from_config(section: dict, context: str = "room") -> RoomSpec:
+    from .simulate import RoomSpec
+
     s = _section(section, _ROOM, context)
     with _as_config_error(context):
         return RoomSpec(s["dimensions"], s["absorption"], s["max_order"])
@@ -272,7 +295,7 @@ _INLINE_GEOMETRY = (
 )
 _GEOMETRY = (
     _Key("geometry", _array, None,
-         f"builtin name ({', '.join(sorted(BUILTIN_GEOMETRIES))}) or a mapping of "
+         f"builtin name ({', '.join(sorted(BUILTIN_GEOMETRY_NAMES))}) or a mapping of "
          "the inline geometry keys below"),
     _Key("geometry_file", _text, None, "path to a geometry YAML (instead of 'geometry')"),
     _Key("subset", _list(_integer()), None, "channel indices to keep, in order"),
@@ -401,6 +424,8 @@ def _path(base_dir, value):
 
 def _geometry(s: dict, base_dir, context: str = "") -> ArrayGeometry:
     """The array a section's geometry / geometry_file / subset keys name."""
+    from .geometry import load_geometry, select_subset
+
     if (s["geometry"] is None) == (s["geometry_file"] is None):
         raise ConfigError(
             f"{context or 'config'} needs exactly one of 'geometry' or 'geometry_file'"
@@ -420,6 +445,8 @@ def design_settings(cfg: dict, base_dir=".") -> dict:
     The returned mapping carries an extra ``atf_file`` entry (path or None)
     that the caller pops and loads before designing.
     """
+    from .beamformer import check_solver_settings
+
     s = _section(cfg, _DESIGN, "")
     if (s["atf_source"] == "file") != (s["atf_file"] is not None):
         raise ConfigError("'atf_file' is required with atf_source 'file', and only then")
@@ -441,6 +468,9 @@ def design_settings(cfg: dict, base_dir=".") -> dict:
 def rir_settings(cfg: dict, base_dir=".") -> dict:
     """Validate a room-response config: a room, a source point, and mic
     positions (explicit list, or a geometry placed at 'position')."""
+    from .beamformer import check_solver_settings
+    from .geometry import ArrayGeometry
+
     s = _section(cfg, _RIR, "")
     if s["mics"] is not None:
         placed = [k for k in ("geometry", "geometry_file", "subset", "position") if s[k] is not None]
@@ -464,6 +494,8 @@ def rir_settings(cfg: dict, base_dir=".") -> dict:
 
 def _catalog(entries: list, base_dir) -> list:
     """(geometry, proportion) pairs; no proportions means equal shares."""
+    from .simulate import _normalize_catalog
+
     geometries = [_geometry(e, base_dir, f"geometries[{i}]") for i, e in enumerate(entries)]
     proportions = [e["proportion"] for e in entries]
     if None in proportions:
@@ -480,6 +512,8 @@ def dataset_settings(cfg: dict, base_dir=".", flags: dict | None = None) -> dict
     """Validate a scene/dataset config and return build_dataset-style
     keyword arguments (paths resolved, sources not yet opened), the
     ``flags`` ({key: value or None}) and ``BEAMBANK_*`` variables in effect."""
+    from .beamformer import check_solver_settings
+
     s = _section(cfg, _DATASET, "")
     check_solver_settings(fs=s["fs"], error=ConfigError)
     for key in ("clips_dir", "noise_dir", "out_dir"):

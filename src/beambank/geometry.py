@@ -18,6 +18,7 @@ import numpy as np
 import yaml
 
 from . import _container
+from .constants import BUILTIN_GEOMETRY_NAMES, SOUND_SPEED
 from .errors import (
     DataError,
     DegenerateSourceError,
@@ -33,7 +34,6 @@ MIN_MIC_SEPARATION = 1e-6
 # array is built.
 MAX_MICS = 64
 MIN_SOURCE_DISTANCE = 0.01
-SOUND_SPEED = 343.0
 
 ATF_MAGIC = "beambank-atf-v1"
 
@@ -358,7 +358,4 @@ def reference_glasses_5() -> ArrayGeometry:
     return select_subset(reference_glasses(), [2, 3, 4, 5, 6])
 
 
-BUILTIN_GEOMETRIES = {
-    "reference_glasses_7": reference_glasses,
-    "reference_glasses_5": reference_glasses_5,
-}
+BUILTIN_GEOMETRIES = dict(zip(BUILTIN_GEOMETRY_NAMES, (reference_glasses, reference_glasses_5)))

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import SOUND_SPEED
 from .errors import DataError, raise_first
-from .geometry import SOUND_SPEED, ArrayGeometry, DirectionSpec, steering_matrix
+from .geometry import ArrayGeometry, DirectionSpec, steering_matrix
 
 HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-9

@@ -22,16 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from . import _container
+from .constants import DEFAULT_MAX_ORDER, MAX_ORDER, MAX_SCENES, MOUTH_OFFSET, SOUND_SPEED
 from .errors import BeambankError, DataError
-from .geometry import SOUND_SPEED, ArrayGeometry
+from .geometry import ArrayGeometry
 
 ROOM_DIMS_LOW = np.array([5.0, 5.0, 2.0])
 ROOM_DIMS_HIGH = np.array([10.0, 10.0, 6.0])
 ABSORPTION_RANGE = (0.2, 0.6)
-DEFAULT_MAX_ORDER = 6
-# The image lattice grows with the cube of the order: order 30 already holds
-# about 38k images per source, 1.3 s and 160 MB for a 5-mic response.
-MAX_ORDER = 30
 # Longest room response, set by the farthest image over the sound speed and
 # checked before the taps are allocated. Sampled rooms (at most 10 x 10 x 6 m,
 # order 6) stay under 0.2 s, and order 30 in such a room under 0.9 s.
@@ -46,13 +43,9 @@ OVERLAP_CHOICES = (None, 0.0, 0.5)
 SELF_OTHER_OVERLAP = 0.1
 BYSTANDER_GAP_S = 0.2
 
-# mouth position in the device frame: in front of and below the array
-MOUTH_OFFSET = np.array([0.08, 0.0, -0.06])
-
 ACTIVITY_FLOOR = 1e-8
 MAX_DECORRELATION_DELAY_S = 2e-3
 MANIFEST_SCHEMA = "beambank-scene-v1"
-MAX_SCENES = 100_000  # per dataset: scene_00000.wav to scene_99999.wav
 
 # taps on each side of a pulse center; the pulse is 2 * _HALF_TAPS + 1 long
 _HALF_TAPS = 40

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beambank
-from beambank import cli, config, simulate
+from beambank import beamformer, cli, config, simulate
 from beambank.beamformer import MAX_FS, MAX_N_FFT, load_bank, save_bank
 from beambank.cli import main
 from beambank.dsp import _run_frames, apply_bank, istft, read_wav, stft, write_wav
@@ -324,6 +324,26 @@ class TestVerify:
         assert len(lines) == 1
         assert "'distortionless'" in lines[0]
         assert "az180 @ 2500 Hz" in lines[0]
+
+    @pytest.mark.parametrize("command", ["verify", "apply", "featurize", "stats", "pattern"])
+    def test_non_finite_weight_exits_2_naming_file_and_bin(
+        self, bank_file, input_wav, tmp_path, capsys, command
+    ):
+        """A NaN weight is a bad bank file for every command that reads one,
+        not a NaN output channel, a feature error or a failed invariant."""
+        bank = load_bank(bank_file)
+        bank.weights[1, 3, 2] = math.nan
+        broken = tmp_path / "broken.bbk"
+        save_bank(bank, broken)
+        out = tmp_path / "out"
+        inputs = [] if command in ("verify", "pattern") else [str(input_wav)]
+        outputs = [] if command == "verify" else ["--out", str(out)]
+        code, summary, err = run(capsys, command, *inputs, "--bank", str(broken), *outputs)
+        assert (code, summary) == (2, None)
+        assert err.strip().splitlines() == [
+            f"beambank {command}: {broken}: bad bank: non-finite weight at az90, bin 3 (750 Hz)"
+        ]
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "mutate, named",
@@ -1236,7 +1256,7 @@ def test_memory_error_exits_2_with_one_line(capsys, monkeypatch, tmp_path, error
     def exhausted(path):
         raise error
 
-    monkeypatch.setattr(cli, "load_bank", exhausted)
+    monkeypatch.setattr(beamformer, "load_bank", exhausted)
     code, summary, err = run(capsys, "verify", "--bank", str(tmp_path / "x.bank"))
     assert (code, summary) == (2, None)
     assert err.strip().splitlines() == [f"beambank verify: {str(error) or 'out of memory'}"]
@@ -1354,19 +1374,78 @@ def test_fuzzed_flag_value_exits_1_with_one_line(bank_file, data):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("module", ["scipy", "numba"])
-def test_import_loads_no_scipy(module):
-    """The package and its CLI import only numpy, yaml and the standard
-    library: scipy alone used to add over a second to every command, and
-    a jitted route made output bytes depend on what was installed."""
+def _fresh_interpreter(probe: str, *argv) -> subprocess.CompletedProcess:
+    """Run ``python -c probe *argv`` with this checkout's src/ first on the path."""
     env = dict(os.environ)
     src = str(Path(beambank.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", probe, *map(str, argv)], env=env, capture_output=True, text=True
+    )
+
+
+@pytest.mark.parametrize("module", ["scipy", "numba"])
+def test_import_loads_no_scipy(module):
+    """The package, every module it exports and its CLI import only numpy,
+    yaml and the standard library: scipy alone used to add over a second to
+    every command, and a jitted route made output bytes depend on what was
+    installed."""
     probe = (
-        "import sys, beambank, beambank.cli; "
+        "import sys, beambank, beambank.cli; from beambank import *; "
         f"print(sorted(m for m in sys.modules if m.split('.')[0] == {module!r}))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
+    out = _fresh_interpreter(probe)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+# runs ``beambank argv`` and prints the modules it loaded as the last stderr line
+_MODULES_AFTER_MAIN = (
+    "import json, sys\n"
+    "from beambank.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def _loaded(modules: list, packages) -> list:
+    return [m for m in modules if any(m == p or m.startswith(p + ".") for p in packages)]
+
+
+_NO_ARRAYS = ("numpy", "yaml", "concurrent.futures", "multiprocessing")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--help"], 0)]
+    + [([command, "--help"], 0) for command in
+       ("design", "pattern", "rir", "scene", "dataset", "apply", "featurize", "stats", "verify")]
+    + [(["verify"], 1)],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_help_and_usage_errors_run_on_the_standard_library(argv, code):
+    """``--help``, every command's ``--help`` and a usage error print from
+    the config rows alone: no numpy, yaml or process pool is imported."""
+    out = _fresh_interpreter(_MODULES_AFTER_MAIN, *argv)
+    assert out.returncode == code, out.stderr
+    assert _loaded(json.loads(out.stderr.splitlines()[-1]), _NO_ARRAYS) == []
+
+
+def test_import_beambank_loads_no_library_module():
+    out = _fresh_interpreter("import json, sys, beambank; print(json.dumps(sorted(sys.modules)))")
+    assert out.returncode == 0, out.stderr
+    modules = json.loads(out.stdout)
+    assert _loaded(modules, _NO_ARRAYS) == []
+    assert _loaded(modules, ["beambank"]) == ["beambank"]
+
+
+@pytest.mark.parametrize("command", ["verify", "apply"])
+def test_verify_and_apply_load_no_simulation_or_features(bank_file, input_wav, tmp_path, command):
+    """Steering and checking a bank need the beamformer and dsp modules,
+    not the scene renderer, its process pool, features or analysis."""
+    argv = ["verify"] if command == "verify" else ["apply", input_wav, "--out", tmp_path / "o.wav"]
+    out = _fresh_interpreter(_MODULES_AFTER_MAIN, *argv, "--bank", bank_file)
+    assert out.returncode == 0, out.stderr
+    heavy = ["beambank.simulate", "beambank.features", "beambank.analysis", "concurrent.futures"]
+    assert _loaded(json.loads(out.stderr.splitlines()[-1]), heavy) == []
