@@ -19,14 +19,13 @@ import math
 import os
 
 import numpy as np
-import yaml
 
 from .errors import DataError, ParseError
 
 # a missing or mistyped field, a bad or overflowing number or text, deep
-# nesting, bad YAML, or a library check on a parsed value
+# nesting, or a library check on a parsed value
 _MALFORMED = (ArithmeticError, AttributeError, KeyError, TypeError, ValueError,
-              RecursionError, yaml.YAMLError, DataError)
+              RecursionError, DataError)
 
 
 @contextlib.contextmanager

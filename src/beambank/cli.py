@@ -209,7 +209,7 @@ def _manifest_wavs(manifest_path, geometry_id) -> tuple:
     """Audio paths from a manifest; rows for other geometries are counted,
     not processed (a bank only fits its own array)."""
     from ._container import parsing
-    from .simulate import SceneManifest
+    from .manifest import SceneManifest
 
     root = Path(manifest_path).parent
     wavs, skipped = [], 0

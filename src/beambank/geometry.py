@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import yaml
 
 from . import _container
 from .constants import BUILTIN_GEOMETRY_NAMES, SOUND_SPEED
@@ -87,8 +86,8 @@ class DirectionSpec:
         el = float(self.elevation)
         if not -math.pi / 2 <= el <= math.pi / 2:
             raise DataError(f"elevation {el} outside [-pi/2, pi/2]")
-        if self.range_m is not None and not self.range_m > MIN_SOURCE_DISTANCE:
-            raise DataError(f"range {self.range_m} m must exceed {MIN_SOURCE_DISTANCE} m")
+        if self.range_m is not None and not MIN_SOURCE_DISTANCE < self.range_m < math.inf:
+            raise DataError(f"range {self.range_m} m must be finite and > {MIN_SOURCE_DISTANCE} m")
 
     @property
     def is_near_field(self) -> bool:
@@ -319,14 +318,21 @@ def import_atfs(path) -> AtfSet:
 def save_geometry(geometry: ArrayGeometry, path) -> None:
     """Write a geometry file (YAML: {id, mics}) through a temporary file and
     a rename."""
+    import yaml
+
     doc = {"id": geometry.id, "mics": [[float(v) for v in row] for row in geometry.mics]}
     _container.replace(path, [yaml.safe_dump(doc, sort_keys=False).encode("utf-8")])
 
 
 def load_geometry(path) -> ArrayGeometry:
     """Read a geometry file written by :func:`save_geometry` (YAML or JSON)."""
+    import yaml
+
     with open(path, "r", encoding="utf-8") as fh, _container.parsing(path, "geometry file"):
-        doc = yaml.safe_load(fh)
+        try:
+            doc = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ValueError(str(exc)) from exc
         if not isinstance(doc, dict) or "id" not in doc or "mics" not in doc:
             raise ValueError("needs 'id' and 'mics' fields")
         return ArrayGeometry(id=str(doc["id"]), mics=np.asarray(doc["mics"], dtype=float))

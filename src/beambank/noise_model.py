@@ -31,10 +31,10 @@ class PointNoiseSpec:
     psd: float = 1.0
 
     def __post_init__(self):
-        if not self.weight >= 0:
-            raise DataError(f"point-noise weight {self.weight} must be >= 0")
-        if not self.psd > 0:
-            raise DataError(f"point-noise psd {self.psd} must be > 0")
+        if not 0 <= self.weight < np.inf:
+            raise DataError(f"point-noise weight {self.weight} must be finite and >= 0")
+        if not 0 < self.psd < np.inf:
+            raise DataError(f"point-noise psd {self.psd} must be finite and > 0")
 
 
 @dataclass(frozen=True)

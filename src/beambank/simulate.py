@@ -14,8 +14,6 @@ import functools
 import itertools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -25,6 +23,7 @@ from . import _container
 from .constants import DEFAULT_MAX_ORDER, MAX_ORDER, MAX_SCENES, MOUTH_OFFSET, SOUND_SPEED
 from .errors import BeambankError, DataError
 from .geometry import ArrayGeometry
+from .manifest import MANIFEST_SCHEMA, SceneManifest, Segment
 
 ROOM_DIMS_LOW = np.array([5.0, 5.0, 2.0])
 ROOM_DIMS_HIGH = np.array([10.0, 10.0, 6.0])
@@ -45,7 +44,6 @@ BYSTANDER_GAP_S = 0.2
 
 ACTIVITY_FLOOR = 1e-8
 MAX_DECORRELATION_DELAY_S = 2e-3
-MANIFEST_SCHEMA = "beambank-scene-v1"
 
 # taps on each side of a pulse center; the pulse is 2 * _HALF_TAPS + 1 long
 _HALF_TAPS = 40
@@ -423,67 +421,6 @@ class Clip:
             raise DataError("clip transcript is empty")
 
 
-@dataclass(frozen=True)
-class Segment:
-    start: int
-    end: int
-    speaker: str
-    transcript: str
-
-
-@dataclass
-class SceneManifest:
-    """Everything needed to interpret one rendered scene."""
-
-    schema: str
-    fs: int
-    num_samples: int
-    geometry_id: str
-    segments: list[Segment]
-    reference: str
-    scene: dict
-    audio_path: str | None = None
-
-    def validate(self):
-        for seg in self.segments:
-            if seg.start < 0 or seg.end <= seg.start or seg.end > self.num_samples:
-                raise DataError(
-                    f"segment [{seg.start}, {seg.end}) outside audio of {self.num_samples} samples"
-                )
-        starts = [s.start for s in self.segments]
-        if starts != sorted(starts):
-            raise DataError("segments must be ordered by start sample")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SceneManifest":
-        """A manifest from a complete row; read it inside ``_container.parsing``."""
-        if not isinstance(doc, dict):
-            raise TypeError(f"row is a JSON {type(doc).__name__}, not an object")
-        if doc.get("schema") != MANIFEST_SCHEMA:
-            raise ValueError(f"not a {MANIFEST_SCHEMA} row (schema {doc.get('schema')!r})")
-        audio_path = doc.get("audio_path")
-        if not isinstance(audio_path, (str, type(None))):
-            raise TypeError(f"audio_path {audio_path!r} is not a string")
-        manifest = cls(
-            schema=doc["schema"],
-            fs=int(doc["fs"]),
-            num_samples=int(doc["num_samples"]),
-            geometry_id=str(doc["geometry_id"]),
-            segments=[
-                Segment(int(s["start"]), int(s["end"]), str(s["speaker"]), str(s["transcript"]))
-                for s in doc["segments"]
-            ],
-            reference=str(doc["reference"]),
-            scene=doc["scene"],
-            audio_path=audio_path,
-        )
-        manifest.validate()
-        return manifest
-
-
 def scene_to_dict(spec: SceneSpec) -> dict:
     doc = asdict(spec)
     doc["room"] = {key: np.asarray(value).tolist() for key, value in doc["room"].items()}
@@ -563,8 +500,7 @@ def compose_scene(
             raise DataError(f"{name} clip shorter than 1 s")
 
     pos = scene_positions(spec, geometry)
-    dims_ok = _placement_ok(spec, geometry)
-    if not dims_ok:
+    if not _placement_ok(spec, geometry):
         raise DataError("scene placement violates wall margins")
 
     rir_self = generate_rir_ism(
@@ -850,10 +786,12 @@ def build_dataset(
     render = functools.partial(_render_one, clips=clips, noise=noise, fs=fs, out_dir=out_dir)
     workers = min(workers, count)
     if workers > 1:
+        from concurrent.futures import process
+
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with process.ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(render, range(count), specs, scene_geometries))
-        except BrokenProcessPool as exc:  # a worker was killed, e.g. out of memory
+        except process.BrokenProcessPool as exc:  # a worker was killed, e.g. out of memory
             raise BeambankError(f"a scene worker process died: {exc}") from exc
     else:
         rows = list(map(render, range(count), specs, scene_geometries))

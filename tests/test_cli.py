@@ -10,7 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import process as futures_process
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +32,7 @@ from beambank.features import (
     save_stats,
 )
 from beambank.geometry import MAX_MICS
+from beambank.manifest import MANIFEST_SCHEMA, SceneManifest
 from beambank.simulate import MAX_ORDER, MAX_RIR_SECONDS
 
 
@@ -359,13 +360,22 @@ class TestVerify:
             (lambda doc: {**doc, "diagnostics": {
                 **doc["diagnostics"], "loading": doc["diagnostics"]["loading"][:2]}},
              "loading shape (2, 33)"),
+            (lambda doc: {**doc, "directions": [
+                *doc["directions"][:-1], {**doc["directions"][-1], "range_m": math.inf}]},
+             "range inf m"),
+            (lambda doc: {**doc, "nulls": [{**doc["nulls"][0], "weight": math.inf}]},
+             "weight inf"),
+            (lambda doc: {**doc, "nulls": [{**doc["nulls"][0], "psd": math.inf}]}, "psd inf"),
         ],
         ids=["bogus-method", "non-object", "n_fft-0", "fs-0", "fs-above-cap",
-             "wng-tolerance-inf", "sound-speed-below", "sound-speed-above", "loading-2-rows"],
+             "wng-tolerance-inf", "sound-speed-below", "sound-speed-above", "loading-2-rows",
+             "mouth-range-inf", "null-weight-inf", "null-psd-inf"],
     )
     def test_unknown_method_exits_2(self, bank_file, tmp_path, capsys, mutate, named):
         """A header mutated to an unknown method, a non-object, an empty
-        frequency grid or a wrongly shaped diagnostics array exits 2."""
+        frequency grid, a wrongly shaped diagnostics array or a non-finite
+        direction range, null weight or null psd (``Infinity`` in the JSON)
+        exits 2."""
         header, payload = bank_file.read_bytes().split(b"\n", 1)
         bogus = tmp_path / "bogus.bbk"
         bogus.write_bytes(json.dumps(mutate(json.loads(header))).encode() + b"\n" + payload)
@@ -936,7 +946,7 @@ class TestSceneAndDataset:
         """The cap acts on every source before a scene is sampled or a
         pool is built; no process is started."""
         pools = []
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", lambda **kw: pools.append(kw))
+        monkeypatch.setattr(futures_process, "ProcessPoolExecutor", lambda **kw: pools.append(kw))
         monkeypatch.setattr(simulate, "sample_scene", _forbidden("sample_scene"))
         cfg, argv = tmp_path / "many.yaml", []
         text = dataset_cfg.read_text().replace("count: 2", "count: 100")
@@ -1065,9 +1075,11 @@ class TestSceneAndDataset:
                 return False
 
             def map(self, *args):
-                raise BrokenProcessPool("a process in the pool was terminated abruptly")
+                raise futures_process.BrokenProcessPool(
+                    "a process in the pool was terminated abruptly"
+                )
 
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", DeadPool)
+        monkeypatch.setattr(futures_process, "ProcessPoolExecutor", DeadPool)
         code, summary, err = run(
             capsys, "dataset", "--config", str(dataset_cfg), "--out", str(tmp_path / "d"),
             "--workers", "2",
@@ -1440,12 +1452,44 @@ def test_import_beambank_loads_no_library_module():
     assert _loaded(modules, ["beambank"]) == ["beambank"]
 
 
-@pytest.mark.parametrize("command", ["verify", "apply"])
-def test_verify_and_apply_load_no_simulation_or_features(bank_file, input_wav, tmp_path, command):
-    """Steering and checking a bank need the beamformer and dsp modules,
-    not the scene renderer, its process pool, features or analysis."""
-    argv = ["verify"] if command == "verify" else ["apply", input_wav, "--out", tmp_path / "o.wav"]
-    out = _fresh_interpreter(_MODULES_AFTER_MAIN, *argv, "--bank", bank_file)
+_RENDERER = ["beambank.simulate", "concurrent.futures", "multiprocessing"]
+
+
+@pytest.mark.parametrize(
+    "command, heavy",
+    [
+        ("verify", [*_RENDERER, "beambank.features", "beambank.analysis", "yaml"]),
+        ("apply", [*_RENDERER, "beambank.features", "beambank.analysis", "yaml"]),
+        ("featurize", [*_RENDERER, "beambank.analysis", "yaml"]),
+        ("featurize-manifest", _RENDERER),
+        ("stats-manifest", _RENDERER),
+        ("rir", ["concurrent.futures", "multiprocessing"]),
+    ],
+    ids=["verify", "apply", "featurize", "featurize-manifest", "stats-manifest", "rir"],
+)
+def test_verify_and_apply_load_no_simulation_or_features(
+    bank_file, input_wav, tmp_path, command, heavy
+):
+    """Each command loads the modules it runs and no others: steering,
+    checking or featurizing with a bank needs no scene renderer, process
+    pool or YAML parser; reading a scene manifest needs only its records;
+    one room response starts no pool machinery."""
+    manifest = tmp_path / "manifest.jsonl"
+    row = SceneManifest(
+        schema=MANIFEST_SCHEMA, fs=16000, num_samples=8000,
+        geometry_id=load_bank(bank_file).geometry.id, segments=[], reference="", scene={},
+        audio_path=input_wav.name,
+    )
+    manifest.write_text(json.dumps(row.to_dict()) + "\n")
+    bank, feats = ["--bank", bank_file], ["--out", tmp_path / "feats"]
+    argv = {
+        "verify": ["verify", *bank],
+        "apply": ["apply", input_wav, *bank, "--out", tmp_path / "o.wav"],
+        "featurize": ["featurize", input_wav, *bank, *feats],
+        "featurize-manifest": ["featurize", manifest, *bank, *feats],
+        "stats-manifest": ["stats", manifest, *bank, "--out", tmp_path / "stats.json"],
+        "rir": ["rir", "--config", TestRir.EXAMPLE, "--out", tmp_path / "rir.wav"],
+    }[command]
+    out = _fresh_interpreter(_MODULES_AFTER_MAIN, *argv)
     assert out.returncode == 0, out.stderr
-    heavy = ["beambank.simulate", "beambank.features", "beambank.analysis", "concurrent.futures"]
     assert _loaded(json.loads(out.stderr.splitlines()[-1]), heavy) == []

@@ -39,7 +39,7 @@ from beambank.geometry import (
     reference_glasses_5,
     save_geometry,
 )
-from beambank.simulate import MANIFEST_SCHEMA
+from beambank.manifest import MANIFEST_SCHEMA
 
 FORMATS = {
     "bank": (save_bank, load_bank),

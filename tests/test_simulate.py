@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import re
+from concurrent.futures import process as futures_process
 from pathlib import Path
 
 import numpy as np
@@ -635,7 +636,7 @@ class TestRenderAndDataset:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(futures_process, "ProcessPoolExecutor", RecordingPool)
         clips_dir, noise_dir = corpus_dirs
         build_dataset(
             [glasses5], ClipSource.from_directory(clips_dir), NoiseSource.from_directory(noise_dir),
