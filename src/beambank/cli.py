@@ -176,10 +176,11 @@ def cmd_dataset(args) -> dict:
 
 def cmd_apply(args) -> dict:
     from .beamformer import load_bank
-    from .dsp import read_wav, steer_audio, write_wav
+    from .dsp import _riff_size, read_wav, steer_audio, write_wav
 
     bank = load_bank(args.bank)
     audio, fs = read_wav(args.input, expected_fs=bank.fs)
+    _riff_size(args.out, bank.num_directions, audio.shape[1])  # refused before it is steered
     steered = steer_audio(audio, bank, num_samples=audio.shape[1])
     write_wav(args.out, steered, fs)
     return {

@@ -433,21 +433,36 @@ def read_wav(path, expected_fs: int | None = None) -> tuple[np.ndarray, int]:
     return audio, fs
 
 
+# the fmt (18-byte body), fact and data chunk headers of write_wav's files
+_FLOAT_HEAD_BYTES = 26 + 12 + 8
+
+
+def _riff_size(path, channels: int, frames: int) -> int:
+    """The RIFF size field of a float32 WAV of ``channels`` x ``frames``
+    samples; a DataError if it exceeds the field's 32 bits. Callers check
+    before they build the audio."""
+    data = 4 * channels * frames
+    size = 4 + _FLOAT_HEAD_BYTES + data
+    if size > 0xFFFFFFFF:
+        raise DataError(f"{path}: {data} bytes of audio exceed a RIFF file")
+    return size
+
+
 def write_wav(path, audio, fs: int) -> None:
     """Write (channels, samples) audio as float32 WAV through a temporary
-    file and a rename; docs/formats.md gives the exact layout."""
+    file and a rename; docs/formats.md gives the exact layout. Audio whose
+    transpose is C-contiguous, as mix_noise returns, is cast without
+    reordering."""
     x = _as_2d(audio)
-    payload = np.ascontiguousarray(x.T, dtype="<f4")
     channels, frames = x.shape
+    size = _riff_size(path, channels, frames)
     fs = int(fs)
     # non-PCM: an 18-byte fmt chunk with a cbSize of 0, and a fact chunk
     # with the frame count
     head = b"fmt " + struct.pack("<IHHIIHHH", 18, _FLOAT, channels, fs, fs * channels * 4,
                                  channels * 4, 32, 0)
     head += b"fact" + struct.pack("<II", 4, frames)
-    head += b"data" + struct.pack("<I", payload.nbytes)
-    size = 4 + len(head) + payload.nbytes
-    if size > 0xFFFFFFFF:
-        raise DataError(f"{path}: {payload.nbytes} bytes of audio exceed a RIFF file")
+    head += b"data" + struct.pack("<I", 4 * channels * frames)
+    payload = np.ascontiguousarray(x.T, dtype="<f4")
     riff = b"RIFF" + struct.pack("<I", size) + b"WAVE" + head
     _container.replace(path, (riff, payload.reshape(-1).view(np.uint8)))

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beambank
-from beambank import beamformer, cli, config, simulate
+from beambank import beamformer, cli, config, dsp, simulate
 from beambank.beamformer import MAX_FS, MAX_N_FFT, load_bank, save_bank
 from beambank.cli import main
 from beambank.dsp import _run_frames, apply_bank, istft, read_wav, stft, write_wav
@@ -676,6 +676,26 @@ class TestApply:
         assert max(shape[1] for shape in shapes) == _run_frames(5, 64)
         assert sum(shape[1] for shape in shapes) == samples // 32 + 1
         assert out.read_bytes() == whole.read_bytes()
+
+    def test_output_beyond_a_riff_file_exits_2_before_steering(
+        self, bank_file, tmp_path, capsys, monkeypatch
+    ):
+        """3.7 h of 5-mic audio through the 5-direction bank is more float32
+        than a RIFF file holds. It is refused before steer_audio builds
+        float64 output of that size."""
+        frames = 0xFFFFFFFF // (4 * 5) + 1
+        audio = np.broadcast_to(np.float64(0.0), (5, frames))
+        monkeypatch.setattr(dsp, "read_wav", lambda path, expected_fs=None: (audio, 16000))
+        monkeypatch.setattr(dsp, "steer_audio", _forbidden("steer_audio"))
+        out = tmp_path / "o.wav"
+        code, summary, err = run(capsys, "apply", str(tmp_path / "in.wav"),
+                                 "--bank", str(bank_file), "--out", str(out))
+        assert code == 2
+        assert summary is None
+        assert err.strip().splitlines() == [
+            f"beambank apply: {out}: {20 * frames} bytes of audio exceed a RIFF file"
+        ]
+        assert not out.exists()
 
     @pytest.mark.parametrize("cut", [30, 44, 57])
     def test_cut_input_exits_2_with_one_line(

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from beambank import simulate
+from beambank.dsp import write_wav
 from beambank.errors import DataError
 from beambank.geometry import ArrayGeometry
 from beambank.simulate import (
@@ -512,13 +513,82 @@ class TestMixNoise:
             )
             assert measured == pytest.approx(snr, abs=1e-9)
 
-    def test_multichannel_noise_is_not_written(self, rng):
+    @staticmethod
+    def _mix_keeps_inputs(rng, noise):
+        """mix_noise leaves its noise, scene and reference as they were,
+        with the scene as its own reference and with a separate one."""
         fs = 16000
-        reference = rng.standard_normal((2, fs))
-        noise = rng.standard_normal((2, 2 * fs))
-        kept = noise.copy()
-        mix_noise(reference, noise, 10.0, reference, rng, fs)
-        np.testing.assert_array_equal(noise, kept)
+        scene = rng.standard_normal((2, fs))
+        reference = 0.5 * scene
+        arrays = (noise, scene, reference)
+        kept = [a.copy() for a in arrays]
+        mix_noise(scene, noise, 10.0, scene, rng, fs)
+        mix_noise(scene, noise, 10.0, reference, rng, fs)
+        for array, copy in zip(arrays, kept):
+            np.testing.assert_array_equal(array, copy)
+
+    def test_multichannel_noise_is_not_written(self, rng):
+        self._mix_keeps_inputs(rng, rng.standard_normal((2, 2 * 16000)))
+
+    @pytest.mark.parametrize("samples", [2 * 16000, 5000], ids=["long", "looped"])
+    def test_mono_noise_is_not_written(self, rng, samples):
+        self._mix_keeps_inputs(rng, rng.standard_normal((1, samples)))
+
+    @staticmethod
+    def _parent_mix(scene, noise, snr_db, reference, seed, fs):
+        """mix_noise by the earlier whole-array formula: the stacked delayed
+        copy of mono noise, and np.mean of squares over it and over the
+        reference's active span."""
+        m, n = scene.shape
+        if noise.shape[0] == 1:
+            max_delay = round(simulate.MAX_DECORRELATION_DELAY_S * fs)
+            delays = np.random.default_rng(seed).integers(0, max_delay + 1, size=m)
+            mono = np.tile(noise[0], math.ceil((n + delays.max()) / noise.shape[1]))
+            channels = np.stack([mono[d : d + n] for d in delays])
+        else:
+            channels = np.tile(noise, (1, math.ceil(n / noise.shape[1])))[:, :n]
+        span = _abs_envelope_span(reference)
+        p_ref = np.mean(np.square(reference[:, span]))
+        p_noise = np.mean(np.square(channels[:, span]))
+        scale = math.sqrt(p_ref / (p_noise * 10.0 ** (snr_db / 10.0)))
+        return scene + scale * channels, scale * channels
+
+    @pytest.mark.parametrize(
+        "channels, samples",
+        [(1, 30011), (1, 250000), (7, 250000), (7, 30011)],
+        ids=["mono-looped", "mono-long", "multichannel", "multichannel-looped"],
+    )
+    def test_scale_matches_parent_formula(self, rng, channels, samples):
+        """Over a scene of several tiles whose active span starts and ends
+        inside it, the noise scale equals the whole-array formula's within
+        1e-12 relative (the mix of a zero scene), and the mix of a nonzero
+        scene is within 1e-12 of the scaled noise's peak."""
+        fs, n = 16000, 4 * simulate._TILE + 1234
+        reference = np.zeros((7, n))
+        reference[:, 3001 : n - 2777] = 0.2 * rng.standard_normal((7, n - 5778))
+        scene = reference + 0.01 * rng.standard_normal((7, n))
+        noise = rng.uniform(-1.0, 1.0, (channels, samples))
+        for snr in (-5.0, 12.0):
+            mixed = mix_noise(np.zeros_like(scene), noise, snr, reference,
+                              np.random.default_rng(7), fs)
+            _, scaled = self._parent_mix(scene, noise, snr, reference, 7, fs)
+            np.testing.assert_allclose(mixed, scaled, rtol=1e-12, atol=0)
+            mixed = mix_noise(scene, noise, snr, reference, np.random.default_rng(7), fs)
+            expected, _ = self._parent_mix(scene, noise, snr, reference, 7, fs)
+            np.testing.assert_allclose(mixed, expected, rtol=0, atol=1e-12 * np.abs(scaled).max())
+
+    @pytest.mark.parametrize("channels", [1, 3], ids=["mono", "multichannel"])
+    def test_result_is_interleaved_frames_written_unchanged(self, rng, channels, tmp_path):
+        """The float64 (channels, samples) result is the transpose of a
+        C-contiguous frame array, and write_wav writes it as it writes a
+        C-contiguous copy."""
+        scene = rng.standard_normal((3, simulate._TILE + 77))
+        mixed = mix_noise(scene, rng.standard_normal((channels, 9000)), 3.0, scene, rng, 16000)
+        assert mixed.dtype == np.float64 and mixed.shape == scene.shape
+        assert mixed.T.flags.c_contiguous
+        write_wav(tmp_path / "a.wav", mixed, 16000)
+        write_wav(tmp_path / "b.wav", np.ascontiguousarray(mixed), 16000)
+        assert (tmp_path / "a.wav").read_bytes() == (tmp_path / "b.wav").read_bytes()
 
     @pytest.mark.parametrize("shape", [(1, 16000), (2, 15999)])
     def test_reference_of_another_shape_rejected(self, rng, shape):
@@ -643,6 +713,34 @@ class TestRenderAndDataset:
             count=count, fs=16000, seed=5, workers=8, out_dir=tmp_path / "ds",
         )
         assert started == pools
+
+    def test_composed_route_writes_the_dataset_bytes(self, glasses5, corpus_dirs, tmp_path):
+        """compose_scene, mix_noise and write_wav, drawing from each scene's
+        rng as render_scene does, write the bytes build_dataset writes, for
+        scenes with a bystander and without."""
+        clips_dir, noise_dir = corpus_dirs
+        clips = ClipSource.from_directory(clips_dir)
+        noise = NoiseSource.from_directory(noise_dir)
+        build_dataset([glasses5], clips, noise, count=4, fs=16000, seed=3, workers=1,
+                      out_dir=tmp_path / "ds")
+        kinds = set()
+        for index, child in enumerate(np.random.SeedSequence(3).spawn(4)):
+            spec_rng = np.random.default_rng(child)
+            spec_rng.choice(1, p=[1.0])
+            spec = sample_scene(spec_rng, [glasses5])
+            kinds.add(spec.has_bystander)
+            rng = np.random.default_rng(spec.seed)
+            picks = rng.choice(len(clips), size=3, replace=False)
+            loaded = [clips.load(int(pick), 16000) for pick in picks]
+            composed = compose_scene(spec, glasses5, loaded[0], loaded[1],
+                                     loaded[2] if spec.has_bystander else None, 16000)
+            noise_audio = noise.load(int(rng.integers(len(noise))), 16000)
+            mixed = mix_noise(composed.audio, noise_audio, spec.snr_db, composed.main_mix, rng,
+                              16000)
+            write_wav(tmp_path / "own.wav", mixed, 16000)
+            name = f"scene_{index:05d}.wav"
+            assert (tmp_path / "own.wav").read_bytes() == (tmp_path / "ds" / name).read_bytes()
+        assert kinds == {False, True}
 
     def test_build_dataset_reproducible_across_workers(
         self, glasses5, corpus_dirs, tmp_path

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beambank.dsp import read_wav, write_wav
+from beambank.dsp import _riff_size, read_wav, write_wav
 from beambank.errors import DataError
 
 FS = 16000
@@ -283,3 +283,20 @@ def test_write_failing_in_the_payload_keeps_the_previous_file(
     monkeypatch.undo()
     write_wav(target, audio, FS)
     np.testing.assert_array_equal(read_wav(target)[0], audio.astype(np.float32))
+
+
+@pytest.mark.parametrize("channels", [1, 9])
+def test_audio_beyond_a_riff_file_refused_before_its_payload(channels, tmp_path, monkeypatch):
+    """The 32-bit RIFF size (4 + 46 header bytes + the samples) is checked
+    from the shape, before any float32 payload is built."""
+    frames = (0xFFFFFFFF - 50) // (4 * channels) + 1
+    assert _riff_size(tmp_path, channels, frames - 1) <= 0xFFFFFFFF
+    audio = np.broadcast_to(np.float64(0.0), (channels, frames))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a payload was built")
+
+    monkeypatch.setattr(np, "ascontiguousarray", forbidden)
+    with pytest.raises(DataError, match=f"{4 * channels * frames} bytes of audio exceed a RIFF"):
+        write_wav(tmp_path / "big.wav", audio, FS)
+    assert list(tmp_path.iterdir()) == []
