@@ -176,11 +176,17 @@ def cmd_dataset(args) -> dict:
 
 def cmd_apply(args) -> dict:
     from .beamformer import load_bank
-    from .dsp import _riff_size, read_wav, steer_audio, write_wav
+    from .dsp import _riff_size, _wav_frames, read_wav, steer_audio, write_wav
 
     bank = load_bank(args.bank)
+    # an output a WAV cannot hold is refused from the input's header, before
+    # its samples are read, and again from what was read (a file that could
+    # not be probed), before they are steered
+    frames = _wav_frames(args.input)
+    if frames is not None:
+        _riff_size(args.out, bank.num_directions, frames)
     audio, fs = read_wav(args.input, expected_fs=bank.fs)
-    _riff_size(args.out, bank.num_directions, audio.shape[1])  # refused before it is steered
+    _riff_size(args.out, bank.num_directions, audio.shape[1])
     steered = steer_audio(audio, bank, num_samples=audio.shape[1])
     write_wav(args.out, steered, fs)
     return {

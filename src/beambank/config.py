@@ -52,7 +52,7 @@ if TYPE_CHECKING:
     from .simulate import RoomSpec
 
 ENV_PREFIX = "BEAMBANK_"
-MAX_WORKERS = 64  # scene-renderer processes of one dataset run
+MAX_WORKERS = 64  # scene renderers of one dataset run, steering threads of one apply
 
 _REQUIRED = object()
 

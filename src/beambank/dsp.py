@@ -7,27 +7,35 @@ out[k, t, f] = h_k(f)^H x(t, f).
 
 One weighted overlap-add frame engine (Crochiere, IEEE TASSP 1980) has
 three stages, ``_analyze`` (frames, window, rfft), ``_steer`` and
-``_synthesize`` (irfft, window, overlap-add), and three front ends:
+synthesis (irfft, window, overlap-add), and three front ends:
 
 - whole signal: ``stft``, ``apply_bank`` and ``istft`` each run one stage
   over every frame of a signal
-- chunked offline: ``_analysis_runs`` analyses one run of frames at a
-  time; ``steer_audio`` steers and overlap-adds each run into one output
-  buffer (and ``features.featurize_audio`` steers each into log-mel rows),
-  so they hold the audio, the output and one run of frames, never a
-  whole-signal spectrogram
+- chunked offline: the signal is cut into runs of frames, each analysed
+  from ``_run_source``'s view of the audio. ``features.featurize_audio``
+  steers each run from ``_analysis_runs`` into log-mel rows, serially.
+  ``steer_audio`` computes its runs on up to one thread per usable core,
+  into buffers allocated once per call (each thread's scratch and a ring of
+  synthesis-frame slots), and overlap-adds them into one output buffer in
+  run order, so its bytes are the same at any thread count. Both hold the
+  audio, the output and a few runs of frames, never a whole-signal
+  spectrogram
 - streaming: ``BlockProcessor`` runs all three over the frames each pushed
   block completes
 """
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _container
+from .config import MAX_WORKERS
 from .errors import DataError, GridMismatchError
 
 DEFAULT_FS = 16000
@@ -35,13 +43,16 @@ DEFAULT_N_FFT = 512
 DEFAULT_HOP = 256
 # OLA gain below this fraction of the peak is treated as unrecoverable
 _EDGE_THRESHOLD = 1e-8
-# _analysis_runs' run length: as many frames as fit their input spectra in
-# this many bytes. In a sweep of 128 KB to 4 MB on a 2-core x86-64 host
-# (20 s at 5 mics and n_fft 512, 30 s at 7 mics and 1024), 0.5-1 MB was
-# fastest on both (25-51 and 9-18 frames); 4 MB runs took 1.2x as long and
-# one whole-signal run 1.4x. Featurizing the same shapes in runs of 16-64
-# frames was 1.1-1.6x faster than in one whole-signal run.
+# run length of _analysis_runs and steer_audio: as many frames as fit their
+# input spectra in this many bytes. In a serial sweep (one thread) of 128 KB
+# to 4 MB on a 2-core x86-64 host (20 s at 5 mics and n_fft 512, 30 s at 7
+# mics and 1024), 0.5-1 MB was fastest on both (25-51 and 9-18 frames); 4 MB
+# runs took 1.2x as long and one whole-signal run 1.4x. Featurizing the same
+# shapes in runs of 16-64 frames was 1.1-1.6x faster than in one
+# whole-signal run. steer_audio's threaded runs were not swept again.
 _RUN_BYTES = 1 << 20
+# name prefix of steer_audio's threads
+_THREAD_PREFIX = "beambank-steer"
 
 
 def _overlap_add(frames: np.ndarray, hop: int, out: np.ndarray) -> None:
@@ -62,33 +73,40 @@ def _overlap_add(frames: np.ndarray, hop: int, out: np.ndarray) -> None:
 
 
 def _analyze(
-    x: np.ndarray, window: np.ndarray, hop: int, n_frames: int, start: int = 0
+    x: np.ndarray, window: np.ndarray, hop: int, n_frames: int, start: int = 0,
+    windowed: np.ndarray | None = None, out: np.ndarray | None = None,
 ) -> np.ndarray:
     """(C, n_frames, bins) rfft of windowed frames of C-contiguous (C, samples)
-    x, the first frame starting at sample ``start``."""
+    x, the first frame starting at sample ``start``. The windowed frames go
+    to ``windowed`` and the spectra to ``out`` when they are given."""
     n_fft, step = window.shape[0], x.strides[1]
     # frames as a strided view on x's buffer; numpy checks it stays inside x
     shape, strides = (x.shape[0], n_frames, n_fft), (x.strides[0], hop * step, step)
-    return np.fft.rfft(np.ndarray(shape, x.dtype, x, start * step, strides) * window, axis=2)
+    frames = np.ndarray(shape, x.dtype, x, start * step, strides)
+    return np.fft.rfft(np.multiply(frames, window, out=windowed), axis=2, out=out)
 
 
-def _steer(conj_weights: np.ndarray, data: np.ndarray) -> np.ndarray:
+def _steer(conj_weights: np.ndarray, data: np.ndarray, out: np.ndarray | None = None):
     """out[k, t, f] = sum_m conj_weights[k, f, m] data[m, t, f]."""
-    return np.einsum("kfm,mtf->ktf", conj_weights, data)
+    return np.einsum("kfm,mtf->ktf", conj_weights, data, out=out)
 
 
-def _synthesize(
-    data: np.ndarray, window: np.ndarray, hop: int, out: np.ndarray | None = None
+def _synthesis_frames(
+    data: np.ndarray, window: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Overlap-add of the windowed irfft frames of (C, T, bins) data into
-    ``out`` of C rows of (T - 1) * hop + n_fft samples (new zeros by
-    default), unnormalised."""
-    frames = np.fft.irfft(data, n=window.shape[0], axis=2)
+    """The windowed irfft frames (C, T, n_fft) of (C, T, bins) data, into
+    ``out`` when it is given."""
+    frames = np.fft.irfft(data, n=window.shape[0], axis=2, out=out)
     frames *= window
-    if out is None:
-        out = np.zeros((data.shape[0], (data.shape[1] - 1) * hop + window.shape[0]))
-    for ch in range(frames.shape[0]):
-        _overlap_add(frames[ch], hop, out[ch])
+    return frames
+
+
+def _synthesize(data: np.ndarray, window: np.ndarray, hop: int) -> np.ndarray:
+    """Overlap-add of the windowed irfft frames of (C, T, bins) data into new
+    zeros of C rows of (T - 1) * hop + n_fft samples, unnormalised."""
+    out = np.zeros((data.shape[0], (data.shape[1] - 1) * hop + window.shape[0]))
+    for frames, row in zip(_synthesis_frames(data, window), out):
+        _overlap_add(frames, hop, row)
     return out
 
 
@@ -238,27 +256,125 @@ def _bank_frames(audio, bank) -> tuple:
     return x, samples // (bank.n_fft // 2) + 1  # stft's count over the center-padded signal
 
 
+def _run_source(x: np.ndarray, hop: int, first: int, count: int) -> tuple:
+    """(source, start): frames ``first`` to ``first + count - 1`` of the
+    center-padded stft of ``x`` at hop n_fft/2 are the frames of ``source``
+    from sample ``start``. The source is ``x`` itself, or a zero-extended
+    copy of the samples for a run that reaches into either padded end, so
+    no padded copy of the whole signal is made."""
+    samples = x.shape[1]
+    # the center pad is one hop, so frame t covers samples (t-1)*hop to (t+1)*hop
+    start, stop = (first - 1) * hop, (first + count) * hop
+    if 0 <= start and stop <= samples:
+        return x, start
+    lo, hi = max(start, 0), min(stop, samples)
+    return np.pad(x[:, lo:hi], ((0, 0), (lo - start, stop - hi))), 0
+
+
 def _analysis_runs(x: np.ndarray, window: np.ndarray, n_frames: int):
     """Yield (first frame, (channels, frames, bins) spectra) for each run of
     the center-padded stft of ``x`` at hop n_fft/2, in order; together the
-    runs are ``stft(x).data``, bit for bit.
-
-    Each run is analysed straight from the audio (a zero-extended copy only
-    at the two padded ends), so no padded copy of the signal is made.
-    """
-    n_fft, samples = window.shape[0], x.shape[1]
-    hop = n_fft // 2
-    run = _run_frames(x.shape[0], n_fft)
+    runs are ``stft(x).data``, bit for bit."""
+    hop = window.shape[0] // 2
+    run = _run_frames(x.shape[0], window.shape[0])
     for first in range(0, n_frames, run):
         count = min(run, n_frames - first)
-        # the center pad is one hop, so frame t covers samples (t-1)*hop to (t+1)*hop
-        start, stop = (first - 1) * hop, (first + count) * hop
-        if 0 <= start and stop <= samples:
-            yield first, _analyze(x, window, hop, count, start)
-        else:  # a run at either end reaches into the padding
-            lo, hi = max(start, 0), min(stop, samples)
-            edge = np.pad(x[:, lo:hi], ((0, 0), (lo - start, stop - hi)))
-            yield first, _analyze(edge, window, hop, count)
+        source, start = _run_source(x, hop, first, count)
+        yield first, _analyze(source, window, hop, count, start)
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on (``taskset`` narrows them), at
+    most MAX_WORKERS."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        cores = os.cpu_count() or 1
+    return min(cores, MAX_WORKERS)
+
+
+def _in_run_order(compute, consume, runs: int, threads: int, depth: int) -> None:
+    """``consume(i, compute(i, w))`` for runs i = 0 .. runs - 1, consumed in
+    order by the calling thread; ``w`` < ``threads`` names the thread that
+    computes run i, 0 being the calling thread.
+
+    With one thread the calling thread computes every run and no thread is
+    started. Otherwise ``threads - 1`` more threads compute runs beside it.
+    Runs are taken in increasing order, and run i only while i < consumed +
+    ``depth``, so a run never starts before the run ``depth`` places ahead
+    of it has been consumed. The calling thread consumes the next run as
+    soon as it is computed, else takes a run, else waits. On an error in a
+    thread or in the caller (a KeyboardInterrupt too), every thread is
+    stopped and joined before the first error is raised: no thread outlives
+    the call.
+    """
+    if threads == 1:
+        for i in range(runs):
+            consume(i, compute(i, 0))
+        return
+    cond = threading.Condition()
+    done = {}  # run -> computed value not yet consumed
+    taken = consumed = 0
+    error, stop = None, False
+
+    def take():  # under cond: the next run if it may start, else None
+        nonlocal taken
+        if taken == runs or taken >= consumed + depth:
+            return None
+        taken += 1
+        return taken - 1
+
+    def work(w):
+        nonlocal error, stop
+        while True:
+            with cond:
+                while not stop and (i := take()) is None and taken < runs:
+                    cond.wait()
+                if stop or i is None:
+                    return
+            try:
+                value = compute(i, w)
+            except BaseException as exc:
+                with cond:
+                    if error is None:
+                        error = exc
+                    stop = True
+                    cond.notify_all()
+                return
+            with cond:
+                done[i] = value
+                cond.notify_all()
+
+    pool = []
+    try:
+        for w in range(1, threads):
+            thread = threading.Thread(target=work, args=(w,), name=f"{_THREAD_PREFIX}-{w}",
+                                      daemon=True)
+            thread.start()
+            pool.append(thread)
+        while consumed < runs:
+            with cond:
+                while error is None and consumed not in done and (i := take()) is None:
+                    cond.wait()
+                if error is not None:
+                    raise error
+                ready = consumed in done
+                value = done.pop(consumed) if ready else None
+            if ready:
+                consume(consumed, value)
+                with cond:
+                    consumed += 1
+                    cond.notify_all()
+            else:
+                value = compute(i, 0)
+                with cond:
+                    done[i] = value
+    finally:
+        with cond:
+            stop = True
+            cond.notify_all()
+        for thread in pool:
+            thread.join()
 
 
 def steer_audio(audio, bank, num_samples: int | None = None) -> np.ndarray:
@@ -266,20 +382,55 @@ def steer_audio(audio, bank, num_samples: int | None = None) -> np.ndarray:
     ``istft(apply_bank(stft(audio, n_fft=bank.n_fft, hop=bank.n_fft // 2),
     bank), num_samples)``, bit for bit, one run of frames at a time.
 
-    Each run from ``_analysis_runs`` is steered and overlap-added into one
-    output buffer, so no whole-signal spectrogram is built. At hop n_fft/2
-    every output sample is the sum of exactly two frame terms, which is the
-    same in either order, so the run boundaries do not change a bit. The
-    audio's sample rate is the caller's to check.
+    Runs are analysed, steered and synthesized on up to one thread per
+    usable core (``_usable_cores``, at most one per run), the calling thread
+    among them. Buffers are allocated once per call, none per run: one for
+    each thread and a ring of 2 x threads slots, where run i uses slot i
+    modulo the ring; no run starts before the run a ring ahead of it has
+    been overlap-added, so a slot is free when it is reused. The calling
+    thread overlap-adds the runs into one output buffer strictly in run
+    order, so no whole-signal spectrogram is built and the bytes are the
+    same at any thread count. At hop n_fft/2 every output sample is the sum
+    of exactly two frame terms, which is the same in either order, so the
+    run boundaries do not change a bit either. The audio's sample rate is
+    the caller's to check.
     """
     x, n_frames = _bank_frames(audio, bank)
     n_fft = bank.n_fft
-    hop = n_fft // 2
+    hop, bins = n_fft // 2, n_fft // 2 + 1
+    channels, directions = x.shape[0], bank.num_directions
     window, conj_weights = sqrt_hann(n_fft), bank.weights.conj()
-    out = np.zeros((bank.num_directions, (n_frames - 1) * hop + n_fft))
-    for first, spec in _analysis_runs(x, window, n_frames):
-        span = out[:, first * hop : (first + spec.shape[1] + 1) * hop]
-        _synthesize(_steer(conj_weights, spec), window, hop, span)
+    run = _run_frames(channels, n_fft)
+    runs = -(-n_frames // run)
+    threads = min(_usable_cores(), runs)
+    depth = min(2 * threads, runs)
+    out = np.zeros((directions, (n_frames - 1) * hop + n_fft))
+    # a run ping-pongs between its thread's buffer and its ring slot:
+    # windowed frames (thread) -> spectra (slot) -> steered (thread) -> frames (slot)
+    scratch = [np.empty(max(channels * n_fft, 2 * directions * bins) * run)
+               for _ in range(threads)]
+    ring = [np.empty(max(2 * channels * bins, directions * n_fft) * run) for _ in range(depth)]
+
+    def frames(i, w):
+        first = i * run
+        count = min(run, n_frames - first)
+
+        def shaped(buf, rows, cols, dtype=float):  # a C-contiguous prefix, as a new array is
+            return buf.view(dtype)[: rows * count * cols].reshape(rows, count, cols)
+
+        mine, slot = scratch[w], ring[i % depth]
+        source, start = _run_source(x, hop, first, count)
+        spec = _analyze(source, window, hop, count, start, shaped(mine, channels, n_fft),
+                        shaped(slot, channels, bins, complex))
+        beams = _steer(conj_weights, spec, shaped(mine, directions, bins, complex))
+        return _synthesis_frames(beams, window, shaped(slot, directions, n_fft))
+
+    def overlap_add(i, run_frames):
+        span = out[:, i * run * hop : (i * run + run_frames.shape[1] + 1) * hop]
+        for row_frames, row in zip(run_frames, span):
+            _overlap_add(row_frames, hop, row)
+
+    _in_run_order(frames, overlap_add, runs, threads, depth)
     return _normalize(out, window, hop, num_samples)
 
 
@@ -349,23 +500,7 @@ _PCM, _FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
 _GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 
 
-def _riff_chunks(blob: memoryview, path):
-    """Yield (id, body) for each chunk of a little-endian RIFF WAVE file."""
-    if blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
-        raise DataError(f"{path}: not a little-endian RIFF WAVE file")
-    pos = 12
-    while pos < len(blob):
-        if pos + 8 > len(blob):
-            raise DataError(f"{path}: short chunk header at byte {pos}")
-        cid, size = struct.unpack_from("<4sI", blob, pos)
-        body = blob[pos + 8 : pos + 8 + size]
-        if len(body) < size:
-            raise DataError(f"{path}: {cid!r} chunk runs past the end of the file")
-        yield cid, body
-        pos += 8 + size + size % 2
-
-
-def _wav_format(body: memoryview, path) -> tuple[int, int, int, int]:
+def _wav_format(body, path) -> tuple[int, int, int, int]:
     """(tag, channels, fs, bytes per sample) of a supported ``fmt `` chunk."""
     if len(body) < 16:
         raise DataError(f"{path}: fmt chunk of {len(body)} bytes")
@@ -384,6 +519,58 @@ def _wav_format(body: memoryview, path) -> tuple[int, int, int, int]:
     return tag, channels, fs, width
 
 
+def _wav_layout(read, size: int, path) -> tuple:
+    """(format, data offset, data bytes) of a little-endian RIFF WAVE file of
+    ``size`` bytes from its chunk headers, where ``read(pos, n)`` gives the
+    file's bytes pos to pos + n (fewer at its end). Chunks after the data
+    chunk are not read."""
+    head = read(0, 12)
+    if head[:4] != b"RIFF" or head[8:12] != b"WAVE":
+        raise DataError(f"{path}: not a little-endian RIFF WAVE file")
+    fmt, pos = None, 12
+    while pos < size:
+        header = read(pos, 8)
+        if len(header) < 8:
+            raise DataError(f"{path}: short chunk header at byte {pos}")
+        cid, length = struct.unpack("<4sI", header)
+        if pos + 8 + length > size:
+            raise DataError(f"{path}: {cid!r} chunk runs past the end of the file")
+        if cid == b"data":
+            break
+        if cid == b"fmt ":
+            fmt = _wav_format(read(pos + 8, length), path)
+        pos += 8 + length + length % 2
+    else:
+        raise DataError(f"{path}: no data chunk")
+    if fmt is None:
+        raise DataError(f"{path}: data chunk before the fmt chunk")
+    if length % (fmt[1] * fmt[3]):
+        raise DataError(f"{path}: data chunk ends inside a sample frame")
+    return fmt, pos + 8, length
+
+
+def _wav_frames(path) -> int | None:
+    """The sample frames in a WAV file's data chunk, read from its chunk
+    headers with seeks (a malformed header is read_wav's DataError), or None
+    for a file that cannot be opened or is not a regular file, which only
+    read_wav can then read or refuse."""
+    try:
+        fh = open(path, "rb")
+    except OSError:
+        return None
+    with fh:
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            return None
+
+        def read(pos, n):
+            fh.seek(pos)
+            return fh.read(n)
+
+        (_, channels, _, width), _, length = _wav_layout(read, info.st_size, path)
+    return length // (channels * width)
+
+
 def read_wav(path, expected_fs: int | None = None) -> tuple[np.ndarray, int]:
     """Read a WAV file as (channels, samples) float64 in [-1, 1].
 
@@ -397,19 +584,9 @@ def read_wav(path, expected_fs: int | None = None) -> tuple[np.ndarray, int]:
             blob = memoryview(fh.read())
     except OSError as exc:
         raise DataError(f"cannot read WAV {path}: {exc}") from exc
-    fmt = None
-    for cid, body in _riff_chunks(blob, path):
-        if cid == b"fmt ":
-            fmt = _wav_format(body, path)
-        elif cid == b"data":
-            break
-    else:
-        raise DataError(f"{path}: no data chunk")
-    if fmt is None:
-        raise DataError(f"{path}: data chunk before the fmt chunk")
+    fmt, offset, length = _wav_layout(lambda pos, n: blob[pos : pos + n], len(blob), path)
+    body = blob[offset : offset + length]
     tag, channels, fs, width = fmt
-    if len(body) % (channels * width):
-        raise DataError(f"{path}: data chunk ends inside a sample frame")
     if expected_fs is not None and fs != expected_fs:
         raise DataError(
             f"{path}: sample rate {fs} != configured {expected_fs}; resampling unsupported"

@@ -1,15 +1,26 @@
 """Shared fixtures: reference arrays, seeded RNGs, tiny speech/noise corpora,
-and a full disk for the atomic writers."""
+a full disk for the atomic writers, and a guard against steering threads
+left running."""
 
 import errno
+import threading
 
 import numpy as np
 import pytest
 
 from beambank import _container, features
 from beambank.beamformer import BeamformerBank
-from beambank.dsp import write_wav
+from beambank.dsp import _THREAD_PREFIX, write_wav
 from beambank.geometry import ArrayGeometry, DirectionSpec, reference_glasses, reference_glasses_5
+
+
+@pytest.fixture(autouse=True)
+def no_steering_thread_left():
+    """Fail any test that leaves one of steer_audio's threads alive."""
+    yield
+    left = [t.name for t in threading.enumerate() if t.name.startswith(_THREAD_PREFIX)]
+    if left:
+        pytest.fail(f"steering threads left running: {left}")
 
 
 @pytest.fixture(scope="session")

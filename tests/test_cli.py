@@ -7,9 +7,11 @@ import math
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
+import threading
 from concurrent.futures import process as futures_process
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from beambank import beamformer, cli, config, dsp, simulate
 from beambank.beamformer import MAX_FS, MAX_N_FFT, load_bank, save_bank
 from beambank.cli import main
 from beambank.dsp import _run_frames, apply_bank, istft, read_wav, stft, write_wav
+from beambank.errors import DataError
 from beambank.features import (
     accumulate_stats,
     export_features,
@@ -695,6 +698,78 @@ class TestApply:
         assert err.strip().splitlines() == [
             f"beambank apply: {out}: {20 * frames} bytes of audio exceed a RIFF file"
         ]
+        assert not out.exists()
+
+    def test_output_beyond_a_riff_file_refused_from_the_input_header(
+        self, bank_file, tmp_path, capsys, monkeypatch
+    ):
+        """A sparse 16-bit 5-channel file whose data chunk holds 3.7 h: its
+        5-direction float32 output exceeds a RIFF file, which is told from
+        the chunk headers alone, before read_wav reads 2 GB of samples."""
+        frames = 0xFFFFFFFF // (4 * 5) + 1
+        data = 10 * frames
+        fmt = struct.pack("<HHIIHH", 1, 5, 16000, 16000 * 10, 10, 16)
+        head = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+        head += b"data" + struct.pack("<I", data)
+        wav = tmp_path / "long.wav"
+        with open(wav, "wb") as fh:
+            fh.write(b"RIFF" + struct.pack("<I", 0xFFFFFFFF) + head)
+            fh.truncate(8 + len(head) + data)  # a hole: no disk space is used
+        monkeypatch.setattr(dsp, "read_wav", _forbidden("read_wav"))
+        out = tmp_path / "o.wav"
+        code, summary, err = run(capsys, "apply", str(wav), "--bank", str(bank_file),
+                                 "--out", str(out))
+        assert code == 2
+        assert summary is None
+        assert err.strip().splitlines() == [
+            f"beambank apply: {out}: {20 * frames} bytes of audio exceed a RIFF file"
+        ]
+        assert not out.exists()
+
+    def test_header_probe_refuses_what_read_wav_refuses(self, bank_file, input_wav, tmp_path,
+                                                        capsys, monkeypatch):
+        """A data chunk that claims more bytes than the file has is refused
+        from the headers with read_wav's own message."""
+        blob = bytearray(input_wav.read_bytes())
+        at = blob.index(b"data") + 4
+        struct.pack_into("<I", blob, at, struct.unpack_from("<I", blob, at)[0] + 10)
+        bad = tmp_path / "long_claim.wav"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(DataError) as info:
+            read_wav(bad)
+        monkeypatch.setattr(dsp, "read_wav", _forbidden("read_wav"))
+        code, summary, err = run(capsys, "apply", str(bad), "--bank", str(bank_file),
+                                 "--out", str(tmp_path / "o.wav"))
+        assert code == 2
+        assert err.strip().splitlines() == [f"beambank apply: {info.value}"]
+
+    def test_memory_error_in_a_run_exits_2_with_one_line(
+        self, bank_file, tmp_path, rng, capsys, monkeypatch
+    ):
+        """A MemoryError in run 3 of a threaded steer reaches the CLI, which
+        exits 2 with one line and leaves no thread and no output behind."""
+        monkeypatch.setattr(dsp, "_usable_cores", lambda: 2)
+        schedule = dsp._in_run_order
+
+        def failing(compute, consume, runs, threads, depth):
+            def compute_(i, w):
+                if i == 3:
+                    raise MemoryError
+                return compute(i, w)
+
+            schedule(compute_, consume, runs, threads, depth)
+
+        monkeypatch.setattr(dsp, "_in_run_order", failing)
+        wav = tmp_path / "long.wav"
+        write_wav(wav, 0.1 * rng.standard_normal((5, 5 * 32 * _run_frames(5, 64))), 16000)
+        out = tmp_path / "o.wav"
+        before = threading.active_count()
+        code, summary, err = run(capsys, "apply", str(wav), "--bank", str(bank_file),
+                                 "--out", str(out))
+        assert code == 2
+        assert summary is None
+        assert err.strip().splitlines() == ["beambank apply: out of memory"]
+        assert threading.active_count() == before
         assert not out.exists()
 
     @pytest.mark.parametrize("cut", [30, 44, 57])

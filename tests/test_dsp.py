@@ -1,12 +1,16 @@
 """STFT analysis/synthesis, bank filtering, streaming, and wav IO."""
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beambank import dsp
 from beambank.beamformer import design_bank
 from beambank.dsp import (
     BlockProcessor,
@@ -217,6 +221,205 @@ class TestSteerAudio:
         bank = random_bank(rng, 2, 64)
         with pytest.raises(DataError, match="3-channel input vs 2-mic bank"):
             steer_audio(rng.standard_normal((3, 640)), bank)
+
+
+def _run_observer(monkeypatch, hook=None):
+    """Wrap steer_audio's run scheduler: ``hook(i)`` (if given) runs as run i
+    starts, and the returned dict records the runs, ring depth, threads and
+    the largest lookahead (runs started minus runs overlap-added)."""
+    seen = {"started": 0, "consumed": 0, "lookahead": 0, "depth": None, "threads": None}
+    lock = threading.Lock()
+    schedule = dsp._in_run_order
+
+    def observed(compute, consume, runs, threads, depth):
+        seen.update(runs=runs, threads=threads, depth=depth)
+
+        def compute_(i, w):
+            with lock:
+                seen["started"] = max(seen["started"], i + 1)
+                seen["lookahead"] = max(seen["lookahead"], seen["started"] - seen["consumed"])
+            if hook is not None:
+                hook(i)
+            return compute(i, w)
+
+        def consume_(i, value):
+            consume(i, value)
+            with lock:
+                seen["consumed"] = i + 1
+
+        schedule(compute_, consume_, runs, threads, depth)
+
+    monkeypatch.setattr(dsp, "_in_run_order", observed)
+    return seen
+
+
+def _bounded(call, seconds=60):
+    """``call()``'s result or error, from a thread joined with a timeout, so
+    a deadlock fails the test instead of hanging it."""
+    outcome = []
+
+    def target():
+        try:
+            outcome.append((True, call()))
+        except BaseException as exc:  # handed to the test thread below
+            outcome.append((False, exc))
+
+    caller = threading.Thread(target=target, name="test-caller", daemon=True)
+    caller.start()
+    caller.join(timeout=seconds)
+    assert not caller.is_alive(), f"no return within {seconds} s"
+    ok, value = outcome[0]
+    if not ok:
+        raise value
+    return value
+
+
+def _steer_threads():
+    return [t for t in threading.enumerate() if t.name.startswith(dsp._THREAD_PREFIX)]
+
+
+class TestSteerThreads:
+    """steer_audio's runs on a pool of threads: the bytes never depend on
+    the thread count, a slow run stalls nothing, and an error stops and
+    joins every thread before it reaches the caller."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 8])
+    @pytest.mark.parametrize(
+        "runs, frame_offset",
+        [(0, 0), (1, 1), (3, -1), (3, 0), (3, 1)],
+        ids=["one-run", "two-runs", "boundary-1", "boundary", "boundary+1"],
+    )
+    @pytest.mark.parametrize("extra", [0, 31])
+    def test_bytes_equal_whole_signal_route_at_any_thread_count(
+        self, random_bank, rng, monkeypatch, threads, runs, frame_offset, extra
+    ):
+        """One run (both padded ends in it), fewer runs than threads, and a
+        run boundary +-1 frame, where the first and last runs reach into
+        the padding at either end."""
+        monkeypatch.setattr(dsp, "_usable_cores", lambda: threads)
+        seen = _run_observer(monkeypatch)
+        bank = random_bank(rng, 3, 64)
+        frames = max(3, runs * _run_frames(3, 64) + frame_offset)
+        samples = (frames - 1) * 32 + extra
+        x = rng.standard_normal((3, samples))
+        whole = istft(apply_bank(stft(x, 16000, 64, 32), bank), samples)
+        assert steer_audio(x, bank, samples).tobytes() == whole.tobytes()
+        assert seen["runs"] == max(1, runs + (frame_offset > 0))
+        assert seen["threads"] == min(threads, seen["runs"])
+
+    @pytest.mark.parametrize("threads", [2, 3, 8])
+    def test_ring_reused_over_many_runs(self, random_bank, rng, monkeypatch, threads):
+        """40 runs of 5 frames pass through a ring of 2 x threads slots, with
+        the interpreter switching threads every microsecond: a slot reused
+        before its run was overlap-added would change the bytes."""
+        monkeypatch.setattr(dsp, "_usable_cores", lambda: threads)
+        monkeypatch.setattr(dsp, "_run_frames", lambda num_mics, n_fft: 5)
+        seen = _run_observer(monkeypatch)
+        bank = random_bank(rng, 2, 64)
+        x = rng.standard_normal((2, 199 * 32 + 7))
+        whole = istft(apply_bank(stft(x, 16000, 64, 32), bank), x.shape[1])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = steer_audio(x, bank, x.shape[1])
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.tobytes() == whole.tobytes()
+        assert (seen["runs"], seen["depth"]) == (40, 2 * threads)
+        assert seen["lookahead"] <= seen["depth"]
+
+    def test_slow_first_run_stalls_nothing(self, random_bank, rng, monkeypatch):
+        """The first run sleeps while the others race ahead: they stop at the
+        ring's depth, and the call finishes with the same bytes (run in a
+        joined thread, so a deadlock fails the test instead of hanging it)."""
+        monkeypatch.setattr(dsp, "_usable_cores", lambda: 3)
+        monkeypatch.setattr(dsp, "_run_frames", lambda num_mics, n_fft: 4)
+        seen = _run_observer(monkeypatch, lambda i: time.sleep(0.3) if i == 0 else None)
+        bank = random_bank(rng, 2, 64)
+        x = rng.standard_normal((2, 30 * 4 * 32))
+        whole = istft(apply_bank(stft(x, 16000, 64, 32), bank), x.shape[1])
+        assert _bounded(lambda: steer_audio(x, bank, x.shape[1])).tobytes() == whole.tobytes()
+        assert seen["depth"] == 6
+        assert 3 < seen["lookahead"] <= seen["depth"]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_error_in_a_run_reaches_the_caller_with_every_thread_joined(
+        self, random_bank, rng, monkeypatch, threads
+    ):
+        monkeypatch.setattr(dsp, "_usable_cores", lambda: threads)
+        monkeypatch.setattr(dsp, "_run_frames", lambda num_mics, n_fft: 4)
+
+        def fail(i):
+            if i == 3:
+                raise MemoryError("run 3")
+
+        seen = _run_observer(monkeypatch, fail)
+        bank = random_bank(rng, 2, 64)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="run 3"):
+            _bounded(lambda: steer_audio(rng.standard_normal((2, 40 * 4 * 32)), bank))
+        assert threading.active_count() == before
+        assert not _steer_threads()
+        assert seen["lookahead"] <= seen["depth"]
+
+    def test_interrupt_in_the_caller_joins_every_thread(self, random_bank, rng, monkeypatch):
+        monkeypatch.setattr(dsp, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(dsp, "_run_frames", lambda num_mics, n_fft: 4)
+        add = dsp._overlap_add
+        calls = []
+
+        def interrupted(frames, hop, out):
+            calls.append(1)
+            if len(calls) == 5:  # two rows a run: during run 2
+                raise KeyboardInterrupt
+            add(frames, hop, out)
+
+        monkeypatch.setattr(dsp, "_overlap_add", interrupted)
+        bank = random_bank(rng, 2, 64, num_looks=1)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            _bounded(lambda: steer_audio(rng.standard_normal((2, 40 * 4 * 32)), bank))
+        assert threading.active_count() == before
+        assert not _steer_threads()
+
+    def test_calling_thread_and_named_threads_share_the_runs(
+        self, random_bank, rng, monkeypatch
+    ):
+        """At three usable cores the calling thread and two threads named
+        with the prefix compute the runs (every run sleeps, the first one
+        longest, so each thread takes runs)."""
+        monkeypatch.setattr(dsp, "_usable_cores", lambda: 3)
+        names = set()
+
+        def hook(i):
+            names.add(threading.current_thread().name)
+            time.sleep(0.2 if i == 0 else 0.02)
+
+        seen = _run_observer(monkeypatch, hook)
+        bank = random_bank(rng, 2, 64)
+        steer_audio(rng.standard_normal((2, 6 * _run_frames(2, 64) * 32)), bank)
+        assert seen["threads"] == 3
+        caller = threading.current_thread().name
+        assert sorted(names - {caller}) == [f"{dsp._THREAD_PREFIX}-{w}" for w in (1, 2)]
+
+    def test_one_usable_core_starts_no_thread(self, random_bank, rng, monkeypatch):
+        monkeypatch.setattr(dsp, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(threading.Thread, "start", _fail_start)
+        bank = random_bank(rng, 2, 64)
+        x = rng.standard_normal((2, 3 * _run_frames(2, 64) * 32))
+        whole = istft(apply_bank(stft(x, 16000, 64, 32), bank), x.shape[1])
+        assert steer_audio(x, bank, x.shape[1]).tobytes() == whole.tobytes()
+
+    def test_pool_is_the_usable_cores_capped(self, monkeypatch):
+        monkeypatch.setattr(dsp.os, "sched_getaffinity", lambda pid: set(range(100)),
+                            raising=False)
+        assert dsp._usable_cores() == dsp.MAX_WORKERS
+        monkeypatch.setattr(dsp.os, "sched_getaffinity", lambda pid: {3})
+        assert dsp._usable_cores() == 1
+
+
+def _fail_start(self):
+    raise AssertionError(f"thread {self.name} started")
 
 
 @pytest.fixture(scope="module")
