@@ -23,6 +23,7 @@ import numpy as np
 
 from . import _container
 from .constants import (
+    MAX_DIRECTIONS,
     MAX_FS,
     MAX_N_FFT,
     METHODS,
@@ -44,6 +45,7 @@ from .geometry import (
     SteeringVector,
     _direction_from_dict,
     _direction_to_dict,
+    _directions_from_header,
     steering_matrix,
 )
 from .noise_model import (
@@ -501,6 +503,8 @@ def design_bank(
     function of its method applied to that bin's covariance and steering
     vector. Deterministic given identical inputs.
     """
+    if len(directions) > MAX_DIRECTIONS:
+        raise DataError(f"{len(directions)} directions, at most {MAX_DIRECTIONS}")
     check_solver_settings(
         wng_tolerance, wng_margin, sound_speed, fs, n_fft, method, geometry.num_mics
     )
@@ -622,11 +626,11 @@ def load_bank(path) -> BeamformerBank:
     settings fail :func:`check_solver_settings`, or one with a non-finite
     weight raises ParseError."""
     with _container.reading(path, BANK_MAGIC, "bank") as (header, payload):
+        directions = _directions_from_header(header["directions"])
         geometry = ArrayGeometry(
             id=str(header["geometry"]["id"]),
             mics=np.asarray(header["geometry"]["mics"], dtype=float),
         )
-        directions = [_direction_from_dict(d) for d in header["directions"]]
         fs, n_fft, method = int(header["fs"]), int(header["n_fft"]), str(header["method"])
         settings = {
             "sound_speed": float(header.get("sound_speed", SOUND_SPEED)),

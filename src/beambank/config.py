@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 from .constants import (
     BUILTIN_GEOMETRY_NAMES,
     DEFAULT_MAX_ORDER,
+    MAX_DIRECTIONS,
     MAX_FS,
     MAX_N_FFT,
     MAX_ORDER,
@@ -52,7 +53,9 @@ if TYPE_CHECKING:
     from .simulate import RoomSpec
 
 ENV_PREFIX = "BEAMBANK_"
-MAX_WORKERS = 64  # scene renderers of one dataset run, steering threads of one apply
+# scene renderers of one dataset run; threads of one dsp._in_run_order call
+# (steering an apply recording, or convolving one clip of a scene)
+MAX_WORKERS = 64
 
 _REQUIRED = object()
 
@@ -183,14 +186,17 @@ def _choice(*options) -> Callable:
     return read
 
 
-def _list(item: Callable, empty_ok: bool = False) -> Callable:
-    """A list read item by item as ``key[i]`` (a tuple is a default)."""
+def _list(item: Callable, empty_ok: bool = False, most: float = math.inf) -> Callable:
+    """A list of at most ``most`` items, read item by item as ``key[i]`` (a
+    tuple is a default); its length is checked before any item is read."""
 
     def read(value, context: str) -> list:
         if not isinstance(value, (list, tuple)) or not (value or empty_ok):
             raise ConfigError(
                 f"{context}: expected a {'' if empty_ok else 'non-empty '}list, got {value!r}"
             )
+        if len(value) > most:
+            raise ConfigError(f"{context}: {len(value)} entries, at most {most}")
         return [item(v, f"{context}[{i}]") for i, v in enumerate(value)]
 
     return read
@@ -306,7 +312,9 @@ _MOUTH = (
     _Key("range", _number, _REQUIRED, "meters from the array origin (near field)"),
 )
 _DIRECTIONS = (
-    _Key("horizontal", _list(_number), (0.0, 90.0, 180.0, 270.0), "look azimuths in degrees"),
+    _Key("horizontal", _list(_number, most=MAX_DIRECTIONS - 1), (0.0, 90.0, 180.0, 270.0),
+         f"look azimuths in degrees, at most {MAX_DIRECTIONS - 1} (the mouth makes "
+         f"{MAX_DIRECTIONS} directions)"),
     _Key("mouth", lambda value, context: _point(_section(value, _MOUTH, context), context),
          None, "mapping of the directions.mouth keys below; default: the wearer's mouth, "
          f"at {_show(tuple(MOUTH_OFFSET))} m from the array origin"),

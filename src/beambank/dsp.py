@@ -22,6 +22,11 @@ synthesis (irfft, window, overlap-add), and three front ends:
   spectrogram
 - streaming: ``BlockProcessor`` runs all three over the frames each pushed
   block completes
+
+``_in_run_order`` is the one ordered executor of the package: it computes
+numbered pieces of work on up to ``_usable_cores()`` threads and hands them
+to the calling thread strictly in order. ``steer_audio`` runs its runs of
+frames on it, and ``simulate._convolve_place`` its overlap-add blocks.
 """
 
 from __future__ import annotations
@@ -51,8 +56,12 @@ _EDGE_THRESHOLD = 1e-8
 # shapes in runs of 16-64 frames was 1.1-1.6x faster than in one
 # whole-signal run. steer_audio's threaded runs were not swept again.
 _RUN_BYTES = 1 << 20
-# name prefix of steer_audio's threads
-_THREAD_PREFIX = "beambank-steer"
+# name prefix of the threads _in_run_order starts (steer_audio's and
+# simulate._convolve_place's)
+_THREAD_PREFIX = "beambank-worker"
+# processes that share this process's cores: a dataset's process pool sets
+# it in each child through _share_cores
+_core_sharers = 1
 
 
 def _overlap_add(frames: np.ndarray, hop: int, out: np.ndarray) -> None:
@@ -283,14 +292,21 @@ def _analysis_runs(x: np.ndarray, window: np.ndarray, n_frames: int):
         yield first, _analyze(source, window, hop, count, start)
 
 
+def _share_cores(processes: int) -> None:
+    """Process-pool initializer: this process is one of ``processes`` that
+    run side by side, so ``_usable_cores`` gives it its share of the cores."""
+    global _core_sharers
+    _core_sharers = processes
+
+
 def _usable_cores() -> int:
-    """The cores this process may run on (``taskset`` narrows them), at
-    most MAX_WORKERS."""
+    """The cores this process may run on (``taskset`` narrows them), divided
+    among the processes that share them (at least 1), at most MAX_WORKERS."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without affinity masks
         cores = os.cpu_count() or 1
-    return min(cores, MAX_WORKERS)
+    return min(max(1, cores // _core_sharers), MAX_WORKERS)
 
 
 def _in_run_order(compute, consume, runs: int, threads: int, depth: int) -> None:

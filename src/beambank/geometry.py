@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _container
-from .constants import BUILTIN_GEOMETRY_NAMES, SOUND_SPEED
+from .constants import BUILTIN_GEOMETRY_NAMES, MAX_DIRECTIONS, SOUND_SPEED
 from .errors import (
     DataError,
     DegenerateSourceError,
@@ -292,6 +292,14 @@ def _direction_from_dict(d: dict) -> DirectionSpec:
     )
 
 
+def _directions_from_header(items) -> list[DirectionSpec]:
+    """The directions listed in a bank or ATF header, counted against
+    MAX_DIRECTIONS before any is built."""
+    if len(items) > MAX_DIRECTIONS:
+        raise ValueError(f"{len(items)} directions, at most {MAX_DIRECTIONS}")
+    return [_direction_from_dict(d) for d in items]
+
+
 def export_atfs(atfs: AtfSet, path) -> None:
     """Write an AtfSet: one JSON header line, then little-endian complex128
     payload (direction-major, then frequency, then channel; re/im interleaved)."""
@@ -308,8 +316,8 @@ def export_atfs(atfs: AtfSet, path) -> None:
 def import_atfs(path) -> AtfSet:
     """Read an AtfSet written by :func:`export_atfs`; bit-exact round trip."""
     with _container.reading(path, ATF_MAGIC, "ATF file") as (header, payload):
+        directions = _directions_from_header(header["directions"])
         freqs = np.asarray(header["frequencies"], dtype=float)
-        directions = [_direction_from_dict(d) for d in header["directions"]]
         shape = (len(directions), len(freqs), int(header["num_mics"]))
         return AtfSet(geometry_id=str(header["id"]), directions=directions,
                       frequencies=freqs, vectors=payload("<c16", shape))

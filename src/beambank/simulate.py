@@ -453,24 +453,51 @@ def _convolve_place(total: np.ndarray, clip: np.ndarray, rir: RIR, onset: int):
     ``onset`` on, cut at the end of ``total``, by overlap-add (Stockham,
     AFIPS SJCC 1966).
 
-    The clip is cut into blocks of ``step`` samples. The blocks go through
-    one batched real FFT of ``size`` points and the taps through one more;
-    the products go back through one batched inverse, and each block's
-    ``step + taps - 1`` output samples are added at its own offset. The
-    size is ``_BLOCK_SIZE``, or for a RIR longer than half of that the
-    power of two at least twice its length, and ``step = size - taps + 1``.
+    The clip is cut into blocks of ``step`` samples, and blocks that would
+    start at or past the end of ``total`` are not transformed. The size is
+    ``_BLOCK_SIZE``, or for a RIR longer than half of that the power of two
+    at least twice its length, and ``step = size - taps + 1``. The taps go
+    through one real FFT of ``size`` points per call. Each block goes
+    through its own, is multiplied by the taps' spectrum and goes back
+    through one inverse over the RIR channels, and its ``step + taps - 1``
+    output samples are added at its own offset.
+
+    The blocks are computed by ``dsp._in_run_order`` on min(usable cores,
+    blocks // 2) threads, at least 1, so a clip of fewer than four blocks
+    stays on the calling thread. Buffers are allocated once per call: a
+    spectrum and a product for each thread and a ring of 2 x threads output
+    slots. A block's transforms give the same bits on any thread, and the
+    calling thread adds the blocks into ``total`` strictly in block order,
+    so the bytes are the same at any thread count.
     """
+    from . import dsp
+
     n_clip, n_taps = clip.shape[0], rir.taps.shape[1]
     size = max(_BLOCK_SIZE, 1 << (2 * n_taps - 1).bit_length())
     step = size - n_taps + 1
-    count = -(-n_clip // step)
-    blocks = np.pad(clip, (0, count * step - n_clip)).reshape(count, step)
-    spectrum = np.fft.rfft(blocks, size, axis=1)[:, None, :] * np.fft.rfft(rir.taps, size, axis=1)
-    wet = np.fft.irfft(spectrum, size, axis=2)
     stop = min(onset + n_clip + n_taps - 1, total.shape[1])
-    for block, start in zip(wet, range(onset, stop, step)):
+    blocks = min(-(-n_clip // step), len(range(onset, stop, step)))
+    if blocks == 0:
+        return
+    taps_spectrum = np.fft.rfft(rir.taps, size, axis=1)
+    threads = max(1, min(dsp._usable_cores(), blocks // 2))
+    depth = min(2 * threads, blocks)
+    scratch = [(np.empty(size // 2 + 1, complex), np.empty(taps_spectrum.shape, complex))
+               for _ in range(threads)]
+    ring = [np.empty((rir.taps.shape[0], size)) for _ in range(depth)]
+
+    def wet(i, w):
+        spectrum, product = scratch[w]
+        np.fft.rfft(clip[i * step : (i + 1) * step], size, out=spectrum)
+        np.multiply(spectrum, taps_spectrum, out=product)
+        return np.fft.irfft(product, size, axis=1, out=ring[i % depth])
+
+    def place(i, block):
+        start = onset + i * step
         end = min(start + step + n_taps - 1, stop)
         total[:, start:end] += block[:, : end - start]
+
+    dsp._in_run_order(wet, place, blocks, threads, depth)
 
 
 def compose_scene(
@@ -829,8 +856,12 @@ def build_dataset(
     if workers > 1:
         from concurrent.futures import process
 
+        from . import dsp
+
         try:
-            with process.ProcessPoolExecutor(max_workers=workers) as pool:
+            # each child convolves on its share of the cores
+            with process.ProcessPoolExecutor(max_workers=workers, initializer=dsp._share_cores,
+                                             initargs=(workers,)) as pool:
                 rows = list(pool.map(render, range(count), specs, scene_geometries))
         except process.BrokenProcessPool as exc:  # a worker was killed, e.g. out of memory
             raise BeambankError(f"a scene worker process died: {exc}") from exc

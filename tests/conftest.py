@@ -1,5 +1,5 @@
 """Shared fixtures: reference arrays, seeded RNGs, tiny speech/noise corpora,
-a full disk for the atomic writers, and a guard against steering threads
+a full disk for the atomic writers, and a guard against worker threads
 left running."""
 
 import errno
@@ -15,12 +15,13 @@ from beambank.geometry import ArrayGeometry, DirectionSpec, reference_glasses, r
 
 
 @pytest.fixture(autouse=True)
-def no_steering_thread_left():
-    """Fail any test that leaves one of steer_audio's threads alive."""
+def no_worker_thread_left():
+    """Fail any test that leaves a thread of dsp._in_run_order alive, one
+    that steers runs of frames or one that convolves blocks of a clip."""
     yield
     left = [t.name for t in threading.enumerate() if t.name.startswith(_THREAD_PREFIX)]
     if left:
-        pytest.fail(f"steering threads left running: {left}")
+        pytest.fail(f"worker threads left running: {left}")
 
 
 @pytest.fixture(scope="session")

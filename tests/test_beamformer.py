@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from beambank.config import design_settings, load_config
+from beambank.constants import MAX_DIRECTIONS
 from beambank.errors import DataError, IllConditionedError
 from beambank.beamformer import (
     BeamformerWeights,
@@ -259,6 +260,17 @@ class TestBank:
     def test_requires_mouth_direction(self, glasses5):
         with pytest.raises(DataError):
             design_bank(glasses5, [DirectionSpec(azimuth=0.0, elevation=0.0)], fs=16000, n_fft=64)
+
+    def test_direction_count_above_cap_rejected_before_allocating(self, glasses5, monkeypatch):
+        """MAX_DIRECTIONS looks plus the mouth is one direction too many;
+        the cap acts before the frequency grid or any array is built."""
+        looks = [DirectionSpec(azimuth=math.radians(i)) for i in range(MAX_DIRECTIONS)]
+        for name in ("empty", "zeros"):
+            monkeypatch.setattr(np, name, lambda *a, **k: pytest.fail(f"np.{name}{a} called"))
+        monkeypatch.setattr(np.fft, "rfftfreq", lambda *a: pytest.fail("grid built"))
+        with pytest.raises(DataError, match=f"{MAX_DIRECTIONS + 1} directions, at most "
+                                            f"{MAX_DIRECTIONS}"):
+            design_bank(glasses5, looks + [MOUTH], fs=16000, n_fft=64)
 
     def test_unreachable_wng_margin_rejected_for_nlcmv(self, glasses5):
         """No distortionless design of 5 mics reaches a WNG floor at margin 5;

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 import beambank
 from beambank import beamformer, cli, config, dsp, simulate
 from beambank.beamformer import MAX_FS, MAX_N_FFT, load_bank, save_bank
+from beambank.constants import MAX_DIRECTIONS
 from beambank.cli import main
 from beambank.dsp import _run_frames, apply_bank, istft, read_wav, stft, write_wav
 from beambank.errors import DataError
@@ -290,6 +291,49 @@ class TestDesign:
         assert f"{MAX_MICS + 1} mics, at most {MAX_MICS}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("looks", [MAX_DIRECTIONS, 10**5])
+    def test_direction_count_above_cap_exits_1_before_allocating(
+        self, design_cfg, tmp_path, capsys, monkeypatch, looks
+    ):
+        """More looks than MAX_DIRECTIONS leaves beside the mouth are refused
+        on the settings row, before anything is allocated."""
+        cfg = tmp_path / "many.yaml"
+        cfg.write_text(design_cfg.read_text().replace(
+            "[0.0, 90.0, 180.0, 270.0]", str([0.5 * i for i in range(looks)])))
+        out = tmp_path / "x.bbk"
+        monkeypatch.setattr(np, "empty", _forbidden("np.empty"))
+        with _no_allocation(monkeypatch):
+            code, summary, err = run(capsys, "design", "--config", str(cfg), "--out", str(out))
+        assert (code, summary) == (1, None)
+        assert err.strip().splitlines() == [
+            f"beambank design: directions.horizontal: {looks} entries, at most "
+            f"{MAX_DIRECTIONS - 1}"
+        ]
+        assert not out.exists()
+
+    def test_atf_header_of_too_many_directions_exits_2_before_allocating(
+        self, design_cfg, tmp_path, capsys, monkeypatch
+    ):
+        """An ATF header listing more than MAX_DIRECTIONS directions, over a
+        payload of the size they need, is refused before the payload array
+        is allocated."""
+        directions = [{"azimuth": 0.01 * i, "elevation": 0.0} for i in range(MAX_DIRECTIONS + 1)]
+        header = {"magic": "beambank-atf-v1", "id": "glasses5", "num_mics": 5,
+                  "frequencies": [250.0 * i for i in range(33)], "directions": directions}
+        atf = tmp_path / "many.atf"
+        atf.write_bytes(json.dumps(header).encode() + b"\n" + bytes(len(directions) * 33 * 5 * 16))
+        cfg = tmp_path / "atf.yaml"
+        cfg.write_text(design_cfg.read_text() + f"atf_source: file\natf_file: {atf.name}\n")
+        out = tmp_path / "x.bbk"
+        monkeypatch.setattr(np, "empty", _forbidden("np.empty"))
+        code, summary, err = run(capsys, "design", "--config", str(cfg), "--out", str(out))
+        assert (code, summary) == (2, None)
+        assert err.strip().splitlines() == [
+            f"beambank design: {atf}: bad ATF file: {MAX_DIRECTIONS + 1} directions, at most "
+            f"{MAX_DIRECTIONS}"
+        ]
+        assert not out.exists()
+
     def test_help_states_n_fft_cap(self, capsys):
         assert main(["design", "--help"]) == 0
         assert f"<= {MAX_N_FFT}" in capsys.readouterr().out
@@ -421,6 +465,31 @@ class TestVerify:
         assert summary is None
         assert len(err.strip().splitlines()) == 1
         assert f"{MAX_MICS + 1} mics, at most {MAX_MICS}" in err
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("argv", [["verify"], ["pattern", "--out", "p"]])
+    def test_direction_count_above_cap_in_header_exits_2_before_allocating(
+        self, bank_file, tmp_path, capsys, monkeypatch, argv
+    ):
+        """A bank header listing more than MAX_DIRECTIONS directions, over a
+        payload of the size they need, is refused before the payload array
+        is allocated."""
+        header, payload = bank_file.read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        extra = MAX_DIRECTIONS + 1 - len(header["directions"])
+        header["directions"][:0] = [{"azimuth": 0.01 * i, "elevation": 0.0} for i in range(extra)]
+        per_direction = len(payload) // (len(header["directions"]) - extra)
+        big = tmp_path / "many.bbk"
+        big.write_bytes(json.dumps(header).encode() + b"\n" + payload
+                        + bytes(extra * per_direction))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(np, "empty", _forbidden("np.empty"))
+        code, summary, err = run(capsys, *argv, "--bank", str(big))
+        assert (code, summary) == (2, None)
+        assert err.strip().splitlines() == [
+            f"beambank {argv[0]}: {big}: bad bank: {MAX_DIRECTIONS + 1} directions, at most "
+            f"{MAX_DIRECTIONS}"
+        ]
         assert not (tmp_path / "p").exists()
 
 
@@ -1160,7 +1229,7 @@ class TestSceneAndDataset:
         pool; that is one line and exit 2, not a traceback."""
 
         class DeadPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 pass
 
             def __enter__(self):

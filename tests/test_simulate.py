@@ -4,13 +4,15 @@ import itertools
 import json
 import math
 import re
+import sys
+import threading
 from concurrent.futures import process as futures_process
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from beambank import simulate
+from beambank import cli, dsp, simulate
 from beambank.dsp import write_wav
 from beambank.errors import DataError
 from beambank.geometry import ArrayGeometry
@@ -440,7 +442,8 @@ class TestConvolvePlace:
 
     # (clip, taps, onset, total length, FFT size and block count the rule
     # picks): a clip of less than one block step, of exactly one, two and
-    # three steps; blocks cut, or wholly dropped, at the end of ``total``;
+    # three steps; blocks cut at the end of ``total``, or wholly past it and
+    # never transformed;
     # and RIRs just below, at and just above half a block, the last of
     # which doubles the block
     @pytest.mark.parametrize(
@@ -450,7 +453,7 @@ class TestConvolvePlace:
             (_BLOCK_SIZE - 299, 300, 0, _BLOCK_SIZE, _BLOCK_SIZE, 1),
             (2 * (_BLOCK_SIZE - 299), 300, 0, 2 * _BLOCK_SIZE, _BLOCK_SIZE, 2),
             (3 * (_BLOCK_SIZE - 999), 1000, 0, 3 * _BLOCK_SIZE, _BLOCK_SIZE, 3),
-            (60000, 500, 700, 30000, _BLOCK_SIZE, 4),
+            (60000, 500, 700, 30000, _BLOCK_SIZE, 2),
             (20000, _BLOCK_SIZE // 2 - 1, 0, 30000, _BLOCK_SIZE, 3),
             (20000, _BLOCK_SIZE // 2, 0, 30000, _BLOCK_SIZE, 3),
             (20000, _BLOCK_SIZE // 2 + 1, 0, 30000, 2 * _BLOCK_SIZE, 1),
@@ -461,6 +464,9 @@ class TestConvolvePlace:
     def test_block_rule_equals_direct_convolution(
         self, rng, monkeypatch, n_clip, n_taps, onset, total_len, size, count
     ):
+        """One transform of the taps, then one per block (at one thread, so
+        in block order), each of at most a step of the clip."""
+        monkeypatch.setattr(dsp, "_usable_cores", lambda: 1)
         calls, rfft = [], np.fft.rfft
         monkeypatch.setattr(
             np.fft, "rfft", lambda a, n, **kw: calls.append((a.shape, n)) or rfft(a, n, **kw)
@@ -469,11 +475,174 @@ class TestConvolvePlace:
         taps = 0.1 * rng.standard_normal((2, n_taps))
         total = np.zeros((2, total_len))
         _convolve_place(total, clip, RIR("x", taps, 16000), onset)
-        assert calls == [((count, size - n_taps + 1), size), ((2, n_taps), size)]
+        step = size - n_taps + 1
+        blocks = [((min(step, n_clip - i * step),), size) for i in range(count)]
+        assert calls == [((2, n_taps), size)] + blocks
         end = min(onset + n_clip + n_taps - 1, total_len)
         direct = np.stack([np.convolve(clip, t)[: end - onset] for t in taps])
         np.testing.assert_allclose(total[:, onset:end], direct, rtol=0, atol=1e-12)
         assert not total[:, :onset].any() and not total[:, end:].any()
+
+
+def _fail_start(self):
+    raise AssertionError(f"thread {self.name} started")
+
+
+def _block_observer(monkeypatch, fail_at=None):
+    """Wrap _convolve_place's block scheduler: the returned list records
+    (blocks, threads, depth) per call, and block ``fail_at`` raises
+    MemoryError."""
+    seen, schedule = [], dsp._in_run_order
+
+    def observed(compute, consume, runs, threads, depth):
+        seen.append((runs, threads, depth))
+
+        def compute_(i, w):
+            if i == fail_at:
+                raise MemoryError(f"block {i}")
+            return compute(i, w)
+
+        schedule(compute_, consume, runs, threads, depth)
+
+    monkeypatch.setattr(dsp, "_in_run_order", observed)
+    return seen
+
+
+class TestConvolveThreads:
+    """_convolve_place's blocks on the ordered executor: the bytes never
+    depend on the thread count, short clips stay on the calling thread, and
+    an error joins every thread before it reaches the caller."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 8])
+    @pytest.mark.parametrize(
+        "n_clip, onset, total_len, blocks",
+        [(40 * 217 - 50, 300, 40 * 217 + 600, 40), (40 * 217, 0, 20 * 217 + 5, 21)],
+        ids=["whole", "cut-at-end"],
+    )
+    def test_bytes_equal_one_thread_at_any_thread_count(
+        self, rng, monkeypatch, threads, n_clip, onset, total_len, blocks
+    ):
+        """40 blocks of 217 samples pass through a ring of 2 x threads
+        slots, with the interpreter switching threads every microsecond; a
+        slot reused before its block was added would change the bytes."""
+        monkeypatch.setattr(simulate, "_BLOCK_SIZE", 256)
+        clip = rng.standard_normal(n_clip)
+        rir = RIR("x", 0.1 * rng.standard_normal((3, 40)), 16000)
+        base = rng.standard_normal((3, total_len))
+
+        def place(cores):
+            monkeypatch.setattr(dsp, "_usable_cores", lambda: cores)
+            total = base.copy()
+            _convolve_place(total, clip, rir, onset)
+            return total
+
+        serial = place(1)
+        seen = _block_observer(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = place(threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.tobytes() == serial.tobytes()
+        used = min(threads, blocks // 2)
+        assert seen == [(blocks, used, min(2 * used, blocks))]
+        end = min(onset + n_clip + 39, total_len)
+        direct = np.stack([np.convolve(clip, t)[: end - onset] for t in rir.taps])
+        np.testing.assert_allclose(threaded[:, onset:end] - base[:, onset:end], direct,
+                                   rtol=0, atol=1e-12)
+        unchanged = np.ones(total_len, bool)
+        unchanged[onset:end] = False
+        assert (threaded[:, unchanged] == base[:, unchanged]).all()
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    def test_fewer_than_four_blocks_start_no_thread(self, rng, monkeypatch, blocks):
+        monkeypatch.setattr(dsp, "_usable_cores", lambda: 8)
+        monkeypatch.setattr(threading.Thread, "start", _fail_start)
+        clip = rng.standard_normal(blocks * (_BLOCK_SIZE - 299))
+        taps = 0.1 * rng.standard_normal((2, 300))
+        total = np.zeros((2, clip.shape[0] + 299))
+        _convolve_place(total, clip, RIR("x", taps, 16000), 0)
+        direct = np.stack([np.convolve(clip, t) for t in taps])
+        np.testing.assert_allclose(total, direct, atol=1e-12)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_error_in_a_block_reaches_the_caller_with_every_thread_joined(
+        self, rng, monkeypatch, threads
+    ):
+        monkeypatch.setattr(dsp, "_usable_cores", lambda: threads)
+        monkeypatch.setattr(simulate, "_BLOCK_SIZE", 256)
+        seen = _block_observer(monkeypatch, fail_at=3)
+        rir = RIR("x", 0.1 * rng.standard_normal((2, 40)), 16000)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="block 3"):
+            _convolve_place(np.zeros((2, 9000)), rng.standard_normal(8000), rir, 0)
+        assert seen[0][1] == threads
+        assert threading.active_count() == before
+        assert not [t for t in threading.enumerate() if t.name.startswith(dsp._THREAD_PREFIX)]
+
+    @pytest.mark.parametrize(
+        "workers, cores, share", [(2, 8, 4), (3, 8, 2), (2, 2, 1), (4, 2, 1)]
+    )
+    def test_pool_initializer_shares_the_cores(
+        self, glasses5, corpus_dirs, tmp_path, monkeypatch, workers, cores, share
+    ):
+        """build_dataset's pool runs dsp._share_cores(workers) in each
+        child, which then convolves on cores // workers threads."""
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                pools.append((initializer, initargs))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(futures_process, "ProcessPoolExecutor", RecordingPool)
+        clips_dir, noise_dir = corpus_dirs
+        build_dataset(
+            [glasses5], ClipSource.from_directory(clips_dir), NoiseSource.from_directory(noise_dir),
+            count=workers, fs=16000, seed=5, workers=workers, out_dir=tmp_path / "ds",
+        )
+        [(initializer, initargs)] = pools
+        assert (initializer, initargs) == (dsp._share_cores, (workers,))
+        monkeypatch.setattr(dsp, "_core_sharers", 1)  # restored after the test
+        monkeypatch.setattr(dsp.os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+        assert dsp._usable_cores() == min(cores, dsp.MAX_WORKERS)
+        initializer(*initargs)
+        assert dsp._usable_cores() == share
+
+    def test_dataset_and_scene_bytes_equal_the_serial_route(
+        self, corpus_dirs, tmp_path, monkeypatch
+    ):
+        """With blocks small enough that every clip has at least four, a
+        dataset and a scene rendered at 2 threads write the bytes they
+        write at 1."""
+        monkeypatch.setattr(simulate, "_BLOCK_SIZE", 1024)
+        clips_dir, noise_dir = corpus_dirs
+        cfg = tmp_path / "dataset.yaml"
+        cfg.write_text(f"geometries:\n- geometry: reference_glasses_5\nclips_dir: {clips_dir}\n"
+                       f"noise_dir: {noise_dir}\ncount: 3\nseed: 7\n")
+        seen = _block_observer(monkeypatch)
+        written = {}
+        for threads in (1, 2):
+            monkeypatch.setattr(dsp, "_usable_cores", lambda: threads)
+            for command in ("dataset", "scene"):
+                out = tmp_path / f"{command}_{threads}"
+                argv = [command, "--config", str(cfg), "--out", str(out)]
+                assert cli.main(argv + (["--workers", "1"] if command == "dataset" else [])) == 0
+                written[command, threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert {threads for _, threads, _ in seen} == {1, 2}
+        assert len(written["dataset", 1]) == 4 and len(written["scene", 1]) == 2
+        for command in ("dataset", "scene"):
+            assert written[command, 2] == written[command, 1]
 
 
 def _abs_envelope_span(reference):
@@ -694,7 +863,7 @@ class TestRenderAndDataset:
         started = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 started.append(max_workers)
 
             def __enter__(self):
