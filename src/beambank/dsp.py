@@ -14,12 +14,10 @@ synthesis (irfft, window, overlap-add), and three front ends:
 - chunked offline: the signal is cut into runs of frames, each analysed
   from ``_run_source``'s view of the audio. ``features.featurize_audio``
   steers each run from ``_analysis_runs`` into log-mel rows, serially.
-  ``steer_audio`` computes its runs on up to one thread per usable core,
-  into buffers allocated once per call (each thread's scratch and a ring of
-  synthesis-frame slots), and overlap-adds them into one output buffer in
-  run order, so its bytes are the same at any thread count. Both hold the
-  audio, the output and a few runs of frames, never a whole-signal
-  spectrogram
+  ``steer_audio`` computes its runs on up to one thread per usable core
+  and overlap-adds them into one output array in run order, so its bytes
+  are the same at any thread count. Both hold the audio, the output and a
+  few runs of frames, never a whole-signal spectrogram
 - streaming: ``BlockProcessor`` runs all three over the frames each pushed
   block completes
 
@@ -82,30 +80,25 @@ def _overlap_add(frames: np.ndarray, hop: int, out: np.ndarray) -> None:
 
 
 def _analyze(
-    x: np.ndarray, window: np.ndarray, hop: int, n_frames: int, start: int = 0,
-    windowed: np.ndarray | None = None, out: np.ndarray | None = None,
+    x: np.ndarray, window: np.ndarray, hop: int, n_frames: int, start: int = 0
 ) -> np.ndarray:
     """(C, n_frames, bins) rfft of windowed frames of C-contiguous (C, samples)
-    x, the first frame starting at sample ``start``. The windowed frames go
-    to ``windowed`` and the spectra to ``out`` when they are given."""
+    x, the first frame starting at sample ``start``."""
     n_fft, step = window.shape[0], x.strides[1]
     # frames as a strided view on x's buffer; numpy checks it stays inside x
     shape, strides = (x.shape[0], n_frames, n_fft), (x.strides[0], hop * step, step)
     frames = np.ndarray(shape, x.dtype, x, start * step, strides)
-    return np.fft.rfft(np.multiply(frames, window, out=windowed), axis=2, out=out)
+    return np.fft.rfft(frames * window, axis=2)
 
 
-def _steer(conj_weights: np.ndarray, data: np.ndarray, out: np.ndarray | None = None):
+def _steer(conj_weights: np.ndarray, data: np.ndarray) -> np.ndarray:
     """out[k, t, f] = sum_m conj_weights[k, f, m] data[m, t, f]."""
-    return np.einsum("kfm,mtf->ktf", conj_weights, data, out=out)
+    return np.einsum("kfm,mtf->ktf", conj_weights, data)
 
 
-def _synthesis_frames(
-    data: np.ndarray, window: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """The windowed irfft frames (C, T, n_fft) of (C, T, bins) data, into
-    ``out`` when it is given."""
-    frames = np.fft.irfft(data, n=window.shape[0], axis=2, out=out)
+def _synthesis_frames(data: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """The windowed irfft frames (C, T, n_fft) of (C, T, bins) data."""
+    frames = np.fft.irfft(data, n=window.shape[0], axis=2)
     frames *= window
     return frames
 
@@ -309,24 +302,23 @@ def _usable_cores() -> int:
     return min(max(1, cores // _core_sharers), MAX_WORKERS)
 
 
-def _in_run_order(compute, consume, runs: int, threads: int, depth: int) -> None:
-    """``consume(i, compute(i, w))`` for runs i = 0 .. runs - 1, consumed in
-    order by the calling thread; ``w`` < ``threads`` names the thread that
-    computes run i, 0 being the calling thread.
+def _in_run_order(compute, consume, runs: int, threads: int) -> None:
+    """``consume(i, compute(i))`` for runs i = 0 .. runs - 1, consumed in
+    order by the calling thread.
 
     With one thread the calling thread computes every run and no thread is
-    started. Otherwise ``threads - 1`` more threads compute runs beside it.
-    Runs are taken in increasing order, and run i only while i < consumed +
-    ``depth``, so a run never starts before the run ``depth`` places ahead
-    of it has been consumed. The calling thread consumes the next run as
-    soon as it is computed, else takes a run, else waits. On an error in a
-    thread or in the caller (a KeyboardInterrupt too), every thread is
-    stopped and joined before the first error is raised: no thread outlives
-    the call.
+    started. Otherwise ``threads - 1`` more threads, named
+    ``_THREAD_PREFIX``-1 and up, compute runs beside it. Runs are taken in
+    increasing order, and run i only while i < consumed + 2 x ``threads``,
+    so at most two runs per thread are computed and not yet consumed. The
+    calling thread consumes the next run as soon as it is computed, else
+    takes a run, else waits. On an error in a thread or in the caller (a
+    KeyboardInterrupt too), every thread is stopped and joined before the
+    first error is raised: no thread outlives the call.
     """
     if threads == 1:
         for i in range(runs):
-            consume(i, compute(i, 0))
+            consume(i, compute(i))
         return
     cond = threading.Condition()
     done = {}  # run -> computed value not yet consumed
@@ -335,12 +327,12 @@ def _in_run_order(compute, consume, runs: int, threads: int, depth: int) -> None
 
     def take():  # under cond: the next run if it may start, else None
         nonlocal taken
-        if taken == runs or taken >= consumed + depth:
+        if taken == runs or taken >= consumed + 2 * threads:
             return None
         taken += 1
         return taken - 1
 
-    def work(w):
+    def work():
         nonlocal error, stop
         while True:
             with cond:
@@ -349,7 +341,7 @@ def _in_run_order(compute, consume, runs: int, threads: int, depth: int) -> None
                 if stop or i is None:
                     return
             try:
-                value = compute(i, w)
+                value = compute(i)
             except BaseException as exc:
                 with cond:
                     if error is None:
@@ -364,8 +356,7 @@ def _in_run_order(compute, consume, runs: int, threads: int, depth: int) -> None
     pool = []
     try:
         for w in range(1, threads):
-            thread = threading.Thread(target=work, args=(w,), name=f"{_THREAD_PREFIX}-{w}",
-                                      daemon=True)
+            thread = threading.Thread(target=work, name=f"{_THREAD_PREFIX}-{w}", daemon=True)
             thread.start()
             pool.append(thread)
         while consumed < runs:
@@ -382,7 +373,7 @@ def _in_run_order(compute, consume, runs: int, threads: int, depth: int) -> None
                     consumed += 1
                     cond.notify_all()
             else:
-                value = compute(i, 0)
+                value = compute(i)
                 with cond:
                     done[i] = value
     finally:
@@ -400,53 +391,35 @@ def steer_audio(audio, bank, num_samples: int | None = None) -> np.ndarray:
 
     Runs are analysed, steered and synthesized on up to one thread per
     usable core (``_usable_cores``, at most one per run), the calling thread
-    among them. Buffers are allocated once per call, none per run: one for
-    each thread and a ring of 2 x threads slots, where run i uses slot i
-    modulo the ring; no run starts before the run a ring ahead of it has
-    been overlap-added, so a slot is free when it is reused. The calling
-    thread overlap-adds the runs into one output buffer strictly in run
-    order, so no whole-signal spectrogram is built and the bytes are the
-    same at any thread count. At hop n_fft/2 every output sample is the sum
-    of exactly two frame terms, which is the same in either order, so the
-    run boundaries do not change a bit either. The audio's sample rate is
-    the caller's to check.
+    among them, each into arrays of its own. The calling thread overlap-adds
+    the runs into one output array strictly in run order, so no
+    whole-signal spectrogram is built and the bytes are the same at any
+    thread count. At hop n_fft/2 every output sample is the sum of exactly
+    two frame terms, which is the same in either order, so the run
+    boundaries do not change a bit either. The audio's sample rate is the
+    caller's to check.
     """
     x, n_frames = _bank_frames(audio, bank)
     n_fft = bank.n_fft
-    hop, bins = n_fft // 2, n_fft // 2 + 1
-    channels, directions = x.shape[0], bank.num_directions
+    hop = n_fft // 2
     window, conj_weights = sqrt_hann(n_fft), bank.weights.conj()
-    run = _run_frames(channels, n_fft)
+    run = _run_frames(x.shape[0], n_fft)
     runs = -(-n_frames // run)
-    threads = min(_usable_cores(), runs)
-    depth = min(2 * threads, runs)
-    out = np.zeros((directions, (n_frames - 1) * hop + n_fft))
-    # a run ping-pongs between its thread's buffer and its ring slot:
-    # windowed frames (thread) -> spectra (slot) -> steered (thread) -> frames (slot)
-    scratch = [np.empty(max(channels * n_fft, 2 * directions * bins) * run)
-               for _ in range(threads)]
-    ring = [np.empty(max(2 * channels * bins, directions * n_fft) * run) for _ in range(depth)]
+    out = np.zeros((bank.num_directions, (n_frames - 1) * hop + n_fft))
 
-    def frames(i, w):
+    def frames(i):
         first = i * run
         count = min(run, n_frames - first)
-
-        def shaped(buf, rows, cols, dtype=float):  # a C-contiguous prefix, as a new array is
-            return buf.view(dtype)[: rows * count * cols].reshape(rows, count, cols)
-
-        mine, slot = scratch[w], ring[i % depth]
         source, start = _run_source(x, hop, first, count)
-        spec = _analyze(source, window, hop, count, start, shaped(mine, channels, n_fft),
-                        shaped(slot, channels, bins, complex))
-        beams = _steer(conj_weights, spec, shaped(mine, directions, bins, complex))
-        return _synthesis_frames(beams, window, shaped(slot, directions, n_fft))
+        spec = _analyze(source, window, hop, count, start)
+        return _synthesis_frames(_steer(conj_weights, spec), window)
 
     def overlap_add(i, run_frames):
         span = out[:, i * run * hop : (i * run + run_frames.shape[1] + 1) * hop]
         for row_frames, row in zip(run_frames, span):
             _overlap_add(row_frames, hop, row)
 
-    _in_run_order(frames, overlap_add, runs, threads, depth)
+    _in_run_order(frames, overlap_add, runs, min(_usable_cores(), runs))
     return _normalize(out, window, hop, num_samples)
 
 

@@ -464,11 +464,9 @@ def _convolve_place(total: np.ndarray, clip: np.ndarray, rir: RIR, onset: int):
 
     The blocks are computed by ``dsp._in_run_order`` on min(usable cores,
     blocks // 2) threads, at least 1, so a clip of fewer than four blocks
-    stays on the calling thread. Buffers are allocated once per call: a
-    spectrum and a product for each thread and a ring of 2 x threads output
-    slots. A block's transforms give the same bits on any thread, and the
-    calling thread adds the blocks into ``total`` strictly in block order,
-    so the bytes are the same at any thread count.
+    stays on the calling thread. A block's transforms give the same bits on
+    any thread, and the calling thread adds the blocks into ``total``
+    strictly in block order, so the bytes are the same at any thread count.
     """
     from . import dsp
 
@@ -480,24 +478,17 @@ def _convolve_place(total: np.ndarray, clip: np.ndarray, rir: RIR, onset: int):
     if blocks == 0:
         return
     taps_spectrum = np.fft.rfft(rir.taps, size, axis=1)
-    threads = max(1, min(dsp._usable_cores(), blocks // 2))
-    depth = min(2 * threads, blocks)
-    scratch = [(np.empty(size // 2 + 1, complex), np.empty(taps_spectrum.shape, complex))
-               for _ in range(threads)]
-    ring = [np.empty((rir.taps.shape[0], size)) for _ in range(depth)]
 
-    def wet(i, w):
-        spectrum, product = scratch[w]
-        np.fft.rfft(clip[i * step : (i + 1) * step], size, out=spectrum)
-        np.multiply(spectrum, taps_spectrum, out=product)
-        return np.fft.irfft(product, size, axis=1, out=ring[i % depth])
+    def wet(i):
+        block = clip[i * step : (i + 1) * step]
+        return np.fft.irfft(np.fft.rfft(block, size) * taps_spectrum, size, axis=1)
 
     def place(i, block):
         start = onset + i * step
         end = min(start + step + n_taps - 1, stop)
         total[:, start:end] += block[:, : end - start]
 
-    dsp._in_run_order(wet, place, blocks, threads, depth)
+    dsp._in_run_order(wet, place, blocks, max(1, min(dsp._usable_cores(), blocks // 2)))
 
 
 def compose_scene(
@@ -633,11 +624,6 @@ def _span_power(reference: np.ndarray) -> tuple[slice, float]:
     active = envelope > ACTIVITY_FLOOR * peak
     span = slice(int(active.argmax()), n - int(active[::-1].argmax()))
     return span, float(power[span].sum()) / (m * (span.stop - span.start))
-
-
-def _active_span(reference: np.ndarray) -> slice:
-    """The active span that mix_noise measures power over."""
-    return _span_power(reference)[0]
 
 
 def mix_noise(

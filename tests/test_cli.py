@@ -820,13 +820,13 @@ class TestApply:
         monkeypatch.setattr(dsp, "_usable_cores", lambda: 2)
         schedule = dsp._in_run_order
 
-        def failing(compute, consume, runs, threads, depth):
-            def compute_(i, w):
+        def failing(compute, consume, runs, threads):
+            def compute_(i):
                 if i == 3:
                     raise MemoryError
-                return compute(i, w)
+                return compute(i)
 
-            schedule(compute_, consume, runs, threads, depth)
+            schedule(compute_, consume, runs, threads)
 
         monkeypatch.setattr(dsp, "_in_run_order", failing)
         wav = tmp_path / "long.wav"

@@ -225,29 +225,30 @@ class TestSteerAudio:
 
 def _run_observer(monkeypatch, hook=None):
     """Wrap steer_audio's run scheduler: ``hook(i)`` (if given) runs as run i
-    starts, and the returned dict records the runs, ring depth, threads and
-    the largest lookahead (runs started minus runs overlap-added)."""
+    starts, and the returned dict records the runs, threads, the executor's
+    lookahead bound min(2 x threads, runs) as ``depth``, and the largest
+    lookahead (runs started minus runs overlap-added)."""
     seen = {"started": 0, "consumed": 0, "lookahead": 0, "depth": None, "threads": None}
     lock = threading.Lock()
     schedule = dsp._in_run_order
 
-    def observed(compute, consume, runs, threads, depth):
-        seen.update(runs=runs, threads=threads, depth=depth)
+    def observed(compute, consume, runs, threads):
+        seen.update(runs=runs, threads=threads, depth=min(2 * threads, runs))
 
-        def compute_(i, w):
+        def compute_(i):
             with lock:
                 seen["started"] = max(seen["started"], i + 1)
                 seen["lookahead"] = max(seen["lookahead"], seen["started"] - seen["consumed"])
             if hook is not None:
                 hook(i)
-            return compute(i, w)
+            return compute(i)
 
         def consume_(i, value):
             consume(i, value)
             with lock:
                 seen["consumed"] = i + 1
 
-        schedule(compute_, consume_, runs, threads, depth)
+        schedule(compute_, consume_, runs, threads)
 
     monkeypatch.setattr(dsp, "_in_run_order", observed)
     return seen
@@ -308,10 +309,12 @@ class TestSteerThreads:
         assert seen["threads"] == min(threads, seen["runs"])
 
     @pytest.mark.parametrize("threads", [2, 3, 8])
-    def test_ring_reused_over_many_runs(self, random_bank, rng, monkeypatch, threads):
-        """40 runs of 5 frames pass through a ring of 2 x threads slots, with
-        the interpreter switching threads every microsecond: a slot reused
-        before its run was overlap-added would change the bytes."""
+    def test_many_runs_under_fast_thread_switching(self, random_bank, rng, monkeypatch,
+                                                   threads):
+        """40 runs of 5 frames, with the interpreter switching threads every
+        microsecond: a run overlap-added out of order or from frames still
+        being written would change the bytes, and at most 2 x threads runs
+        are computed and not yet overlap-added."""
         monkeypatch.setattr(dsp, "_usable_cores", lambda: threads)
         monkeypatch.setattr(dsp, "_run_frames", lambda num_mics, n_fft: 5)
         seen = _run_observer(monkeypatch)
@@ -329,9 +332,10 @@ class TestSteerThreads:
         assert seen["lookahead"] <= seen["depth"]
 
     def test_slow_first_run_stalls_nothing(self, random_bank, rng, monkeypatch):
-        """The first run sleeps while the others race ahead: they stop at the
-        ring's depth, and the call finishes with the same bytes (run in a
-        joined thread, so a deadlock fails the test instead of hanging it)."""
+        """The first run sleeps while the others race ahead: they stop at
+        2 x threads runs ahead, and the call finishes with the same bytes
+        (run in a joined thread, so a deadlock fails the test instead of
+        hanging it)."""
         monkeypatch.setattr(dsp, "_usable_cores", lambda: 3)
         monkeypatch.setattr(dsp, "_run_frames", lambda num_mics, n_fft: 4)
         seen = _run_observer(monkeypatch, lambda i: time.sleep(0.3) if i == 0 else None)
@@ -409,6 +413,31 @@ class TestSteerThreads:
         x = rng.standard_normal((2, 3 * _run_frames(2, 64) * 32))
         whole = istft(apply_bank(stft(x, 16000, 64, 32), bank), x.shape[1])
         assert steer_audio(x, bank, x.shape[1]).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("threads, runs", [(2, 30), (3, 30), (4, 30), (4, 3)])
+    def test_executor_bounds_its_own_lookahead(self, threads, runs):
+        """_in_run_order alone keeps runs started minus runs consumed within
+        min(2 x threads, runs): run 0 sleeps while the other threads take
+        every run they may, and the values still arrive in run order."""
+        lock = threading.Lock()
+        seen = {"started": 0, "consumed": 0, "lookahead": 0}
+        values = []
+
+        def compute(i):
+            with lock:
+                seen["started"] += 1
+                seen["lookahead"] = max(seen["lookahead"], seen["started"] - seen["consumed"])
+            time.sleep(0.2 if i == 0 else 0.002)
+            return i * i
+
+        def consume(i, value):
+            values.append((i, value))
+            with lock:
+                seen["consumed"] += 1
+
+        _bounded(lambda: dsp._in_run_order(compute, consume, runs, threads))
+        assert values == [(i, i * i) for i in range(runs)]
+        assert seen["lookahead"] == min(2 * threads, runs)
 
     def test_pool_is_the_usable_cores_capped(self, monkeypatch):
         monkeypatch.setattr(dsp.os, "sched_getaffinity", lambda pid: set(range(100)),

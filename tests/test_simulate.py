@@ -27,10 +27,10 @@ from beambank.simulate import (
     RoomSpec,
     SceneManifest,
     SceneSpec,
-    _active_span,
     _convolve_place,
     _image_lattice,
     _image_sources,
+    _span_power,
     build_dataset,
     compose_scene,
     generate_rir_ism,
@@ -490,19 +490,19 @@ def _fail_start(self):
 
 def _block_observer(monkeypatch, fail_at=None):
     """Wrap _convolve_place's block scheduler: the returned list records
-    (blocks, threads, depth) per call, and block ``fail_at`` raises
-    MemoryError."""
+    (blocks, threads, the executor's lookahead bound min(2 x threads,
+    blocks)) per call, and block ``fail_at`` raises MemoryError."""
     seen, schedule = [], dsp._in_run_order
 
-    def observed(compute, consume, runs, threads, depth):
-        seen.append((runs, threads, depth))
+    def observed(compute, consume, runs, threads):
+        seen.append((runs, threads, min(2 * threads, runs)))
 
-        def compute_(i, w):
+        def compute_(i):
             if i == fail_at:
                 raise MemoryError(f"block {i}")
-            return compute(i, w)
+            return compute(i)
 
-        schedule(compute_, consume, runs, threads, depth)
+        schedule(compute_, consume, runs, threads)
 
     monkeypatch.setattr(dsp, "_in_run_order", observed)
     return seen
@@ -522,9 +522,9 @@ class TestConvolveThreads:
     def test_bytes_equal_one_thread_at_any_thread_count(
         self, rng, monkeypatch, threads, n_clip, onset, total_len, blocks
     ):
-        """40 blocks of 217 samples pass through a ring of 2 x threads
-        slots, with the interpreter switching threads every microsecond; a
-        slot reused before its block was added would change the bytes."""
+        """40 blocks of 217 samples, with the interpreter switching threads
+        every microsecond; a block added out of order would change the
+        bytes."""
         monkeypatch.setattr(simulate, "_BLOCK_SIZE", 256)
         clip = rng.standard_normal(n_clip)
         rir = RIR("x", 0.1 * rng.standard_normal((3, 40)), 16000)
@@ -664,7 +664,7 @@ class TestActiveSpan:
             reference[channels, start:stop] = rng.standard_normal((len(channels), stop - start))
             reference[channels[-1], [start, stop - 1]] = -1e-3
             reference[channels[0], rng.integers(start, stop)] = -50.0
-            span = _active_span(reference)
+            span = _span_power(reference)[0]
             assert span == _abs_envelope_span(reference) == slice(int(start), int(stop))
 
 
