@@ -644,7 +644,7 @@ def mix_noise(
 
     The scene is read in two passes of ``_TILE``-sample tiles. The first
     takes the active span and the reference power from the reference. The
-    noise power is one dot product per channel over the span; for mono
+    noise power is one sum of squares per channel over the span; for mono
     noise each channel is a delayed view of the one recording, so no
     delayed copy is built. The second pass adds ``scale * noise`` to the
     scene tile by tile and stores the sum as interleaved (samples,
@@ -682,7 +682,9 @@ def mix_noise(
         channels = noise[:, :n_samples]
 
     span, p_ref = _span_power(reference)
-    energy = sum(float(np.dot(row[span], row[span])) for row in channels)
+    # einsum sums without BLAS: OpenBLAS splits a long dot product among its
+    # threads, so np.dot's last bits, and every sample, would follow their count
+    energy = sum(float(np.einsum("i,i->", row[span], row[span])) for row in channels)
     p_noise = energy / (m * (span.stop - span.start))
     if p_noise <= 0:
         raise DataError("noise is silent over the scene's active span")

@@ -3,7 +3,9 @@
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import threading
 from concurrent.futures import process as futures_process
@@ -668,6 +670,20 @@ class TestActiveSpan:
             assert span == _abs_envelope_span(reference) == slice(int(start), int(stop))
 
 
+# prints the sha256 of a long mono-noise scene's mix_noise output
+_MIX_PROBE = """
+import hashlib
+import numpy as np
+from beambank.simulate import mix_noise
+rng = np.random.default_rng(5)
+reference = rng.standard_normal((7, 250000))
+scene = reference + 0.1 * rng.standard_normal(reference.shape)
+noise = rng.standard_normal(60000)
+mixed = mix_noise(scene, noise, 5.0, reference, np.random.default_rng(1), 16000)
+print(hashlib.sha256(mixed.T.tobytes()).hexdigest())
+"""
+
+
 class TestMixNoise:
     def test_requested_snr_is_achieved(self, rng):
         fs = 16000
@@ -758,6 +774,22 @@ class TestMixNoise:
         write_wav(tmp_path / "a.wav", mixed, 16000)
         write_wav(tmp_path / "b.wav", np.ascontiguousarray(mixed), 16000)
         assert (tmp_path / "a.wav").read_bytes() == (tmp_path / "b.wav").read_bytes()
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        """A 7 x 250000 scene mixed in fresh interpreters at one and at two
+        BLAS threads: a noise power from np.dot, which OpenBLAS splits among
+        its threads, changed the bytes with the thread count."""
+        src = str(Path(simulate.__file__).resolve().parents[1])
+        digests = []
+        for blas_threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+                       OMP_NUM_THREADS=blas_threads, MKL_NUM_THREADS=blas_threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = subprocess.run([sys.executable, "-c", _MIX_PROBE], env=env,
+                                 capture_output=True, text=True)
+            assert out.returncode == 0, out.stderr
+            digests.append(out.stdout)
+        assert digests[0] == digests[1]
 
     @pytest.mark.parametrize("shape", [(1, 16000), (2, 15999)])
     def test_reference_of_another_shape_rejected(self, rng, shape):
