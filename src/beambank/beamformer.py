@@ -7,11 +7,13 @@ c = h^H Psi h <= 0 with Psi = I - g g^H * M / ||g||^2. On the
 distortionless manifold the constraint set is a ball, so the KKT system
 reduces exactly to diagonal loading: h(eps) = (Phi + eps I)^{-1} g,
 normalized (Cox, Zeskind & Owen, IEEE TASSP 1987). ||h(eps)||^2 is
-non-increasing in eps, which makes c(eps) monotone and a bisection on eps
-exact; the result is certifiable after the fact through verify_kkt. One
-batched kernel diagonalizes each covariance once and bisects the loading
-in its eigenbasis (Li, Stoica & Wang, IEEE TSP 2003); it works row by row,
-so a single design (a batch of one) does not depend on its batch.
+non-increasing in eps, which makes c(eps) monotone and its root a bracketed
+search; the result is certifiable after the fact through verify_kkt. One
+batched kernel diagonalizes each covariance once and finds the loading by
+loading steps (bracketing and Newton) on the secular equation in its
+eigenbasis (Li, Stoica & Wang, IEEE TSP 2003; Lorenz & Boyd, IEEE TSP
+2005); it works row by row, so a single design (a batch of one) does not
+depend on its batch.
 """
 
 from __future__ import annotations
@@ -54,10 +56,10 @@ from .noise_model import (
     add_point_noises,
     check_covariances,
     diffuse_covariances,
-    regularize_stack,
+    regularized_eigh,
 )
 
-MAX_BISECTION_STEPS = 60
+MAX_LOADING_STEPS = 60
 LOADING_CAP_SCALE = 1e6
 DISTORTIONLESS_TOL = 1e-6
 SLACKNESS_BOUND = 1e-8
@@ -77,7 +79,7 @@ class BeamformerWeights:
     ``objective`` is h^H Phi h against the design covariance,
     ``loading`` the diagonal loading level used to enforce the WNG
     constraint (0 when inactive), ``constraint`` the constraint value c,
-    ``iterations`` the bisection step count.
+    ``iterations`` the number of loading steps (bracketing and Newton).
     """
 
     frequency: float
@@ -162,18 +164,22 @@ def _wng(h, g, g_norm_sq, margin) -> np.ndarray:
     return _norm_sq(h) - g.shape[1] * (gh.real**2 + gh.imag**2) / (margin * g_norm_sq)
 
 
-def _loaded_designs(matrices, bins, g, g_norm_sq, where, wng_tolerance=None, wng_margin=1.0):
+def _loaded_designs(matrices, lam_f, u_f, bins, g, g_norm_sq, where, wng_tolerance=None,
+                    wng_margin=1.0):
     """h(eps) = (A + eps I)^{-1} g / (g^H (A + eps I)^{-1} g) for N designs.
 
-    ``matrices`` is an (F, M, M) stack of regularized covariances, ``g`` the
-    (N, M) steering vectors and ``bins`` the covariance of each design.
-    Without a tolerance eps stays 0 (MVDR). With one, every design whose
-    c(0) > 0 gets its loading bracketed by tenfold steps and then bisected
-    until |c| <= tol and eps |c| <= tol, within a shared step budget; the
-    feasible side of the bracket is kept. Returns h, eps and the step counts.
+    ``matrices`` is an (F, M, M) stack of regularized covariances A, with
+    eigenvalues ``lam_f`` and eigenvectors ``u_f``; ``g`` holds the (N, M)
+    steering vectors and ``bins`` the covariance of each design. Without a
+    tolerance eps stays 0 (MVDR). With one, every design whose c(0) > 0
+    takes loading steps (bracketing and Newton): Newton steps on
+    c(eps) = S2 / S1^2 - M / (margin ||g||^2), guarded by tenfold steps
+    until the root is bracketed and by the midpoint after, until
+    |c| <= tol and eps |c| <= tol, within a shared step budget; the
+    feasible side of the bracket is kept. Returns h, eps and the step
+    counts.
     """
     n, m = g.shape
-    lam_f, u_f = np.linalg.eigh(matrices)
     lam, u = lam_f[bins], u_f[bins]
     # a positive definite A keeps the normalization g^H (A + eps I)^{-1} g
     # finite and positive for every eps >= 0
@@ -190,36 +196,55 @@ def _loaded_designs(matrices, bins, g, g_norm_sq, where, wng_tolerance=None, wng
         target = m / (wng_margin * g_norm_sq)
 
         def c_at(idx, e):
+            """c and dc/deps, from Sk = sum_i p_i / (lam_i + eps)^k."""
             w = p[idx] / (lam[idx] + e[:, None])
             s1 = w.sum(axis=1)
-            return (w / (lam[idx] + e[:, None])).sum(axis=1) / s1**2 - target[idx]
+            w = w / (lam[idx] + e[:, None])
+            s2 = w.sum(axis=1)
+            s3 = (w / (lam[idx] + e[:, None])).sum(axis=1)
+            return s2 / s1**2 - target[idx], -2.0 * s3 / s1**2 + 2.0 * s2**2 / s1**3
 
         trace = np.trace(matrices, axis1=-2, axis2=-1).real[bins]
         cap = LOADING_CAP_SCALE * trace / m
         lo, hi = np.zeros(n), trace / m * 1e-6
-        c = c_at(np.arange(n), eps)
-        # Unbracketed designs try hi and grow it tenfold; bracketed ones try
-        # the midpoint. c(eps) is monotone non-increasing and the
-        # delay-and-sum limit (eps -> inf) is strictly feasible, so a sign
-        # change must appear below the cap.
+        c, dc_lo = c_at(np.arange(n), eps)
+        c_lo = c.copy()  # c and dc/deps at lo; c itself follows hi once bracketed
+        # c(eps) is monotone non-increasing and the delay-and-sum limit
+        # (eps -> inf) is strictly feasible, so a sign change must appear
+        # below the cap. Each step takes a Newton step from lo. It aims
+        # halfway into the band the stop tests accept, so that on a convex c
+        # it stays in (lo, root of c + band / 2] and its iterates cross onto
+        # the feasible side. A bracketed design falls back to the midpoint
+        # when the step leaves the bracket. An unbracketed one tries hi
+        # instead, unless Newton passes it, and grows hi tenfold.
         bracketed = np.zeros(n, dtype=bool)
         run = np.flatnonzero(c > 0.0)
         while run.size:
             steps[run] += 1
             was = bracketed[run]
-            trial = np.where(was, 0.5 * (lo[run] + hi[run]), hi[run])
-            c_trial = c_at(run, trial)
+            aim = -0.5 * wng_tolerance / np.maximum(1.0, hi[run])
+            # dc = 0 makes no step: an inf or nan trial fails both tests below
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = lo[run] - (c_lo[run] - aim) / dc_lo[run]
+            inside = (lo[run] < newton) & (newton < hi[run])
+            trial = np.where(
+                was,
+                np.where(inside, newton, 0.5 * (lo[run] + hi[run])),
+                np.where(newton > hi[run], np.minimum(newton, cap[run]), hi[run]),
+            )
+            c_trial, dc_trial = c_at(run, trial)
             ok, grow = c_trial <= 0.0, (c_trial > 0.0) & ~was
             hi[run[ok]], c[run[ok]], bracketed[run[ok]] = trial[ok], c_trial[ok], True
-            lo[run[~ok]] = trial[~ok]
-            c[run[grow]] = c_trial[grow]  # an unbracketed design reports its last trial
-            hi[run[grow]] *= 10.0
+            low = run[~ok]
+            lo[low], c_lo[low], dc_lo[low] = trial[~ok], c_trial[~ok], dc_trial[~ok]
+            hi[run[grow]] = 10.0 * trial[grow]
             cr = np.abs(c[run])
             done = bracketed[run] & (cr <= wng_tolerance) & (hi[run] * cr <= wng_tolerance)
-            run = run[~done & (steps[run] < MAX_BISECTION_STEPS) & ~(hi[run] > cap[run])]
+            run = run[~done & (steps[run] < MAX_LOADING_STEPS) & ~(hi[run] > cap[run])]
+        # an unbracketed design's last trial is its lo
         raise_first(bracketed | (steps == 0), SolverError, lambda i: (
             f"{where(i)}: internal solver failure: no feasible loading below cap "
-            f"{cap[i]:.3e} within {steps[i]} steps (c = {c[i]:.3e})"
+            f"{cap[i]:.3e} within {steps[i]} steps (c = {c_lo[i]:.3e})"
         ))
         raise_first(c <= wng_tolerance, SolverError, lambda i: (
             f"{where(i)}: internal solver failure: returned infeasible c = {c[i]:.3e}"
@@ -232,11 +257,13 @@ def _loaded_designs(matrices, bins, g, g_norm_sq, where, wng_tolerance=None, wng
     return h, eps, steps
 
 
-def _design_batch(method, phi, bins, g, where, wng_tolerance=WNG_TOLERANCE, wng_margin=1.0):
+def _design_batch(method, phi, bins, g, where, wng_tolerance=WNG_TOLERANCE, wng_margin=1.0,
+                  eig=None):
     """N designs of one method sharing an (F, M, M) covariance stack ``phi``
-    (the diffuse one for superdirective). Returns (weights, objective,
-    loading, constraint, iterations); the constraint uses ``wng_margin``
-    for nlcmv and 1 otherwise."""
+    (the diffuse one for superdirective), whose np.linalg.eigh is ``eig``
+    when the caller has it. Returns (weights, objective, loading,
+    constraint, iterations); the constraint uses ``wng_margin`` for nlcmv
+    and 1 otherwise."""
     n, m = g.shape
     g_norm_sq = _norm_sq(g)
     raise_first(g_norm_sq > 0.0, DegenerateSteeringError,
@@ -250,8 +277,8 @@ def _design_batch(method, phi, bins, g, where, wng_tolerance=WNG_TOLERANCE, wng_
         h = g / g_norm_sq[:, None]
     else:
         h, loading, iterations = _loaded_designs(
-            regularize_stack(phi), bins, g, g_norm_sq, where,
-            wng_tolerance if method == "nlcmv" else None, wng_margin,
+            *regularized_eigh(phi, *(np.linalg.eigh(phi) if eig is None else eig)), bins, g,
+            g_norm_sq, where, wng_tolerance if method == "nlcmv" else None, wng_margin,
         )
     err = np.abs((h.conj() * g).sum(axis=1) - 1.0)
     raise_first(err <= DISTORTIONLESS_TOL, SolverError,
@@ -304,10 +331,11 @@ def design_nlcmv(
     """Minimize h^H Phi h subject to h^H g = 1 and the WNG constraint c <= 0.
 
     Returns the unconstrained MVDR solution when it is already feasible;
-    otherwise bisects the diagonal loading level until the constraint
-    boundary is hit. The stop rule demands both |c| <= wng_tolerance and
-    loading * |c| <= wng_tolerance so complementary slackness certifies,
-    within a fixed step budget; the feasible bracket side is returned.
+    otherwise takes loading steps (bracketing and Newton) on the diagonal
+    loading level until the constraint boundary is hit. The stop rule
+    demands both |c| <= wng_tolerance and loading * |c| <= wng_tolerance so
+    complementary slackness certifies, within a fixed step budget; the
+    feasible bracket side is returned.
     """
     check_solver_settings(wng_tolerance, wng_margin, num_mics=g.num_mics)
     return _single_design(
@@ -346,12 +374,13 @@ class KktReport:
         return self.stationarity_ok & self.feasible & self.slackness_ok
 
 
-def _kkt(h, loading, phi, bins, g, wng_margin, slackness_bound) -> KktReport:
-    """KKT certificates of N designs against an (F, M, M) covariance stack."""
+def _kkt(h, loading, phi, eigenvalues, bins, g, wng_margin, slackness_bound) -> KktReport:
+    """KKT certificates of N designs against an (F, M, M) covariance stack
+    with (F, M) ``eigenvalues``; ||Phi||_2 is the largest |eigenvalue|."""
     a_h = (phi[bins] * h[:, None, :]).sum(axis=2) + loading[:, None] * h
     g_norm_sq = _norm_sq(g)
     lam = (g.conj() * a_h).sum(axis=1) / g_norm_sq
-    phi_norm = np.linalg.norm(phi, 2, axis=(-2, -1))[bins]
+    phi_norm = np.abs(eigenvalues).max(axis=1)[bins]
     c = _wng(h, g, g_norm_sq, wng_margin)
     return KktReport(
         stationarity_residual=np.sqrt(_norm_sq(a_h - lam[:, None] * g)),
@@ -378,8 +407,9 @@ def verify_kkt(
     solver added for conditioning shifts the residual by at most
     delta * ||h|| with delta <= 1e-6 * ||Phi||, inside the bound.
     """
+    phi = phi_total.matrix[None]
     report = _kkt(
-        result.weights[None], np.array([result.loading]), phi_total.matrix[None],
+        result.weights[None], np.array([result.loading]), phi, np.linalg.eigvalsh(phi),
         np.zeros(1, dtype=int), g.entries[None], wng_margin, slackness_bound,
     )
     return KktReport(**{k: float(np.ravel(v)[0]) for k, v in vars(report).items()})
@@ -452,11 +482,14 @@ class BeamformerBank:
         return [d.label() for d in self.directions]
 
 
-def _bank_problem(geometry, directions, frequencies, nulls, sound_speed, atfs):
+def _bank_problem(geometry, directions, frequencies, nulls, sound_speed, atfs, decompose=None):
     """A bank's inputs: the diffuse and design covariances, (F, M, M) each,
     checked Hermitian and PSD; the look steering vectors, (F * (K+1), M)
     bin-major, from ``atfs`` when given (nulls always use the analytic
-    model); and the bin of each design."""
+    model); the bin of each design; and the eigenvalues of the design
+    covariances. ``decompose`` "diffuse" or "total" returns the
+    eigenvalues and eigenvectors of that stack instead, the one the
+    designs solve against; each stack is decomposed once."""
     m = geometry.num_mics
     if atfs is None:
         g = np.stack(
@@ -471,10 +504,11 @@ def _bank_problem(geometry, directions, frequencies, nulls, sound_speed, atfs):
             raise DataError("ATF set holds an identically zero steering vector")
     phi_dd = diffuse_covariances(geometry, frequencies, sound_speed)
     phi_total = add_point_noises(phi_dd, list(nulls), geometry, frequencies, sound_speed)
-    check_covariances(phi_dd, frequencies)
-    check_covariances(phi_total, frequencies)
+    spectrum_dd = check_covariances(phi_dd, frequencies, decompose == "diffuse")
+    spectrum = check_covariances(phi_total, frequencies, decompose == "total")
     bins = np.repeat(np.arange(len(frequencies)), len(directions))
-    return phi_dd, phi_total, np.ascontiguousarray(g).reshape(-1, m), bins
+    g = np.ascontiguousarray(g).reshape(-1, m)
+    return phi_dd, phi_total, g, bins, spectrum_dd if decompose == "diffuse" else spectrum
 
 
 def _by_direction(x: np.ndarray, k1: int) -> np.ndarray:
@@ -512,18 +546,20 @@ def design_bank(
     if len(near) != 1 or len(directions) < 2:
         raise DataError("directions must be K >= 1 horizontal looks plus one mouth point")
     freqs = np.fft.rfftfreq(n_fft, 1.0 / fs)
-    phi_dd, phi_total, g, bins = _bank_problem(
-        geometry, directions, freqs, nulls, sound_speed, atfs
+    diffuse = method == "superdirective"
+    phi_dd, phi_total, g, bins, eig = _bank_problem(
+        geometry, directions, freqs, nulls, sound_speed, atfs, "diffuse" if diffuse else "total"
     )
     k1 = len(directions)
     h, objective, loading, constraint, iterations = (_by_direction(x, k1) for x in _design_batch(
         method,
-        phi_dd if method == "superdirective" else phi_total,
+        phi_dd if diffuse else phi_total,
         bins,
         g,
         lambda i: f"{directions[i % k1].label()} at {freqs[i // k1]:.1f} Hz",
         wng_tolerance,
         wng_margin,
+        eig,
     ))
     return BeamformerBank(
         geometry=geometry,
@@ -577,14 +613,14 @@ def verify_bank(bank: BeamformerBank, atfs: AtfSet | None = None) -> BankReport:
     atf_source 'file' was designed from."""
     check_solver_settings(bank.wng_tolerance, bank.wng_margin, bank.sound_speed,
                           bank.fs, bank.n_fft, bank.method, bank.num_mics)
-    _, phi_total, g, bins = _bank_problem(
+    _, phi_total, g, bins, eigenvalues = _bank_problem(
         bank.geometry, bank.directions, bank.frequencies, bank.nulls, bank.sound_speed, atfs
     )
     k1, f_count, m = bank.weights.shape
     loading = np.zeros((k1, f_count)) if bank.loading is None else bank.loading
     flat = _kkt(
         bank.weights.swapaxes(0, 1).reshape(-1, m), loading.T.reshape(-1), phi_total,
-        bins, g, bank.wng_margin, SLACKNESS_BOUND,
+        eigenvalues, bins, g, bank.wng_margin, SLACKNESS_BOUND,
     )
     return BankReport(bank, KktReport(**{
         k: _by_direction(v, k1) if np.ndim(v) else v for k, v in vars(flat).items()

@@ -64,4 +64,5 @@ class IllConditionedError(NumericalError):
 
 
 class SolverError(NumericalError):
-    """Internal solver failure (e.g. the loading bisection lost its bracket)."""
+    """Internal solver failure (e.g. the loading steps, bracketing and Newton,
+    found no feasible loading below the cap within their step budget)."""

@@ -57,18 +57,25 @@ class NoiseCovariance:
         return self.matrix.shape[0]
 
 
-def check_covariances(matrices: np.ndarray, frequencies) -> None:
+def check_covariances(matrices: np.ndarray, frequencies, vectors: bool = False):
     """Raise DataError unless every matrix of an (F, M, M) stack is Hermitian
-    and positive semi-definite, both within a tolerance relative to its trace."""
+    and positive semi-definite, both within a tolerance relative to its trace.
+
+    Returns the eigenvalues the PSD test took, (F, M) ascending; with
+    ``vectors``, np.linalg.eigh's (eigenvalues, eigenvectors), so that a
+    caller decomposes each stack once.
+    """
     scale = np.maximum(1.0, np.abs(np.trace(matrices, axis1=-2, axis2=-1)))
     herm_err = np.abs(matrices - matrices.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
     raise_first(herm_err <= HERMITIAN_TOL * scale, DataError, lambda i: (
         f"covariance at {frequencies[i]:g} Hz not Hermitian (max asymmetry {herm_err[i]:.3e})"
     ))
-    min_eig = np.linalg.eigvalsh(matrices)[:, 0]
+    spectrum = np.linalg.eigh(matrices) if vectors else np.linalg.eigvalsh(matrices)
+    min_eig = (spectrum[0] if vectors else spectrum)[:, 0]
     raise_first(min_eig >= -PSD_TOL * scale, DataError, lambda i: (
         f"covariance at {frequencies[i]:g} Hz not PSD (min eigenvalue {min_eig[i]:.3e})"
     ))
+    return spectrum
 
 
 def diffuse_covariances(
@@ -127,12 +134,26 @@ def composite_covariance(
     return NoiseCovariance(frequency=f, matrix=matrix)
 
 
-def regularize_stack(matrices: np.ndarray) -> np.ndarray:
-    """:func:`regularize`'s rule applied to each matrix of an (F, M, M) stack."""
+def _lift(matrices: np.ndarray, min_eig: np.ndarray):
+    """:func:`regularize`'s rule on an (F, M, M) stack whose smallest
+    eigenvalues are ``min_eig``: the regularized stack and the lifted bins."""
     m = matrices.shape[-1]
     delta = REGULARIZATION_SCALE * np.trace(matrices, axis1=-2, axis2=-1).real / m
-    lift = np.linalg.eigvalsh(matrices)[:, 0] < 0.5 * delta
-    return np.where(lift[:, None, None], matrices + delta[:, None, None] * np.eye(m), matrices)
+    lift = min_eig < 0.5 * delta
+    lifted = np.where(lift[:, None, None], matrices + delta[:, None, None] * np.eye(m), matrices)
+    return lifted, lift
+
+
+def regularized_eigh(matrices: np.ndarray, eigenvalues: np.ndarray, eigenvectors: np.ndarray):
+    """:func:`regularize` of each matrix of an (F, M, M) stack, with its
+    eigendecomposition, from the stack's own. Bins the rule leaves unchanged
+    keep their decomposition as is; only lifted bins are decomposed again.
+    Returns (regularized stack, eigenvalues, eigenvectors)."""
+    matrices_reg, lift = _lift(matrices, eigenvalues[:, 0])
+    if lift.any():
+        eigenvalues, eigenvectors = eigenvalues.copy(), eigenvectors.copy()
+        eigenvalues[lift], eigenvectors[lift] = np.linalg.eigh(matrices_reg[lift])
+    return matrices_reg, eigenvalues, eigenvectors
 
 
 def regularize(cov: NoiseCovariance) -> NoiseCovariance:
@@ -142,5 +163,6 @@ def regularize(cov: NoiseCovariance) -> NoiseCovariance:
     the floor, which makes the operation idempotent: once loaded, a
     second call returns the input unchanged.
     """
-    matrix = regularize_stack(cov.matrix[None])[0]
-    return NoiseCovariance(frequency=cov.frequency, matrix=matrix)
+    matrix = cov.matrix[None]
+    lifted, _ = _lift(matrix, np.linalg.eigvalsh(matrix)[:, 0])
+    return NoiseCovariance(frequency=cov.frequency, matrix=lifted[0])

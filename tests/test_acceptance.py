@@ -1,8 +1,8 @@
 """Release gates. One test per gate; each ends with a single summary print.
 
 The solver gate checks the constrained designs against a brute-force
-minimizer that knows nothing about the solver's bisection: it samples the
-feasible ball uniformly in reduced coordinates and then polishes with an
+minimizer that knows nothing about the solver's loading steps: it samples
+the feasible ball uniformly in reduced coordinates and then polishes with an
 exact trust-region solve, so agreement is evidence, not tautology. The
 room-acoustics gate replays the image construction from an independent
 one-mirror-per-wall oracle. Timing limits are asserted, not aspirational.
