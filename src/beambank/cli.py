@@ -214,14 +214,17 @@ def _featurize_wav(wav_path, bank, stats):
 
 def _manifest_wavs(manifest_path, geometry_id) -> tuple:
     """Audio paths from a manifest; rows for other geometries are counted,
-    not processed (a bank only fits its own array)."""
+    not processed (a bank only fits its own array). A line longer than
+    ``MAX_LINE_CHARS`` is refused after reading at most that much of it."""
     from ._container import parsing
-    from .manifest import SceneManifest
+    from .manifest import MAX_LINE_CHARS, SceneManifest
 
     root = Path(manifest_path).parent
     wavs, skipped = [], 0
     with open(manifest_path, "r", encoding="utf-8") as fh, parsing(manifest_path, "manifest"):
-        for line in fh:
+        while line := fh.readline(MAX_LINE_CHARS + 1):
+            if len(line) > MAX_LINE_CHARS:
+                raise ValueError(f"a line longer than {MAX_LINE_CHARS} characters")
             if not line.strip():
                 continue
             row = SceneManifest.from_dict(json.loads(line))

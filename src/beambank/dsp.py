@@ -181,8 +181,8 @@ class Spectrogram:
         return self.fs / self.hop
 
 
-def _as_2d(audio) -> np.ndarray:
-    audio = np.asarray(audio, dtype=float)
+def _as_2d(audio, dtype=float) -> np.ndarray:
+    audio = np.asarray(audio, dtype=dtype)
     if audio.ndim == 1:
         return audio[None, :]
     if audio.ndim == 2:
@@ -616,10 +616,11 @@ def _riff_size(path, channels: int, frames: int) -> int:
 
 def write_wav(path, audio, fs: int) -> None:
     """Write (channels, samples) audio as float32 WAV through a temporary
-    file and a rename; docs/formats.md gives the exact layout. Audio whose
-    transpose is C-contiguous, as mix_noise returns, is cast without
-    reordering."""
-    x = _as_2d(audio)
+    file and a rename; docs/formats.md gives the exact layout. float32
+    audio is written as it is, other audio is rounded once to float32.
+    float32 audio whose transpose is C-contiguous, as mix_noise returns,
+    is written without a copy."""
+    x = _as_2d(audio, dtype=None)
     channels, frames = x.shape
     size = _riff_size(path, channels, frames)
     fs = int(fs)

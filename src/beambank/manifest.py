@@ -5,11 +5,17 @@ only, so a command that reads a manifest loads no scene renderer.
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, dataclass
 
 from .errors import DataError
 
 MANIFEST_SCHEMA = "beambank-scene-v1"
+# the longest manifest line, its newline included, that featurize and stats
+# read and build_dataset writes: 1 MiB, in characters (written rows are
+# ASCII, so also bytes). A row is a few kB unless its transcripts are long;
+# the cap bounds what one read of a line without a newline allocates.
+MAX_LINE_CHARS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -71,3 +77,14 @@ class SceneManifest:
         )
         manifest.validate()
         return manifest
+
+
+def row_line(row: dict) -> str:
+    """``row`` as one manifest line, sorted-key JSON and a newline, or a
+    DataError if the line would be longer than ``MAX_LINE_CHARS``."""
+    line = json.dumps(row, sort_keys=True) + "\n"
+    if len(line) > MAX_LINE_CHARS:
+        raise DataError(
+            f"manifest row of {len(line)} characters exceeds the {MAX_LINE_CHARS} a line may hold"
+        )
+    return line

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -23,7 +22,7 @@ from . import _container
 from .constants import DEFAULT_MAX_ORDER, MAX_ORDER, MAX_SCENES, MOUTH_OFFSET, SOUND_SPEED
 from .errors import BeambankError, DataError
 from .geometry import ArrayGeometry
-from .manifest import MANIFEST_SCHEMA, SceneManifest, Segment
+from .manifest import MANIFEST_SCHEMA, SceneManifest, Segment, row_line
 
 ROOM_DIMS_LOW = np.array([5.0, 5.0, 2.0])
 ROOM_DIMS_HIGH = np.array([10.0, 10.0, 6.0])
@@ -430,7 +429,8 @@ def scene_to_dict(spec: SceneSpec) -> dict:
 
 @dataclass
 class ComposedScene:
-    """Rendered scene audio plus the noise-scaling reference mixture.
+    """Rendered scene audio plus the noise-scaling reference mixture,
+    both float32 (channels, samples).
 
     Without a bystander the two are equal, and ``audio`` is ``main_mix``
     itself, not a copy, so an in-place write to one shows in the other.
@@ -462,6 +462,11 @@ def _convolve_place(total: np.ndarray, clip: np.ndarray, rir: RIR, onset: int):
     through one inverse over the RIR channels, and its ``step + taps - 1``
     output samples are added at its own offset.
 
+    The clip and the taps are cast to float32 once per call, so every
+    transform runs in complex64 and each block is float32; scenes are
+    written as float32. The error is about one float32 step of the output
+    peak.
+
     The blocks are computed by ``dsp._in_run_order`` on min(usable cores,
     blocks // 2) threads, at least 1, so a clip of fewer than four blocks
     stays on the calling thread. A block's transforms give the same bits on
@@ -477,7 +482,8 @@ def _convolve_place(total: np.ndarray, clip: np.ndarray, rir: RIR, onset: int):
     blocks = min(-(-n_clip // step), len(range(onset, stop, step)))
     if blocks == 0:
         return
-    taps_spectrum = np.fft.rfft(rir.taps, size, axis=1)
+    clip = clip.astype(np.float32)
+    taps_spectrum = np.fft.rfft(rir.taps.astype(np.float32), size, axis=1)
 
     def wet(i):
         block = clip[i * step : (i + 1) * step]
@@ -567,7 +573,7 @@ def compose_scene(
     total_len = max(s.end for s in segments) + tail
     m = geometry.num_mics
 
-    main_mix = np.zeros((m, total_len))
+    main_mix = np.zeros((m, total_len), np.float32)
     _convolve_place(main_mix, self_clip.samples, rir_self, 0)
     _convolve_place(main_mix, other_clip.samples, rir_other, onset_other)
     audio = main_mix
@@ -606,7 +612,8 @@ def _span_power(reference: np.ndarray) -> tuple[slice, float]:
     The span runs from the first to the last sample whose largest magnitude
     over the channels exceeds ACTIVITY_FLOOR times the peak. The pass keeps
     each sample's largest magnitude and its sum of squares over the
-    channels, so the span's power is a sum over the second.
+    channels, so the span's power is a sum over the second. Both are
+    float64 for a float32 reference too.
     """
     m, n = reference.shape
     envelope, power = np.empty(n), np.empty(n)
@@ -616,7 +623,9 @@ def _span_power(reference: np.ndarray) -> tuple[slice, float]:
         work = scratch[:, : tile.shape[1]]
         np.abs(tile, out=work)
         work.max(axis=0, out=envelope[start : start + _TILE])
-        np.square(tile, out=work)
+        # a float32 tile is squared in float32, even into a float64 out,
+        # unless dtype asks for float64
+        np.square(tile, out=work, dtype=np.float64)
         work.sum(axis=0, out=power[start : start + _TILE])
     peak = envelope.max(initial=0.0)
     if peak <= 0:
@@ -646,14 +655,16 @@ def mix_noise(
     takes the active span and the reference power from the reference. The
     noise power is one sum of squares per channel over the span; for mono
     noise each channel is a delayed view of the one recording, so no
-    delayed copy is built. The second pass adds ``scale * noise`` to the
-    scene tile by tile and stores the sum as interleaved (samples,
-    channels) frames. The result is the float64 (channels, samples)
-    transpose of those frames, so ``write_wav`` casts it to float32 without
-    reordering. No input is written.
+    delayed copy is built. The scene and the reference may be float32 or
+    float64; the reference power, the noise energy and the scale are
+    float64 either way. The second pass adds ``scale * noise`` to the scene
+    tile by tile in float64 and rounds the sum once into interleaved
+    float32 (samples, channels) frames. The result is the float32
+    (channels, samples) transpose of those frames, so ``write_wav`` writes
+    it without a copy. No input is written.
     """
-    scene_audio = np.atleast_2d(np.asarray(scene_audio, dtype=float))
-    reference = np.atleast_2d(np.asarray(reference, dtype=float))
+    scene_audio = np.atleast_2d(np.asarray(scene_audio))
+    reference = np.atleast_2d(np.asarray(reference))
     noise = np.atleast_2d(np.asarray(noise, dtype=float))
     m, n_samples = scene_audio.shape
     if reference.shape != scene_audio.shape:
@@ -690,7 +701,7 @@ def mix_noise(
         raise DataError("noise is silent over the scene's active span")
     scale = math.sqrt(p_ref / (p_noise * 10.0 ** (snr_db / 10.0)))
 
-    frames = np.empty((n_samples, m))
+    frames = np.empty((n_samples, m), np.float32)
     scratch = np.empty((m, _TILE))
     for start in range(0, n_samples, _TILE):
         stop = min(start + _TILE, n_samples)
@@ -793,21 +804,24 @@ def _render_one(
     noise: NoiseSource | None,
     fs: int,
     out_dir: Path,
-) -> dict:
-    """Render and write one scene. A failure keeps its error class (and so
-    its exit code) and names the scene index and seed."""
+) -> str:
+    """Render and write one scene and return its manifest line. A row too
+    long for a manifest line is refused before the scene's audio is
+    written. A failure keeps its error class (and so its exit code) and
+    names the scene index and seed."""
     from .dsp import write_wav
 
     audio_name = f"scene_{index:05d}.wav"
     try:
         composed = render_scene(spec, geometry, clips, noise, fs)
+        composed.manifest.audio_path = audio_name
+        row = composed.manifest.to_dict()
+        row["index"] = index
+        line = row_line(row)
         write_wav(out_dir / audio_name, composed.audio, fs)
     except (BeambankError, OSError) as exc:
         raise type(exc)(f"scene {index:05d} (seed {spec.seed}): {exc}") from exc
-    composed.manifest.audio_path = audio_name
-    row = composed.manifest.to_dict()
-    row["index"] = index
-    return row
+    return line
 
 
 def build_dataset(
@@ -850,14 +864,12 @@ def build_dataset(
             # each child convolves on its share of the cores
             with process.ProcessPoolExecutor(max_workers=workers, initializer=dsp._share_cores,
                                              initargs=(workers,)) as pool:
-                rows = list(pool.map(render, range(count), specs, scene_geometries))
+                lines = list(pool.map(render, range(count), specs, scene_geometries))
         except process.BrokenProcessPool as exc:  # a worker was killed, e.g. out of memory
             raise BeambankError(f"a scene worker process died: {exc}") from exc
     else:
-        rows = list(map(render, range(count), specs, scene_geometries))
+        lines = list(map(render, range(count), specs, scene_geometries))
 
     manifest_path = out_dir / "manifest.jsonl"
-    _container.replace(
-        manifest_path, [(json.dumps(row, sort_keys=True) + "\n").encode("utf-8") for row in rows]
-    )
+    _container.replace(manifest_path, [line.encode("utf-8") for line in lines])
     return manifest_path

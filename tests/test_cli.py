@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 from concurrent.futures import process as futures_process
 from pathlib import Path
 
@@ -36,7 +37,7 @@ from beambank.features import (
     save_stats,
 )
 from beambank.geometry import MAX_MICS
-from beambank.manifest import MANIFEST_SCHEMA, SceneManifest
+from beambank.manifest import MANIFEST_SCHEMA, MAX_LINE_CHARS, SceneManifest
 from beambank.simulate import MAX_ORDER, MAX_RIR_SECONDS
 
 
@@ -1354,6 +1355,46 @@ class TestSceneAndDataset:
             "(schema 'beambank-scene-v2')"
         ]
         assert list(feat_dir.glob("*.feat")) == []
+
+    @pytest.mark.parametrize("command", ["featurize", "stats"])
+    def test_manifest_line_over_the_cap_exits_2_with_one_line(
+        self, dataset_cfg, bank_file, tmp_path, capsys, command
+    ):
+        """A row whose line, newline included, is MAX_LINE_CHARS long is
+        read; one character more exits 2 with one line naming the file."""
+        out = tmp_path / "ds"
+        assert run(capsys, "dataset", "--config", str(dataset_cfg), "--out", str(out))[0] == 0
+        manifest = out / "manifest.jsonl"
+        rows = [json.loads(line) for line in manifest.read_text().splitlines()]
+        target = {"featurize": ["--out", str(tmp_path / "feats")],
+                  "stats": ["--out", str(tmp_path / "stats.json")]}[command]
+        for length, expected in ((MAX_LINE_CHARS, 0), (MAX_LINE_CHARS + 1, 2)):
+            line = json.dumps(rows[0], sort_keys=True) + "\n"
+            rows[0]["reference"] += " " * (length - len(line))
+            manifest.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows))
+            code, summary, err = run(capsys, command, str(manifest), "--bank", str(bank_file),
+                                     *target)
+            assert code == expected, err
+        assert summary is None
+        assert err.splitlines() == [
+            f"beambank {command}: {manifest}: bad manifest: a line longer than "
+            f"{MAX_LINE_CHARS} characters"
+        ]
+
+    def test_newline_free_manifest_is_read_up_to_the_cap(self, tmp_path):
+        """An 8 MiB manifest without a newline is refused after reading one
+        capped line: its raw and decoded text, at most 2 x MAX_LINE_CHARS,
+        where reading the whole line held more than 8 MiB."""
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_bytes(b'{"schema": "' + b"x" * (8 << 20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="a line longer than"):
+                cli._manifest_wavs(manifest, "reference_glasses_5")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * MAX_LINE_CHARS
 
     def test_featurize_and_stats_match_per_file_route(
         self, dataset_cfg, bank_file, tmp_path, capsys

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from beambank import cli, dsp, simulate
+from beambank import manifest as manifest_module
 from beambank.dsp import write_wav
 from beambank.errors import DataError
 from beambank.geometry import ArrayGeometry
@@ -386,6 +387,8 @@ class TestComposeScene:
         assert "bystander" not in man.reference
         assert composed.audio.shape[0] == 5
         assert composed.audio.shape[1] == man.num_samples
+        assert composed.audio.dtype == composed.main_mix.dtype == np.float32
+        assert composed.audio is not composed.main_mix
 
     def test_nonoverlapping_bystander_starts_after_main(self, rng, glasses5, corpus_dirs):
         clips_dir, _ = corpus_dirs
@@ -428,7 +431,22 @@ class TestComposeScene:
             compose_scene(spec, glasses5, clips.load(0, fs), clips.load(1, fs), None, fs)
 
 
+def _fft32_atol(size, direct):
+    """The error bound of a float32 FFT convolution on ``size`` points
+    against its float64 oracle ``direct``: log2(size) float32 steps of the
+    output peak, one per radix-2 stage of a transform (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 24.1)."""
+    return math.log2(size) * np.finfo(np.float32).eps * np.abs(direct).max()
+
+
 class TestConvolvePlace:
+    def test_numpy_keeps_float32_ffts_in_float32(self):
+        """numpy 1.x widened a float32 FFT to complex128, which would change
+        every scene's bytes without failing a bound."""
+        spectrum = np.fft.rfft(np.ones((2, 100), np.float32), 256, axis=1)
+        assert spectrum.dtype == np.complex64
+        assert np.fft.irfft(spectrum, 256, axis=1).dtype == np.float32
+
     @pytest.mark.parametrize("onset", [0, 600])
     def test_equals_direct_convolution_placed_at_onset(self, rng, onset):
         """The 1076 output samples land from ``onset`` on, cut at the end of
@@ -439,7 +457,8 @@ class TestConvolvePlace:
         _convolve_place(total, clip, RIR("x", taps, 16000), onset)
         direct = np.stack([np.convolve(clip, t) for t in taps])[:, : 1500 - onset]
         end = onset + direct.shape[1]
-        np.testing.assert_allclose(total[:, onset:end], direct, atol=1e-12)
+        np.testing.assert_allclose(total[:, onset:end], direct, rtol=0,
+                                   atol=_fft32_atol(_BLOCK_SIZE, direct))
         assert not total[:, :onset].any() and not total[:, end:].any()
 
     # (clip, taps, onset, total length, FFT size and block count the rule
@@ -466,23 +485,26 @@ class TestConvolvePlace:
     def test_block_rule_equals_direct_convolution(
         self, rng, monkeypatch, n_clip, n_taps, onset, total_len, size, count
     ):
-        """One transform of the taps, then one per block (at one thread, so
-        in block order), each of at most a step of the clip."""
+        """One float32 transform of the taps, then one per block (at one
+        thread, so in block order), each of at most a step of the clip."""
         monkeypatch.setattr(dsp, "_usable_cores", lambda: 1)
         calls, rfft = [], np.fft.rfft
         monkeypatch.setattr(
-            np.fft, "rfft", lambda a, n, **kw: calls.append((a.shape, n)) or rfft(a, n, **kw)
+            np.fft, "rfft",
+            lambda a, n, **kw: calls.append((a.shape, a.dtype, n)) or rfft(a, n, **kw)
         )
         clip = rng.standard_normal(n_clip)
         taps = 0.1 * rng.standard_normal((2, n_taps))
         total = np.zeros((2, total_len))
         _convolve_place(total, clip, RIR("x", taps, 16000), onset)
         step = size - n_taps + 1
-        blocks = [((min(step, n_clip - i * step),), size) for i in range(count)]
-        assert calls == [((2, n_taps), size)] + blocks
+        f32 = np.dtype(np.float32)
+        blocks = [((min(step, n_clip - i * step),), f32, size) for i in range(count)]
+        assert calls == [((2, n_taps), f32, size)] + blocks
         end = min(onset + n_clip + n_taps - 1, total_len)
         direct = np.stack([np.convolve(clip, t)[: end - onset] for t in taps])
-        np.testing.assert_allclose(total[:, onset:end], direct, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(total[:, onset:end], direct, rtol=0,
+                                   atol=_fft32_atol(size, direct))
         assert not total[:, :onset].any() and not total[:, end:].any()
 
 
@@ -552,7 +574,7 @@ class TestConvolveThreads:
         end = min(onset + n_clip + 39, total_len)
         direct = np.stack([np.convolve(clip, t)[: end - onset] for t in rir.taps])
         np.testing.assert_allclose(threaded[:, onset:end] - base[:, onset:end], direct,
-                                   rtol=0, atol=1e-12)
+                                   rtol=0, atol=_fft32_atol(simulate._BLOCK_SIZE, direct))
         unchanged = np.ones(total_len, bool)
         unchanged[onset:end] = False
         assert (threaded[:, unchanged] == base[:, unchanged]).all()
@@ -566,7 +588,7 @@ class TestConvolveThreads:
         total = np.zeros((2, clip.shape[0] + 299))
         _convolve_place(total, clip, RIR("x", taps, 16000), 0)
         direct = np.stack([np.convolve(clip, t) for t in taps])
-        np.testing.assert_allclose(total, direct, atol=1e-12)
+        np.testing.assert_allclose(total, direct, rtol=0, atol=_fft32_atol(_BLOCK_SIZE, direct))
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_error_in_a_block_reaches_the_caller_with_every_thread_joined(
@@ -669,6 +691,13 @@ class TestActiveSpan:
             span = _span_power(reference)[0]
             assert span == _abs_envelope_span(reference) == slice(int(start), int(stop))
 
+    def test_float32_reference_equals_its_float64_widening(self, rng):
+        """The span and the power of a float32 reference are those of its
+        float64 widening: a float32 tile is squared in float64."""
+        reference = np.zeros((7, 3 * simulate._TILE + 5), np.float32)
+        reference[:, 1000:-900] = 0.3 * rng.standard_normal((7, reference.shape[1] - 1900))
+        assert _span_power(reference) == _span_power(reference.astype(np.float64))
+
 
 # prints the sha256 of a long mono-noise scene's mix_noise output
 _MIX_PROBE = """
@@ -696,7 +725,12 @@ class TestMixNoise:
             measured = 10.0 * math.log10(
                 float(np.mean(reference**2)) / float(np.mean(added**2))
             )
-            assert measured == pytest.approx(snr, abs=1e-9)
+            # each mixed sample is rounded once to float32, so the added
+            # noise differs from the scaled noise by at most eps/2 of the
+            # mix in norm: r of the added noise's norm, and so at most 2r
+            # of the scaled noise's while r <= 1/2
+            r = np.finfo(np.float32).eps / 2 * np.linalg.norm(mixed) / np.linalg.norm(added)
+            assert measured == pytest.approx(snr, abs=20.0 * math.log10(1.0 + 2.0 * r) + 1e-9)
 
     @staticmethod
     def _mix_keeps_inputs(rng, noise):
@@ -738,38 +772,43 @@ class TestMixNoise:
         scale = math.sqrt(p_ref / (p_noise * 10.0 ** (snr_db / 10.0)))
         return scene + scale * channels, scale * channels
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize(
         "channels, samples",
         [(1, 30011), (1, 250000), (7, 250000), (7, 30011)],
         ids=["mono-looped", "mono-long", "multichannel", "multichannel-looped"],
     )
-    def test_scale_matches_parent_formula(self, rng, channels, samples):
+    def test_scale_matches_parent_formula(self, rng, channels, samples, dtype):
         """Over a scene of several tiles whose active span starts and ends
-        inside it, the noise scale equals the whole-array formula's within
-        1e-12 relative (the mix of a zero scene), and the mix of a nonzero
-        scene is within 1e-12 of the scaled noise's peak."""
+        inside it, a float64 or a float32 scene and reference mix to the
+        whole-array formula's float64 result rounded once to float32: the
+        scaled noise itself for a zero scene, and the sum for a nonzero
+        one."""
         fs, n = 16000, 4 * simulate._TILE + 1234
         reference = np.zeros((7, n))
         reference[:, 3001 : n - 2777] = 0.2 * rng.standard_normal((7, n - 5778))
         scene = reference + 0.01 * rng.standard_normal((7, n))
+        reference, scene = reference.astype(dtype), scene.astype(dtype)
+        wide_reference, wide_scene = reference.astype(np.float64), scene.astype(np.float64)
         noise = rng.uniform(-1.0, 1.0, (channels, samples))
         for snr in (-5.0, 12.0):
+            expected, scaled = self._parent_mix(wide_scene, noise, snr, wide_reference, 7, fs)
             mixed = mix_noise(np.zeros_like(scene), noise, snr, reference,
                               np.random.default_rng(7), fs)
-            _, scaled = self._parent_mix(scene, noise, snr, reference, 7, fs)
-            np.testing.assert_allclose(mixed, scaled, rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(mixed, scaled.astype(np.float32), strict=True)
             mixed = mix_noise(scene, noise, snr, reference, np.random.default_rng(7), fs)
-            expected, _ = self._parent_mix(scene, noise, snr, reference, 7, fs)
-            np.testing.assert_allclose(mixed, expected, rtol=0, atol=1e-12 * np.abs(scaled).max())
+            np.testing.assert_array_equal(mixed, expected.astype(np.float32), strict=True)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("channels", [1, 3], ids=["mono", "multichannel"])
-    def test_result_is_interleaved_frames_written_unchanged(self, rng, channels, tmp_path):
-        """The float64 (channels, samples) result is the transpose of a
-        C-contiguous frame array, and write_wav writes it as it writes a
-        C-contiguous copy."""
-        scene = rng.standard_normal((3, simulate._TILE + 77))
+    def test_result_is_interleaved_frames_written_unchanged(self, rng, channels, dtype,
+                                                            tmp_path):
+        """For a float64 or a float32 scene, the float32 (channels,
+        samples) result is the transpose of a C-contiguous frame array, and
+        write_wav writes it as it writes a C-contiguous copy."""
+        scene = rng.standard_normal((3, simulate._TILE + 77)).astype(dtype)
         mixed = mix_noise(scene, rng.standard_normal((channels, 9000)), 3.0, scene, rng, 16000)
-        assert mixed.dtype == np.float64 and mixed.shape == scene.shape
+        assert mixed.dtype == np.float32 and mixed.shape == scene.shape
         assert mixed.T.flags.c_contiguous
         write_wav(tmp_path / "a.wav", mixed, 16000)
         write_wav(tmp_path / "b.wav", np.ascontiguousarray(mixed), 16000)
@@ -915,13 +954,16 @@ class TestRenderAndDataset:
         )
         assert started == pools
 
-    def test_composed_route_writes_the_dataset_bytes(self, glasses5, corpus_dirs, tmp_path):
+    @pytest.mark.parametrize("with_noise", [True, False], ids=["noise", "no-noise"])
+    def test_composed_route_writes_the_dataset_bytes(self, glasses5, corpus_dirs, tmp_path,
+                                                     with_noise):
         """compose_scene, mix_noise and write_wav, drawing from each scene's
         rng as render_scene does, write the bytes build_dataset writes, for
-        scenes with a bystander and without."""
+        scenes with a bystander and without; with no noise source,
+        compose_scene's float32 audio is written as it is."""
         clips_dir, noise_dir = corpus_dirs
         clips = ClipSource.from_directory(clips_dir)
-        noise = NoiseSource.from_directory(noise_dir)
+        noise = NoiseSource.from_directory(noise_dir) if with_noise else None
         build_dataset([glasses5], clips, noise, count=4, fs=16000, seed=3, workers=1,
                       out_dir=tmp_path / "ds")
         kinds = set()
@@ -935,13 +977,35 @@ class TestRenderAndDataset:
             loaded = [clips.load(int(pick), 16000) for pick in picks]
             composed = compose_scene(spec, glasses5, loaded[0], loaded[1],
                                      loaded[2] if spec.has_bystander else None, 16000)
-            noise_audio = noise.load(int(rng.integers(len(noise))), 16000)
-            mixed = mix_noise(composed.audio, noise_audio, spec.snr_db, composed.main_mix, rng,
-                              16000)
+            mixed = composed.audio
+            if with_noise:
+                noise_audio = noise.load(int(rng.integers(len(noise))), 16000)
+                mixed = mix_noise(composed.audio, noise_audio, spec.snr_db, composed.main_mix,
+                                  rng, 16000)
             write_wav(tmp_path / "own.wav", mixed, 16000)
             name = f"scene_{index:05d}.wav"
             assert (tmp_path / "own.wav").read_bytes() == (tmp_path / "ds" / name).read_bytes()
         assert kinds == {False, True}
+
+    def test_build_dataset_refuses_a_row_over_the_manifest_cap(
+        self, glasses5, corpus_dirs, tmp_path, monkeypatch
+    ):
+        """With the cap at a scene's line length the manifest is written
+        and read back; one character lower the scene is refused before its
+        audio or any manifest is written."""
+        clips_dir, noise_dir = corpus_dirs
+        args = ([glasses5], ClipSource.from_directory(clips_dir),
+                NoiseSource.from_directory(noise_dir))
+        kwargs = dict(count=1, fs=16000, seed=3, workers=1)
+        length = len(build_dataset(*args, out_dir=tmp_path / "ds", **kwargs).read_text())
+        monkeypatch.setattr(manifest_module, "MAX_LINE_CHARS", length)
+        path = build_dataset(*args, out_dir=tmp_path / "at", **kwargs)
+        assert path.read_bytes() == (tmp_path / "ds" / "manifest.jsonl").read_bytes()
+        assert cli._manifest_wavs(path, glasses5.id) == ([tmp_path / "at" / "scene_00000.wav"], 0)
+        monkeypatch.setattr(manifest_module, "MAX_LINE_CHARS", length - 1)
+        with pytest.raises(DataError, match=f"scene 00000 .*manifest row of {length} characters"):
+            build_dataset(*args, out_dir=tmp_path / "over", **kwargs)
+        assert list((tmp_path / "over").iterdir()) == []
 
     def test_build_dataset_reproducible_across_workers(
         self, glasses5, corpus_dirs, tmp_path

@@ -4,6 +4,7 @@ unsupported) is a DataError, and an interrupted write keeps the previous
 file. scipy, where installed, serves only as an oracle."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,27 @@ def test_write_then_read_round_trip(channels, tmp_path, rng):
     back, fs = read_wav(path)
     assert fs == FS
     np.testing.assert_array_equal(back, audio.astype(np.float32).astype(np.float64))
+
+
+@pytest.mark.parametrize("frames", [False, True], ids=["channels-first", "frames"])
+def test_float32_audio_written_as_it_is(frames, tmp_path, rng):
+    """float32 audio writes the bytes of its float64 widening, and without a
+    float64 copy: one float32 transpose of a C-contiguous (channels,
+    samples) array, and no copy of the transpose of interleaved frames, as
+    mix_noise returns."""
+    audio = rng.uniform(-1, 1, (5, 100_000)).astype(np.float32)
+    if frames:
+        audio = np.ascontiguousarray(audio.T).T
+    write_wav(tmp_path / "wide.wav", audio.astype(np.float64), FS)
+    tracemalloc.start()
+    try:
+        write_wav(tmp_path / "own.wav", audio, FS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "own.wav").read_bytes() == (tmp_path / "wide.wav").read_bytes()
+    # a float64 copy alone would be 2 x nbytes
+    assert peak < (0.5 if frames else 1.5) * audio.nbytes
 
 
 def test_float32_layout(tmp_path):
