@@ -144,8 +144,7 @@ def check_solver_settings(
 def wng_constraint_value(h: np.ndarray, g: SteeringVector, margin: float = 1.0) -> float:
     """Constraint value c = h^H Psi h; c <= 0 keeps white noise gain at or
     above margin * ||g||^2 / M (for distortionless h)."""
-    h = np.asarray(h, dtype=complex)[None]
-    return float(_wng(h, g.entries[None], _norm_sq(g.entries[None]), margin)[0])
+    return float(_wng(np.asarray(h, dtype=complex), g.entries, _norm_sq(g.entries), margin))
 
 
 def _weights_of(h) -> np.ndarray:
@@ -159,52 +158,56 @@ def _norm_sq(x: np.ndarray) -> np.ndarray:
 
 
 def _wng(h, g, g_norm_sq, margin) -> np.ndarray:
-    """c = ||h||^2 - M |g^H h|^2 / (margin ||g||^2) = h^H Psi h, row by row."""
-    gh = (g.conj() * h).sum(axis=1)
-    return _norm_sq(h) - g.shape[1] * (gh.real**2 + gh.imag**2) / (margin * g_norm_sq)
+    """c = ||h||^2 - M |g^H h|^2 / (margin ||g||^2) = h^H Psi h, per design."""
+    gh = (g.conj() * h).sum(axis=-1)
+    return _norm_sq(h) - g.shape[-1] * (gh.real**2 + gh.imag**2) / (margin * g_norm_sq)
 
 
-def _loaded_designs(matrices, lam_f, u_f, bins, g, g_norm_sq, where, wng_tolerance=None,
+def _loaded_designs(matrices, lam_f, u_f, g, g_norm_sq, where, wng_tolerance=None,
                     wng_margin=1.0):
-    """h(eps) = (A + eps I)^{-1} g / (g^H (A + eps I)^{-1} g) for N designs.
+    """h(eps) = (A + eps I)^{-1} g / (g^H (A + eps I)^{-1} g) for (..., F) designs.
 
     ``matrices`` is an (F, M, M) stack of regularized covariances A, with
-    eigenvalues ``lam_f`` and eigenvectors ``u_f``; ``g`` holds the (N, M)
-    steering vectors and ``bins`` the covariance of each design. Without a
-    tolerance eps stays 0 (MVDR). With one, every design whose c(0) > 0
-    takes loading steps (bracketing and Newton): Newton steps on
+    eigenvalues ``lam_f`` and eigenvectors ``u_f``; ``g`` holds the
+    (..., F, M) steering vectors, each design solving against its bin.
+    Without a tolerance eps stays 0 (MVDR). With one, every design whose
+    c(0) > 0 takes loading steps (bracketing and Newton): Newton steps on
     c(eps) = S2 / S1^2 - M / (margin ||g||^2), guarded by tenfold steps
     until the root is bracketed and by the midpoint after, until
     |c| <= tol and eps |c| <= tol, within a shared step budget; the
     feasible side of the bracket is kept. Returns h, eps and the step
-    counts.
+    counts, (..., F, ...) each.
     """
-    n, m = g.shape
-    lam, u = lam_f[bins], u_f[bins]
+    shape, m = g.shape[:-1], g.shape[-1]
     # a positive definite A keeps the normalization g^H (A + eps I)^{-1} g
     # finite and positive for every eps >= 0
-    raise_first(np.isfinite(lam).all(axis=1) & (lam[:, 0] > 0), IllConditionedError, lambda i: (
+    ok = np.isfinite(lam_f).all(axis=1) & (lam_f[:, 0] > 0)
+    raise_first(np.broadcast_to(ok, shape), IllConditionedError, lambda i: (
         f"{where(i)}: degenerate normalization g^H P^-1 g: covariance eigenvalues "
-        f"span [{lam[i, 0]:.3e}, {lam[i, -1]:.3e}] after regularization"
+        f"span [{lam_f[i % shape[-1], 0]:.3e}, {lam_f[i % shape[-1], -1]:.3e}] "
+        "after regularization"
     ))
-    b = (u.conj() * g[:, :, None]).sum(axis=1)
+    b = (u_f.conj() * g[..., None]).sum(axis=-2)
     p = b.real**2 + b.imag**2
+    # the loading steps work on the N designs as the rows of (N, M) arrays
+    n = math.prod(shape)
     eps = np.zeros(n)
     steps = np.zeros(n, dtype=int)
 
     if wng_tolerance is not None:
-        target = m / (wng_margin * g_norm_sq)
+        lam, p_n = np.broadcast_to(lam_f, g.shape).reshape(n, m), p.reshape(n, m)
+        target = (m / (wng_margin * g_norm_sq)).ravel()
 
         def c_at(idx, e):
             """c and dc/deps, from Sk = sum_i p_i / (lam_i + eps)^k."""
-            w = p[idx] / (lam[idx] + e[:, None])
+            w = p_n[idx] / (lam[idx] + e[:, None])
             s1 = w.sum(axis=1)
             w = w / (lam[idx] + e[:, None])
             s2 = w.sum(axis=1)
             s3 = (w / (lam[idx] + e[:, None])).sum(axis=1)
             return s2 / s1**2 - target[idx], -2.0 * s3 / s1**2 + 2.0 * s2**2 / s1**3
 
-        trace = np.trace(matrices, axis1=-2, axis2=-1).real[bins]
+        trace = np.broadcast_to(np.trace(matrices, axis1=-2, axis2=-1).real, shape).ravel()
         cap = LOADING_CAP_SCALE * trace / m
         lo, hi = np.zeros(n), trace / m * 1e-6
         c, dc_lo = c_at(np.arange(n), eps)
@@ -251,51 +254,54 @@ def _loaded_designs(matrices, lam_f, u_f, bins, g, g_norm_sq, where, wng_toleran
         ))
         eps = np.where(bracketed, hi, 0.0)
 
-    x = b / (lam + eps[:, None])
-    denom = (p / (lam + eps[:, None])).sum(axis=1)
-    h = (u * x[:, None, :]).sum(axis=2) / denom[:, None]
+    eps, steps = eps.reshape(shape), steps.reshape(shape)
+    x = b / (lam_f + eps[..., None])
+    denom = (p / (lam_f + eps[..., None])).sum(axis=-1)
+    h = (u_f * x[..., None, :]).sum(axis=-1) / denom[..., None]
     return h, eps, steps
 
 
-def _design_batch(method, phi, bins, g, where, wng_tolerance=WNG_TOLERANCE, wng_margin=1.0,
+def _design_batch(method, phi, g, where, wng_tolerance=WNG_TOLERANCE, wng_margin=1.0,
                   eig=None):
-    """N designs of one method sharing an (F, M, M) covariance stack ``phi``
-    (the diffuse one for superdirective), whose np.linalg.eigh is ``eig``
-    when the caller has it. Returns (weights, objective, loading,
-    constraint, iterations); the constraint uses ``wng_margin`` for nlcmv
-    and 1 otherwise."""
-    n, m = g.shape
+    """Designs of one method: (..., F, M) steering vectors ``g``, bin f
+    against matrix f of an (F, M, M) stack ``phi`` (the diffuse one for
+    superdirective), whose np.linalg.eigh is ``eig`` when the caller has
+    it; ``where(i)`` names design i in C order. Returns (weights, objective,
+    loading, constraint, iterations); the constraint uses ``wng_margin``
+    for nlcmv and 1 otherwise."""
     g_norm_sq = _norm_sq(g)
     raise_first(g_norm_sq > 0.0, DegenerateSteeringError,
                 lambda i: f"{where(i)}: steering vector has zero norm")
-    loading, iterations = np.zeros(n), np.zeros(n, dtype=int)
+    loading, iterations = np.zeros(g.shape[:-1]), np.zeros(g.shape[:-1], dtype=int)
     margin = wng_margin if method == "nlcmv" else 1.0
-    if m == 1:
+    if g.shape[-1] == 1:
         # distortionless with M = 1 forces conj(h) G = 1, i.e. the applied filter is 1/G
         h = 1.0 / np.conj(g)
     elif method == "delay_and_sum":
-        h = g / g_norm_sq[:, None]
+        h = g / g_norm_sq[..., None]
     else:
         h, loading, iterations = _loaded_designs(
-            *regularized_eigh(phi, *(np.linalg.eigh(phi) if eig is None else eig)), bins, g,
+            *regularized_eigh(phi, *(np.linalg.eigh(phi) if eig is None else eig)), g,
             g_norm_sq, where, wng_tolerance if method == "nlcmv" else None, wng_margin,
         )
-    err = np.abs((h.conj() * g).sum(axis=1) - 1.0)
+    err = np.abs((h.conj() * g).sum(axis=-1) - 1.0)
     raise_first(err <= DISTORTIONLESS_TOL, SolverError,
-                lambda i: f"{where(i)}: {method}: distortionless violated by {err[i]:.3e}")
-    objective = (h.conj() * (phi[bins] * h[:, None, :]).sum(axis=2)).sum(axis=1).real
+                lambda i: f"{where(i)}: {method}: distortionless violated by {err.flat[i]:.3e}")
+    objective = (h.conj() * (phi * h[..., None, :]).sum(axis=-1)).sum(axis=-1).real
     return h, objective, loading, _wng(h, g, g_norm_sq, margin), iterations
 
 
 def _single_design(method, phi, g: SteeringVector, **settings) -> BeamformerWeights:
-    """One design as a batch of one; ``phi`` None means the identity."""
+    """One design as a batch of one, (1, M) against a (1, M, M) stack. With
+    no missing axis to broadcast, even a one-element product (M = 1) takes
+    numpy's contiguous loop and its rounding, as a bank's products do.
+    ``phi`` None means the identity."""
     m = g.num_mics
     matrix = np.eye(m, dtype=complex) if phi is None else phi.matrix
     if matrix.shape[0] != m:
         raise DataError(f"{m}-channel steering vs {matrix.shape[0]}-channel covariance")
     h, objective, loading, constraint, iterations = _design_batch(
-        method, matrix[None], np.zeros(1, dtype=int), g.entries[None],
-        lambda i: f"{g.frequency:g} Hz", **settings,
+        method, matrix[None], g.entries[None], lambda i: f"{g.frequency:g} Hz", **settings,
     )
     return BeamformerWeights(g.frequency, h[0], float(objective[0]), float(loading[0]),
                              float(constraint[0]), int(iterations[0]))
@@ -374,18 +380,19 @@ class KktReport:
         return self.stationarity_ok & self.feasible & self.slackness_ok
 
 
-def _kkt(h, loading, phi, eigenvalues, bins, g, wng_margin, slackness_bound) -> KktReport:
-    """KKT certificates of N designs against an (F, M, M) covariance stack
-    with (F, M) ``eigenvalues``; ||Phi||_2 is the largest |eigenvalue|."""
-    a_h = (phi[bins] * h[:, None, :]).sum(axis=2) + loading[:, None] * h
+def _kkt(h, loading, phi, eigenvalues, g, wng_margin, slackness_bound) -> KktReport:
+    """KKT certificates of designs with (..., F, M) weights ``h`` and
+    steering vectors ``g`` against an (F, M, M) stack with (F, M)
+    ``eigenvalues``; ||Phi||_2 is the largest |eigenvalue|."""
+    a_h = (phi * h[..., None, :]).sum(axis=-1) + loading[..., None] * h
     g_norm_sq = _norm_sq(g)
-    lam = (g.conj() * a_h).sum(axis=1) / g_norm_sq
-    phi_norm = np.abs(eigenvalues).max(axis=1)[bins]
+    lam = (g.conj() * a_h).sum(axis=-1) / g_norm_sq
+    phi_norm = np.abs(eigenvalues).max(axis=-1)
     c = _wng(h, g, g_norm_sq, wng_margin)
     return KktReport(
-        stationarity_residual=np.sqrt(_norm_sq(a_h - lam[:, None] * g)),
+        stationarity_residual=np.sqrt(_norm_sq(a_h - lam[..., None] * g)),
         stationarity_bound=1e-6 * np.sqrt(_norm_sq(h)) * phi_norm,
-        distortionless_error=np.abs((h.conj() * g).sum(axis=1) - 1.0),
+        distortionless_error=np.abs((h.conj() * g).sum(axis=-1) - 1.0),
         constraint_value=c,
         slackness=np.abs(loading * c),
         slackness_bound=slackness_bound,
@@ -410,7 +417,7 @@ def verify_kkt(
     phi = phi_total.matrix[None]
     report = _kkt(
         result.weights[None], np.array([result.loading]), phi, np.linalg.eigvalsh(phi),
-        np.zeros(1, dtype=int), g.entries[None], wng_margin, slackness_bound,
+        g.entries[None], wng_margin, slackness_bound,
     )
     return KktReport(**{k: float(np.ravel(v)[0]) for k, v in vars(report).items()})
 
@@ -484,36 +491,26 @@ class BeamformerBank:
 
 def _bank_problem(geometry, directions, frequencies, nulls, sound_speed, atfs, decompose=None):
     """A bank's inputs: the diffuse and design covariances, (F, M, M) each,
-    checked Hermitian and PSD; the look steering vectors, (F * (K+1), M)
-    bin-major, from ``atfs`` when given (nulls always use the analytic
-    model); the bin of each design; and the eigenvalues of the design
-    covariances. ``decompose`` "diffuse" or "total" returns the
-    eigenvalues and eigenvectors of that stack instead, the one the
-    designs solve against; each stack is decomposed once."""
+    checked Hermitian and PSD; the look steering vectors, (K+1, F, M), from
+    ``atfs`` when given (nulls always use the analytic model); and the
+    eigenvalues of the design covariances. ``decompose`` "diffuse" or
+    "total" returns the eigenvalues and eigenvectors of that stack instead,
+    the one the designs solve against; each stack is decomposed once."""
     m = geometry.num_mics
     if atfs is None:
-        g = np.stack(
-            [steering_matrix(geometry, d, frequencies, sound_speed) for d in directions], axis=1
-        )
+        g = np.stack([steering_matrix(geometry, d, frequencies, sound_speed) for d in directions])
     else:
         if atfs.num_mics != m:
             raise DataError(f"ATF set is {atfs.num_mics}-channel, geometry has {m}")
         rows = [atfs.index_of(d) for d in directions]
-        g = atfs.vectors[rows][:, atfs.frequency_indices(frequencies)].swapaxes(0, 1)
+        g = atfs.vectors[rows][:, atfs.frequency_indices(frequencies)]
         if not g.any(axis=-1).all():
             raise DataError("ATF set holds an identically zero steering vector")
     phi_dd = diffuse_covariances(geometry, frequencies, sound_speed)
     phi_total = add_point_noises(phi_dd, list(nulls), geometry, frequencies, sound_speed)
     spectrum_dd = check_covariances(phi_dd, frequencies, decompose == "diffuse")
     spectrum = check_covariances(phi_total, frequencies, decompose == "total")
-    bins = np.repeat(np.arange(len(frequencies)), len(directions))
-    g = np.ascontiguousarray(g).reshape(-1, m)
-    return phi_dd, phi_total, g, bins, spectrum_dd if decompose == "diffuse" else spectrum
-
-
-def _by_direction(x: np.ndarray, k1: int) -> np.ndarray:
-    """Per-design values in bin-major order, (F * (K+1), ...), as (K+1, F, ...)."""
-    return np.ascontiguousarray(np.reshape(x, (-1, k1) + x.shape[1:]).swapaxes(0, 1))
+    return phi_dd, phi_total, g, spectrum_dd if decompose == "diffuse" else spectrum
 
 
 def design_bank(
@@ -531,11 +528,13 @@ def design_bank(
     """Design one beamformer per direction per FFT bin, all in one batch.
 
     Frequencies are the rfft bin centers for (fs, n_fft). Look steering
-    vectors come from ``atfs`` when given (all directions and bins must be
-    on its grid), else from the analytic model. Null steering always uses
+    vectors come from ``atfs`` when given (all directions and frequencies
+    must be on its grid), else from the analytic model. Null steering always uses
     the analytic model. Every design equals, bit for bit, the single-design
     function of its method applied to that bin's covariance and steering
-    vector. Deterministic given identical inputs.
+    vector. Deterministic given identical inputs. An error names the first
+    failing design in direction-major order, the order in which
+    :func:`load_bank` reports a non-finite weight.
     """
     if len(directions) > MAX_DIRECTIONS:
         raise DataError(f"{len(directions)} directions, at most {MAX_DIRECTIONS}")
@@ -547,20 +546,18 @@ def design_bank(
         raise DataError("directions must be K >= 1 horizontal looks plus one mouth point")
     freqs = np.fft.rfftfreq(n_fft, 1.0 / fs)
     diffuse = method == "superdirective"
-    phi_dd, phi_total, g, bins, eig = _bank_problem(
+    phi_dd, phi_total, g, eig = _bank_problem(
         geometry, directions, freqs, nulls, sound_speed, atfs, "diffuse" if diffuse else "total"
     )
-    k1 = len(directions)
-    h, objective, loading, constraint, iterations = (_by_direction(x, k1) for x in _design_batch(
+    h, objective, loading, constraint, iterations = _design_batch(
         method,
         phi_dd if diffuse else phi_total,
-        bins,
         g,
-        lambda i: f"{directions[i % k1].label()} at {freqs[i // k1]:.1f} Hz",
+        lambda i: f"{directions[i // len(freqs)].label()} at {freqs[i % len(freqs)]:.1f} Hz",
         wng_tolerance,
         wng_margin,
         eig,
-    ))
+    )
     return BeamformerBank(
         geometry=geometry,
         directions=list(directions),
@@ -592,7 +589,8 @@ class BankReport:
 
     def first_failure(self) -> tuple | None:
         """The first failed invariant as (name, direction, frequency in Hz,
-        value), scanning bins, then directions, then INVARIANTS; or None."""
+        value), scanning frequencies, then directions, then INVARIANTS; or
+        None."""
         k = self.kkt
         checks = [(k.distortionless_error, DISTORTIONLESS_TOL)]
         if self.bank.method == "nlcmv":
@@ -613,18 +611,12 @@ def verify_bank(bank: BeamformerBank, atfs: AtfSet | None = None) -> BankReport:
     atf_source 'file' was designed from."""
     check_solver_settings(bank.wng_tolerance, bank.wng_margin, bank.sound_speed,
                           bank.fs, bank.n_fft, bank.method, bank.num_mics)
-    _, phi_total, g, bins, eigenvalues = _bank_problem(
+    _, phi_total, g, eigenvalues = _bank_problem(
         bank.geometry, bank.directions, bank.frequencies, bank.nulls, bank.sound_speed, atfs
     )
-    k1, f_count, m = bank.weights.shape
-    loading = np.zeros((k1, f_count)) if bank.loading is None else bank.loading
-    flat = _kkt(
-        bank.weights.swapaxes(0, 1).reshape(-1, m), loading.T.reshape(-1), phi_total,
-        eigenvalues, bins, g, bank.wng_margin, SLACKNESS_BOUND,
-    )
-    return BankReport(bank, KktReport(**{
-        k: _by_direction(v, k1) if np.ndim(v) else v for k, v in vars(flat).items()
-    }))
+    loading = np.zeros(bank.weights.shape[:2]) if bank.loading is None else bank.loading
+    return BankReport(bank, _kkt(bank.weights, loading, phi_total, eigenvalues, g,
+                                 bank.wng_margin, SLACKNESS_BOUND))
 
 
 def save_bank(bank: BeamformerBank, path) -> None:

@@ -27,10 +27,10 @@ from .errors import (
 )
 
 MIN_MIC_SEPARATION = 1e-6
-# A design's (F * (K+1), M, M) complex128 eigenvector copy in
-# beamformer._loaded_designs takes 8193 * 64**2 * 16 B = 537 MB per bank
-# direction at 64 mics and MAX_N_FFT (16384); checked before any (M, M)
-# array is built.
+# A bank's design and verify form (K+1, F, M, M) complex128 products of
+# covariances or eigenvectors with the weights, 8193 * 64**2 * 16 B = 537 MB
+# per bank direction at 64 mics and MAX_N_FFT (16384); checked before any
+# (M, M) array is built.
 MAX_MICS = 64
 MIN_SOURCE_DISTANCE = 0.01
 
@@ -210,7 +210,7 @@ def _steering_rows(geometry, frequencies, sound_speed, unit=None, point=None) ->
 class AtfSet:
     """Steering vectors for a geometry sampled on a (direction, frequency) grid.
 
-    ``vectors`` has shape (directions, frequencies, M).
+    ``vectors`` has shape (directions, frequencies, M), every entry finite.
     """
 
     geometry_id: str
@@ -221,14 +221,22 @@ class AtfSet:
     def __post_init__(self):
         self.frequencies = np.asarray(self.frequencies, dtype=float)
         self.vectors = np.asarray(self.vectors, dtype=complex)
-        if self.frequencies.ndim != 1 or np.any(np.diff(self.frequencies) <= 0):
-            raise DataError("ATF frequency grid must be strictly increasing")
-        expect = (len(self.directions), self.frequencies.shape[0])
+        freqs = self.frequencies
+        if freqs.ndim != 1 or not np.isfinite(freqs).all() or np.any(np.diff(freqs) <= 0):
+            raise DataError("ATF frequency grid must be finite and strictly increasing")
+        expect = (len(self.directions), freqs.shape[0])
         if self.vectors.ndim != 3 or self.vectors.shape[:2] != expect:
             raise DataError(
                 f"ATF array shape {self.vectors.shape} does not match "
                 f"{expect[0]} directions x {expect[1]} frequencies"
             )
+
+        def at(i):  # the first bad (direction, bin), direction-major
+            di, fi = divmod(i, freqs.shape[0])
+            return (f"non-finite steering entry at {self.directions[di].label()}, "
+                    f"bin {fi} ({freqs[fi]:g} Hz)")
+
+        raise_first(np.isfinite(self.vectors).all(axis=2).ravel(), DataError, at)
 
     @property
     def num_mics(self) -> int:
@@ -314,7 +322,9 @@ def export_atfs(atfs: AtfSet, path) -> None:
 
 
 def import_atfs(path) -> AtfSet:
-    """Read an AtfSet written by :func:`export_atfs`; bit-exact round trip."""
+    """Read an AtfSet written by :func:`export_atfs`; bit-exact round trip.
+    A malformed file, or one whose grid or entries :class:`AtfSet` refuses
+    (a non-finite one among them), raises ParseError."""
     with _container.reading(path, ATF_MAGIC, "ATF file") as (header, payload):
         directions = _directions_from_header(header["directions"])
         freqs = np.asarray(header["frequencies"], dtype=float)

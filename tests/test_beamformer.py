@@ -1,12 +1,13 @@
 """Beamformer designs: closed forms, constrained solver, KKT checks, bank IO."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from beambank.config import design_settings, load_config
-from beambank.constants import MAX_DIRECTIONS
+from beambank.constants import MAX_DIRECTIONS, METHODS
 from beambank import beamformer
 from beambank.errors import DataError, IllConditionedError, SolverError
 from beambank.beamformer import (
@@ -28,6 +29,7 @@ from beambank.geometry import (
     DirectionSpec,
     SteeringVector,
     freefield_atfs,
+    select_subset,
     steering_vector,
 )
 from beambank.noise_model import (
@@ -444,7 +446,7 @@ def _nulled_config():
     return s
 
 
-def _small_settings(glasses5, method):
+def _small_settings(geometry, method):
     directions = [
         DirectionSpec(azimuth=0.0, elevation=0.0),
         DirectionSpec(azimuth=math.pi / 2, elevation=0.0),
@@ -452,7 +454,7 @@ def _small_settings(glasses5, method):
     ]
     nulls = (PointNoiseSpec(direction=DirectionSpec(azimuth=math.pi), weight=30.0),)
     return dict(
-        geometry=glasses5, directions=directions, method=method, nulls=nulls,
+        geometry=geometry, directions=directions, method=method, nulls=nulls,
         fs=16000, n_fft=64,
     )
 
@@ -461,28 +463,40 @@ class TestBatchEquivalence:
     """design_bank solves all designs in one batch; each must equal, bit for
     bit, the single-design function on that bin's own inputs."""
 
-    @pytest.mark.parametrize("case", ["nulled_config", "atf_file", "mvdr"])
-    def test_bank_equals_single_designs(self, glasses5, case):
+    @pytest.mark.parametrize("case", [
+        "nulled_config", "atf_file", "mvdr", "superdirective", "delay_and_sum",
+        *(f"{m}-mic-{method}" for m in (1, 2, 7) for method in METHODS),
+    ])
+    def test_bank_equals_single_designs(self, glasses5, glasses7, case):
+        """Also checks verify_bank against verify_kkt on every design."""
         if case == "nulled_config":
             s = _nulled_config()
+        elif "-mic-" in case:
+            m, method = case.split("-mic-")
+            geometry = glasses7 if m == "7" else select_subset(glasses5, range(int(m)))
+            s = _small_settings(geometry, method)
         else:
-            s = _small_settings(glasses5, "mvdr" if case == "mvdr" else "nlcmv")
+            s = _small_settings(glasses5, "nlcmv" if case == "atf_file" else case)
         freqs = np.fft.rfftfreq(s["n_fft"], 1.0 / s["fs"])
         atfs = (
             _perturbed_atfs(s["geometry"], s["directions"], freqs)
             if case == "atf_file" else None
         )
         bank = design_bank(atfs=atfs, **s)
+        kkt = verify_bank(bank, atfs).kkt
         geometry, c = s["geometry"], s.get("sound_speed", 343.0)
         for fi, f in enumerate(freqs):
-            phi = composite_covariance(
-                diffuse_covariance_sinc(geometry, f, c), list(s["nulls"]), geometry, c
-            )
+            phi_dd = diffuse_covariance_sinc(geometry, f, c)
+            phi = composite_covariance(phi_dd, list(s["nulls"]), geometry, c)
             for di, d in enumerate(s["directions"]):
                 g = (steering_vector(geometry, d, f, c) if atfs is None
                      else atfs.steering(atfs.index_of(d), f))
                 if s["method"] == "mvdr":
                     w = design_mvdr(phi, g)
+                elif s["method"] == "superdirective":
+                    w = design_superdirective(phi_dd, g)
+                elif s["method"] == "delay_and_sum":
+                    w = design_delay_and_sum(g, phi)
                 else:
                     w = design_nlcmv(phi, g, s.get("wng_tolerance", 1e-8),
                                      s.get("wng_margin", 1.0))
@@ -491,6 +505,10 @@ class TestBatchEquivalence:
                     bank.objective[di, fi], bank.loading[di, fi],
                     bank.constraint[di, fi], bank.iterations[di, fi],
                 ), (di, fi)
+                one = verify_kkt(bank.entry(di, fi), phi, g, bank.wng_margin)
+                for name, value in vars(one).items():
+                    batch = getattr(kkt, name)
+                    assert (batch if np.ndim(batch) == 0 else batch[di, fi]) == value, name
 
     def test_reference_bisection_counts(self):
         s = design_settings(load_config("configs/reference_design.yaml"))
@@ -499,21 +517,59 @@ class TestBatchEquivalence:
         assert int(bank.iterations.sum()) == 1473
         assert int((bank.loading > 0).sum()) == 181
 
-    def test_verify_bank_matches_verify_kkt(self, glasses5):
-        s = _small_settings(glasses5, "nlcmv")
+    @pytest.mark.parametrize("num_mics", [5, 1])
+    def test_verify_bank_matches_verify_kkt(self, glasses5, num_mics):
+        geometry = select_subset(glasses5, range(num_mics))
+        s = _small_settings(geometry, "nlcmv")
         bank = design_bank(**s)
         bank.weights[1, 5, 0] += 1e-3 * (1.0 + 1.0j)  # one failing design
         report = verify_bank(bank)
         kkt = report.kkt
         for fi, f in enumerate(bank.frequencies):
             phi = composite_covariance(
-                diffuse_covariance_sinc(glasses5, f), list(s["nulls"]), glasses5
+                diffuse_covariance_sinc(geometry, f), list(s["nulls"]), geometry
             )
             for di, d in enumerate(s["directions"]):
-                one = verify_kkt(bank.entry(di, fi), phi, steering_vector(glasses5, d, f))
+                one = verify_kkt(bank.entry(di, fi), phi, steering_vector(geometry, d, f))
                 for name, value in vars(one).items():
                     batch = getattr(kkt, name)
                     assert (batch if np.ndim(batch) == 0 else batch[di, fi]) == value, name
                 assert bool(kkt.passed[di, fi]) == one.passed == ((di, fi) != (1, 5))
         name, direction, frequency, _ = report.first_failure()
         assert (name, direction, frequency) == ("distortionless", s["directions"][1], 1250.0)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_peak_memory_holds_one_product_per_bank(self, glasses7, method):
+        """Covariances, eigenvectors and weights meet in (K+1, F, M, M)
+        products; each bin's (F, M, M) stack is broadcast over the
+        directions, never copied per design."""
+        looks = [DirectionSpec(azimuth=2 * math.pi * i / 24) for i in range(24)]
+        s = dict(geometry=glasses7, directions=looks + [MOUTH], method=method,
+                 nulls=(PointNoiseSpec(direction=DirectionSpec(azimuth=-math.pi / 2)),),
+                 fs=16000, n_fft=1024)
+        bank = design_bank(**s)
+        peaks = []
+        for run in (lambda: design_bank(**s), lambda: verify_bank(bank)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # In units of one (K+1, F, M, M) complex128 product: a (K+1, F, M)
+        # complex array is 1/M, a (K+1, F) float64 one 1/(2 M^2) and an
+        # (F, M, M) covariance stack 1/(K+1).
+        k1, f, m = bank.weights.shape
+        unit = k1 * f * m * m * 16
+        vector, scalar, stack = 1 / m, 1 / (2 * m * m), 1 / k1
+        # design_bank holds one product at a time. Beside it: its sum, the
+        # steering vectors, the eigenbasis coefficients b and x, and the real
+        # p = |b|^2 and the Newton loop's eigenvalue rows (half a vector
+        # each); under 20 per-design scalars (bracket, step counts, norms,
+        # diagnostics); the diffuse, design and regularized stacks with their
+        # eigenvectors and a relifted copy, and room for three temporaries.
+        assert peaks[0] < (1 + 5 * vector + 20 * scalar + 8 * stack) * unit
+        # verify_bank: one product, its sum and the steering vectors, with
+        # one more vector while the stationarity residual is formed; the
+        # diffuse and design stacks and their check's two temporaries.
+        assert peaks[1] < (1 + 3 * vector + 20 * scalar + 4 * stack) * unit

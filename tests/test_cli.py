@@ -36,7 +36,7 @@ from beambank.features import (
     import_features,
     save_stats,
 )
-from beambank.geometry import MAX_MICS
+from beambank.geometry import MAX_MICS, export_atfs, freefield_atfs
 from beambank.manifest import MANIFEST_SCHEMA, MAX_LINE_CHARS, SceneManifest
 from beambank.simulate import MAX_ORDER, MAX_RIR_SECONDS
 
@@ -92,6 +92,31 @@ def bank_file(design_cfg, tmp_path_factory):
         code = main(["design", "--config", str(design_cfg), "--out", str(out)])
     assert code == 0
     return out
+
+
+def _atf_file(bank_file, path, flaw=None):
+    """The free-field steering set of a bank's directions and bins as an ATF
+    file; ``flaw`` "nan" or "inf" sets that entry at az90, bin 3, mic 2,
+    "nan-frequency" the grid's bin 3."""
+    bank = load_bank(bank_file)
+    export_atfs(freefield_atfs(bank.geometry, bank.directions, bank.frequencies), path)
+    line, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    vectors = np.frombuffer(payload, "<c16").reshape(bank.weights.shape).copy()
+    if flaw == "nan-frequency":
+        header["frequencies"][3] = math.nan
+    elif flaw is not None:
+        vectors[1, 3, 2] = float(flaw)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + vectors.tobytes())
+    return path
+
+
+# the one stderr line that refuses each flawed ATF file, after "{path}: bad ATF file: "
+ATF_FLAWS = {
+    "nan": "non-finite steering entry at az90, bin 3 (750 Hz)",
+    "inf": "non-finite steering entry at az90, bin 3 (750 Hz)",
+    "nan-frequency": "ATF frequency grid must be finite and strictly increasing",
+}
 
 
 @pytest.fixture()
@@ -335,6 +360,23 @@ class TestDesign:
         ]
         assert not out.exists()
 
+    @pytest.mark.parametrize("flaw", ATF_FLAWS)
+    def test_non_finite_atf_exits_2_naming_file_and_bin(
+        self, design_cfg, bank_file, tmp_path, capsys, flaw
+    ):
+        """A NaN or infinite steering entry, or a NaN grid frequency, is a
+        bad ATF file, not a zero-norm steering vector or a solver failure."""
+        atf = _atf_file(bank_file, tmp_path / "flawed.atf", flaw)
+        cfg = tmp_path / "atf.yaml"
+        cfg.write_text(design_cfg.read_text() + f"atf_source: file\natf_file: {atf.name}\n")
+        out = tmp_path / "x.bbk"
+        code, summary, err = run(capsys, "design", "--config", str(cfg), "--out", str(out))
+        assert (code, summary) == (2, None)
+        assert err.strip().splitlines() == [
+            f"beambank design: {atf}: bad ATF file: {ATF_FLAWS[flaw]}"
+        ]
+        assert not out.exists()
+
     def test_help_states_n_fft_cap(self, capsys):
         assert main(["design", "--help"]) == 0
         assert f"<= {MAX_N_FFT}" in capsys.readouterr().out
@@ -373,6 +415,23 @@ class TestVerify:
         assert len(lines) == 1
         assert "'distortionless'" in lines[0]
         assert "az180 @ 2500 Hz" in lines[0]
+
+    @pytest.mark.parametrize("flaw", ATF_FLAWS)
+    def test_non_finite_atf_exits_2_naming_file_and_bin(
+        self, design_cfg, bank_file, tmp_path, capsys, flaw
+    ):
+        atf = _atf_file(bank_file, tmp_path / "good.atf")
+        cfg = tmp_path / "atf.yaml"
+        cfg.write_text(design_cfg.read_text() + f"atf_source: file\natf_file: {atf.name}\n")
+        bank = tmp_path / "atf.bbk"
+        assert run(capsys, "design", "--config", str(cfg), "--out", str(bank))[0] == 0
+        assert run(capsys, "verify", "--bank", str(bank), "--atfs", str(atf))[0] == 0
+        flawed = _atf_file(bank_file, tmp_path / "flawed.atf", flaw)
+        code, summary, err = run(capsys, "verify", "--bank", str(bank), "--atfs", str(flawed))
+        assert (code, summary) == (2, None)
+        assert err.strip().splitlines() == [
+            f"beambank verify: {flawed}: bad ATF file: {ATF_FLAWS[flaw]}"
+        ]
 
     @pytest.mark.parametrize("command", ["verify", "apply", "featurize", "stats", "pattern"])
     def test_non_finite_weight_exits_2_naming_file_and_bin(

@@ -208,6 +208,23 @@ class TestAtfSet:
         np.testing.assert_array_equal(back.frequencies, atfs.frequencies)
         assert [d.label() for d in back.directions] == [d.label() for d in atfs.directions]
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_entry_names_first_direction_and_bin(self, glasses5, value):
+        atfs, dirs, freqs = self._grid(glasses5)
+        vectors = atfs.vectors.copy()
+        vectors[3, 40, 1] = vectors[2, 64, 4] = value
+        expect = r"^non-finite steering entry at az180, bin 64 \(2000 Hz\)$"
+        with pytest.raises(DataError, match=expect):
+            AtfSet(geometry_id="g", directions=dirs, frequencies=freqs, vectors=vectors)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_frequency_is_refused(self, glasses5, value):
+        atfs, dirs, freqs = self._grid(glasses5)
+        for grid in (np.where(np.arange(257) == 256, value, freqs), np.array([value])):
+            with pytest.raises(DataError, match="finite and strictly increasing"):
+                AtfSet(geometry_id="g", directions=dirs, frequencies=grid,
+                       vectors=np.ones((4, grid.shape[0], 5), dtype=complex))
+
     def test_import_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.bba"
         path.write_bytes(b"not an atf file at all")
