@@ -16,9 +16,10 @@ MAX_FS = 384000
 MAX_N_FFT = 16384
 # K+1 bank directions: one horizontal look per degree of azimuth plus the
 # mouth. A head-worn array's main lobes are tens of degrees wide, so finer
-# looks resolve nothing new. It bounds the K+1 rows of weights and
-# per-direction eigenvector copies a design builds, and the direction lists
-# of a bank or ATF header; checked before any of them is built.
+# looks resolve nothing new. It bounds the K+1 rows of weights, the
+# (K+1, F, M, M) products of covariances or eigenvectors with the weights
+# that design and verify form, and the direction lists of a bank or ATF
+# header; checked before any of them is built.
 MAX_DIRECTIONS = 361
 # plausible sound speeds in m/s: from sulfur hexafluoride (about 130) to
 # water (about 1480)

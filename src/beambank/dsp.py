@@ -7,12 +7,14 @@ out[k, t, f] = h_k(f)^H x(t, f).
 
 One weighted overlap-add frame engine (Crochiere, IEEE TASSP 1980) has
 three stages, ``_analyze`` (frames, window, rfft), ``_steer`` and
-synthesis (irfft, window, overlap-add), and three front ends:
+synthesis (irfft, window, overlap-add), and three front ends. Every front
+end steps by n_fft/2, the engine's only frame step: ``_overlap_add`` adds
+the two halves of every frame of every channel in two slice adds.
 
 - whole signal: ``stft``, ``apply_bank`` and ``istft`` each run one stage
   over every frame of a signal
 - chunked offline: the signal is cut into runs of frames, each analysed
-  from ``_run_source``'s view of the audio. ``features.featurize_audio``
+  by ``_analyze`` from a view of the audio. ``features.featurize_audio``
   steers each run from ``_analysis_runs`` into log-mel rows, serially.
   ``steer_audio`` computes its runs on up to one thread per usable core
   and overlap-adds them into one output array in run order, so its bytes
@@ -43,7 +45,6 @@ from .errors import DataError, GridMismatchError
 
 DEFAULT_FS = 16000
 DEFAULT_N_FFT = 512
-DEFAULT_HOP = 256
 # OLA gain below this fraction of the peak is treated as unrecoverable
 _EDGE_THRESHOLD = 1e-8
 # run length of _analysis_runs and steer_audio: as many frames as fit their
@@ -62,31 +63,41 @@ _THREAD_PREFIX = "beambank-worker"
 _core_sharers = 1
 
 
-def _overlap_add(frames: np.ndarray, hop: int, out: np.ndarray) -> None:
-    """Overlap-add ``frames`` (T, n_fft) into ``out`` at stride ``hop``.
+def _overlap_add(frames: np.ndarray, out: np.ndarray) -> None:
+    """Overlap-add (C, T, n_fft) ``frames`` in place into (C, (T + 1) * hop)
+    ``out`` at hop n_fft/2; ``out`` may be a column slice of a wider array.
 
-    Requires hop to divide n_fft; frames within one phase group then tile
-    without overlap so each group reduces to a reshaped += .
+    The first half of frame t goes onto hop t of a (C, T + 1, hop) view of
+    ``out`` and its second half onto hop t + 1, so every sample gets at most
+    two terms, whose sum is the same in either order.
     """
-    n_fft = frames.shape[1]
-    phases = n_fft // hop
-    for p in range(phases):
-        sub = frames[p::phases]
-        if sub.shape[0] == 0:
-            continue  # a streamed block often fills fewer frames than phases
-        start = p * hop
-        view = out[start:start + sub.shape[0] * n_fft]
-        view.reshape(sub.shape[0], n_fft)[:] += sub
+    channels, n_frames, n_fft = frames.shape
+    hop = n_fft // 2
+    hops = out.reshape(channels, n_frames + 1, hop)
+    # splitting the last axis is always a view; a copy would drop the adds
+    assert np.may_share_memory(hops, out)
+    hops[:, :-1] += frames[:, :, :hop]
+    hops[:, 1:] += frames[:, :, hop:]
 
 
-def _analyze(
-    x: np.ndarray, window: np.ndarray, hop: int, n_frames: int, start: int = 0
-) -> np.ndarray:
-    """(C, n_frames, bins) rfft of windowed frames of C-contiguous (C, samples)
-    x, the first frame starting at sample ``start``."""
-    n_fft, step = window.shape[0], x.strides[1]
-    # frames as a strided view on x's buffer; numpy checks it stays inside x
-    shape, strides = (x.shape[0], n_frames, n_fft), (x.strides[0], hop * step, step)
+def _analyze(x: np.ndarray, window: np.ndarray, first: int, count: int) -> np.ndarray:
+    """(C, count, bins) rfft of frames ``first`` to ``first + count - 1`` of
+    the center-padded STFT of C-contiguous (C, samples) ``x`` at hop n_fft/2.
+
+    The frames are a strided view on ``x``, or for a run that reaches into
+    either padded end on a zero-extended copy of its samples, so no padded
+    copy of the whole signal is made.
+    """
+    n_fft = window.shape[0]
+    hop = n_fft // 2
+    # the center pad is one hop, so frame t covers samples (t-1)*hop to (t+1)*hop
+    start, stop = (first - 1) * hop, (first + count) * hop
+    if start < 0 or stop > x.shape[1]:
+        lo, hi = max(start, 0), min(stop, x.shape[1])
+        x, start = np.pad(x[:, lo:hi], ((0, 0), (lo - start, stop - hi))), 0
+    step = x.strides[1]
+    # numpy checks that the view stays inside x
+    shape, strides = (x.shape[0], count, n_fft), (x.strides[0], hop * step, step)
     frames = np.ndarray(shape, x.dtype, x, start * step, strides)
     return np.fft.rfft(frames * window, axis=2)
 
@@ -103,35 +114,36 @@ def _synthesis_frames(data: np.ndarray, window: np.ndarray) -> np.ndarray:
     return frames
 
 
-def _synthesize(data: np.ndarray, window: np.ndarray, hop: int) -> np.ndarray:
+def _synthesize(data: np.ndarray, window: np.ndarray) -> np.ndarray:
     """Overlap-add of the windowed irfft frames of (C, T, bins) data into new
-    zeros of C rows of (T - 1) * hop + n_fft samples, unnormalised."""
-    out = np.zeros((data.shape[0], (data.shape[1] - 1) * hop + window.shape[0]))
-    for frames, row in zip(_synthesis_frames(data, window), out):
-        _overlap_add(frames, hop, row)
+    zeros of C rows of (T + 1) * n_fft/2 samples, unnormalised."""
+    out = np.zeros((data.shape[0], (data.shape[1] + 1) * (window.shape[0] // 2)))
+    _overlap_add(_synthesis_frames(data, window), out)
     return out
 
 
-def _window_sum(window: np.ndarray, hop: int, n_frames: int) -> np.ndarray:
+def _window_sum(window: np.ndarray, n_frames: int) -> np.ndarray:
     """Per-sample WOLA gain: ``n_frames`` squared windows overlap-added."""
-    wsum = np.zeros((n_frames - 1) * hop + window.shape[0])
-    _overlap_add(np.broadcast_to(window * window, (n_frames, window.shape[0])), hop, wsum)
-    return wsum
+    wsum = np.zeros((1, (n_frames + 1) * (window.shape[0] // 2)))
+    _overlap_add(np.broadcast_to(window * window, (1, n_frames, window.shape[0])), wsum)
+    return wsum[0]
 
 
-def _normalize(out: np.ndarray, window: np.ndarray, hop: int, num_samples: int | None):
+def _normalize(out: np.ndarray, window: np.ndarray, num_samples: int | None):
     """Divide overlap-added ``out`` in place by the window sum of its frames
     (zero where that gain is unrecoverable), drop the half window of center
     padding, and cut or zero-pad to ``num_samples`` (default: the span the
     frames imply)."""
-    n_fft = window.shape[0]
-    n_frames = (out.shape[1] - n_fft) // hop + 1
-    wsum = _window_sum(window, hop, n_frames)
+    if num_samples is not None and num_samples < 0:
+        raise DataError(f"num_samples must not be negative, got {num_samples}")
+    hop = window.shape[0] // 2
+    n_frames = out.shape[1] // hop - 1
+    wsum = _window_sum(window, n_frames)
     good = wsum > _EDGE_THRESHOLD * wsum.max()
     np.divide(out, wsum, out=out, where=good)
     out[:, np.flatnonzero(~good)] = 0.0
 
-    full = out[:, n_fft // 2 :]
+    full = out[:, hop:]
     if num_samples is None:
         num_samples = (n_frames - 1) * hop
     if num_samples > full.shape[1]:
@@ -144,14 +156,24 @@ def sqrt_hann(n_fft: int) -> np.ndarray:
     return np.sin(np.pi * np.arange(n_fft) / n_fft)
 
 
+def _frame_step(n_fft: int, hop: int | None) -> int:
+    """n_fft/2, the one frame step of the engine, for an even n_fft of at
+    least 2; ``hop`` must be that step or None, else a DataError."""
+    if n_fft < 2 or n_fft % 2:
+        raise DataError(f"n_fft {n_fft} must be even and at least 2")
+    if hop is not None and hop != n_fft // 2:
+        raise DataError(f"hop {hop} must be n_fft/2 = {n_fft // 2}")
+    return n_fft // 2
+
+
 @dataclass
 class Spectrogram:
-    """Complex STFT data, shaped (channels, frames, bins)."""
+    """Complex STFT data, shaped (channels, frames, bins), at hop n_fft/2."""
 
     data: np.ndarray
     fs: int
     n_fft: int
-    hop: int
+    hop: int | None = None  # n_fft/2, the only step; None means that
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=complex)
@@ -161,8 +183,7 @@ class Spectrogram:
             raise DataError(
                 f"{self.data.shape[2]} bins inconsistent with n_fft {self.n_fft}"
             )
-        if self.hop <= 0 or self.n_fft % self.hop != 0:
-            raise DataError(f"hop {self.hop} must divide n_fft {self.n_fft}")
+        self.hop = _frame_step(self.n_fft, self.hop)
 
     @property
     def num_channels(self) -> int:
@@ -194,19 +215,17 @@ def stft(
     audio,
     fs: int = DEFAULT_FS,
     n_fft: int = DEFAULT_N_FFT,
-    hop: int = DEFAULT_HOP,
+    hop: int | None = None,
 ) -> Spectrogram:
-    """Square-root-Hann analysis STFT of (channels, samples) audio."""
+    """Square-root-Hann analysis STFT of (channels, samples) audio at hop
+    n_fft/2 (``hop`` may only be that), center-padded by one hop."""
     x = _as_2d(audio)
     if x.shape[1] < n_fft:
         raise DataError(f"need at least n_fft = {n_fft} samples, got {x.shape[1]}")
-    if hop <= 0 or n_fft % hop != 0:
-        raise DataError(f"hop {hop} must divide n_fft {n_fft}")
-    pad = n_fft // 2
-    padded = np.pad(x, ((0, 0), (pad, pad)))
-    n_frames = (padded.shape[1] - n_fft) // hop + 1
-    data = _analyze(padded, sqrt_hann(n_fft), hop, n_frames)
-    return Spectrogram(data=data, fs=int(fs), n_fft=int(n_fft), hop=int(hop))
+    hop = _frame_step(n_fft, hop)
+    # the first frame reaches into the padding, so x is read from a padded copy
+    data = _analyze(x, sqrt_hann(n_fft), 0, x.shape[1] // hop + 1)
+    return Spectrogram(data=data, fs=int(fs), n_fft=int(n_fft), hop=hop)
 
 
 def istft(spec: Spectrogram, num_samples: int | None = None) -> np.ndarray:
@@ -216,7 +235,7 @@ def istft(spec: Spectrogram, num_samples: int | None = None) -> np.ndarray:
     span implied by the frame count).
     """
     window = sqrt_hann(spec.n_fft)
-    return _normalize(_synthesize(spec.data, window, spec.hop), window, spec.hop, num_samples)
+    return _normalize(_synthesize(spec.data, window), window, num_samples)
 
 
 def _check_grid(spec: Spectrogram, bank) -> None:
@@ -258,31 +277,13 @@ def _bank_frames(audio, bank) -> tuple:
     return x, samples // (bank.n_fft // 2) + 1  # stft's count over the center-padded signal
 
 
-def _run_source(x: np.ndarray, hop: int, first: int, count: int) -> tuple:
-    """(source, start): frames ``first`` to ``first + count - 1`` of the
-    center-padded stft of ``x`` at hop n_fft/2 are the frames of ``source``
-    from sample ``start``. The source is ``x`` itself, or a zero-extended
-    copy of the samples for a run that reaches into either padded end, so
-    no padded copy of the whole signal is made."""
-    samples = x.shape[1]
-    # the center pad is one hop, so frame t covers samples (t-1)*hop to (t+1)*hop
-    start, stop = (first - 1) * hop, (first + count) * hop
-    if 0 <= start and stop <= samples:
-        return x, start
-    lo, hi = max(start, 0), min(stop, samples)
-    return np.pad(x[:, lo:hi], ((0, 0), (lo - start, stop - hi))), 0
-
-
 def _analysis_runs(x: np.ndarray, window: np.ndarray, n_frames: int):
     """Yield (first frame, (channels, frames, bins) spectra) for each run of
     the center-padded stft of ``x`` at hop n_fft/2, in order; together the
     runs are ``stft(x).data``, bit for bit."""
-    hop = window.shape[0] // 2
     run = _run_frames(x.shape[0], window.shape[0])
     for first in range(0, n_frames, run):
-        count = min(run, n_frames - first)
-        source, start = _run_source(x, hop, first, count)
-        yield first, _analyze(source, window, hop, count, start)
+        yield first, _analyze(x, window, first, min(run, n_frames - first))
 
 
 def _share_cores(processes: int) -> None:
@@ -386,8 +387,8 @@ def _in_run_order(compute, consume, runs: int, threads: int) -> None:
 
 def steer_audio(audio, bank, num_samples: int | None = None) -> np.ndarray:
     """Steer (channels, samples) audio through every bank direction:
-    ``istft(apply_bank(stft(audio, n_fft=bank.n_fft, hop=bank.n_fft // 2),
-    bank), num_samples)``, bit for bit, one run of frames at a time.
+    ``istft(apply_bank(stft(audio, n_fft=bank.n_fft), bank), num_samples)``,
+    bit for bit, one run of frames at a time.
 
     Runs are analysed, steered and synthesized on up to one thread per
     usable core (``_usable_cores``, at most one per run), the calling thread
@@ -405,22 +406,19 @@ def steer_audio(audio, bank, num_samples: int | None = None) -> np.ndarray:
     window, conj_weights = sqrt_hann(n_fft), bank.weights.conj()
     run = _run_frames(x.shape[0], n_fft)
     runs = -(-n_frames // run)
-    out = np.zeros((bank.num_directions, (n_frames - 1) * hop + n_fft))
+    out = np.zeros((bank.num_directions, (n_frames + 1) * hop))
 
     def frames(i):
         first = i * run
-        count = min(run, n_frames - first)
-        source, start = _run_source(x, hop, first, count)
-        spec = _analyze(source, window, hop, count, start)
+        spec = _analyze(x, window, first, min(run, n_frames - first))
         return _synthesis_frames(_steer(conj_weights, spec), window)
 
     def overlap_add(i, run_frames):
-        span = out[:, i * run * hop : (i * run + run_frames.shape[1] + 1) * hop]
-        for row_frames, row in zip(run_frames, span):
-            _overlap_add(row_frames, hop, row)
+        first = i * run
+        _overlap_add(run_frames, out[:, first * hop : (first + run_frames.shape[1] + 1) * hop])
 
     _in_run_order(frames, overlap_add, runs, min(_usable_cores(), runs))
-    return _normalize(out, window, hop, num_samples)
+    return _normalize(out, window, num_samples)
 
 
 class BlockProcessor:
@@ -443,7 +441,7 @@ class BlockProcessor:
         self._conj_weights = bank.weights.conj()
         self._pending = np.zeros((bank.num_mics, 2 * self.n_fft))
         self._fill = 0  # _pending[:, :_fill] holds the pushed samples not yet emitted
-        self._carry = np.zeros((bank.num_directions, self.n_fft - self.hop))
+        self._carry = np.zeros((bank.num_directions, self.hop))
 
     def push(self, block) -> np.ndarray:
         """Feed (channels, samples); return finalized steered samples."""
@@ -466,17 +464,18 @@ class BlockProcessor:
         owed = self._fill
         out = self.push(np.zeros((self.bank.num_mics, self.n_fft)))[:, :owed]
         self._fill = 0
-        self._carry = np.zeros((self.bank.num_directions, self.n_fft - self.hop))
+        self._carry = np.zeros((self.bank.num_directions, self.hop))
         return out
 
     def _drain(self) -> np.ndarray:
-        n_fft, hop = self.n_fft, self.hop
-        n_frames = (self._fill - n_fft) // hop + 1 if self._fill >= n_fft else 0
+        hop = self.hop
+        n_frames = self._fill // hop - 1  # the frames that fit in the pending samples
         if n_frames <= 0:
             return np.zeros((self.bank.num_directions, 0))
-        spec = _analyze(self._pending, self.window, hop, n_frames)
-        buf = _synthesize(_steer(self._conj_weights, spec), self.window, hop)
-        buf[:, : n_fft - hop] += self._carry
+        # no center pad: the first frame here is the center-padded stft's second
+        spec = _analyze(self._pending, self.window, 1, n_frames)
+        buf = _synthesize(_steer(self._conj_weights, spec), self.window)
+        buf[:, :hop] += self._carry
         emit = n_frames * hop
         self._carry = buf[:, emit:].copy()
         self._fill -= emit

@@ -15,7 +15,6 @@ from beambank.beamformer import design_bank
 from beambank.dsp import (
     BlockProcessor,
     Spectrogram,
-    _overlap_add,
     _run_frames,
     apply_bank,
     istft,
@@ -67,49 +66,63 @@ class TestStftRoundTrip:
         assert spec.data.shape[0] == 2
         assert spec.data.shape[2] == 257
 
-    @pytest.mark.parametrize("n_fft, hop", [(512, 256), (512, 128), (512, 512), (65536, 65536)])
-    @pytest.mark.parametrize("num_samples", [None, 5000, 5300])
-    def test_equals_boolean_mask_normalisation(self, rng, n_fft, hop, num_samples):
-        """istft's in-place normalisation is bit-identical to dividing by a
-        tiled window sum through boolean masks. At hop n_fft the window sum
-        falls below the edge threshold at every frame start inside the
-        output (at n_fft 65536 also beside it, where it is not exactly 0);
-        those samples must read +0.0, never -0.0 or the undivided sum."""
-        pad = n_fft // 2
+    @pytest.mark.parametrize(
+        "n_fft, num_samples", [(512, None), (512, 5000), (512, 5300), (65536, 98304)]
+    )
+    def test_equals_boolean_mask_normalisation(self, rng, n_fft, num_samples):
+        """istft's in-place normalisation is bit-identical to dividing a
+        frame-by-frame overlap-add by its window sum through boolean masks.
+        At n_fft 65536 the window sum sin^2(pi k / N) falls below the edge
+        threshold at k = N - 2 and N - 1 of the last frame: with three frames
+        these are output samples 98302 and 98303, the last two of the last
+        half frame. They must read +0.0, never -0.0 or the undivided sum."""
+        hop = n_fft // 2
         audio = rng.standard_normal((3, max(5000, n_fft + 4000)))
-        spec = stft(audio, fs=16000, n_fft=n_fft, hop=hop)
+        spec = stft(audio, fs=16000, n_fft=n_fft)
         window = sqrt_hann(n_fft)
         frames = np.fft.irfft(spec.data, n=n_fft, axis=2) * window
-        total = (spec.num_frames - 1) * hop + n_fft
-        out = np.zeros((3, total))
-        for ch in range(3):
-            _overlap_add(frames[ch], hop, out[ch])
-        wsum = np.zeros(total)
-        _overlap_add(np.tile(window * window, (spec.num_frames, 1)), hop, wsum)
+        total = (spec.num_frames + 1) * hop
+        out, wsum = np.zeros((3, total)), np.zeros(total)
+        for t in range(spec.num_frames):
+            out[:, t * hop : t * hop + n_fft] += frames[:, t]
+            wsum[t * hop : t * hop + n_fft] += window * window
         good = wsum > 1e-8 * wsum.max()
         out[:, good] /= wsum[good]
         out[:, ~good] = 0.0
         if num_samples is None:
             num_samples = (spec.num_frames - 1) * hop
-        full = np.pad(out[:, pad:], ((0, 0), (0, max(0, num_samples + pad - total))))
+        full = np.pad(out[:, hop:], ((0, 0), (0, max(0, num_samples + hop - total))))
         expected = full[:, :num_samples]
 
         got = istft(spec, num_samples=num_samples)
         assert got.tobytes() == expected.tobytes()  # also tells -0.0 from +0.0
-        edges = np.flatnonzero(~good) - pad
+        edges = np.flatnonzero(~good) - hop
         edges = edges[(edges >= 0) & (edges < num_samples)]
-        # every output that reaches past the first frame start holds edges
-        assert (edges.size > 0) == (hop == n_fft and num_samples > n_fft - pad)
+        assert edges.tolist() == ([98302, 98303] if n_fft == 65536 else [])
         assert np.all(got[:, edges] == 0.0) and not np.any(np.signbit(got[:, edges]))
 
-    def test_hop_must_divide_n_fft(self, rng):
-        with pytest.raises(DataError):
-            stft(rng.standard_normal(4000), fs=16000, n_fft=512, hop=300)
-
-    @pytest.mark.parametrize("hop", [0, -256])
-    def test_hop_must_be_positive(self, rng, hop):
-        with pytest.raises(DataError):
+    @pytest.mark.parametrize("hop", [0, -256, 128, 300, 512])
+    def test_hop_other_than_half_n_fft_refused(self, rng, hop):
+        with pytest.raises(DataError, match="must be n_fft/2 = 256"):
             stft(rng.standard_normal(4000), fs=16000, n_fft=512, hop=hop)
+        with pytest.raises(DataError, match="must be n_fft/2 = 256"):
+            Spectrogram(data=np.zeros((1, 3, 257)), fs=16000, n_fft=512, hop=hop)
+
+    @pytest.mark.parametrize("n_fft", [0, 1, 511])
+    def test_odd_or_tiny_n_fft_refused(self, rng, n_fft):
+        with pytest.raises(DataError, match="must be even and at least 2"):
+            stft(rng.standard_normal(4000), fs=16000, n_fft=n_fft)
+        with pytest.raises(DataError, match="must be even and at least 2"):
+            Spectrogram(data=np.zeros((1, 3, n_fft // 2 + 1)), fs=16000, n_fft=n_fft)
+
+    def test_hop_defaults_to_half_n_fft(self, rng):
+        assert stft(rng.standard_normal(4000), fs=16000, n_fft=64).hop == 32
+        assert Spectrogram(data=np.zeros((1, 3, 33)), fs=16000, n_fft=64).hop == 32
+
+    def test_negative_num_samples_refused(self, rng):
+        spec = stft(rng.standard_normal(4000), fs=16000, n_fft=512)
+        with pytest.raises(DataError, match="num_samples must not be negative, got -5"):
+            istft(spec, num_samples=-5)
 
 
 def _plane_wave(geometry, azimuth, f0, fs, n_samples, sound_speed=343.0):
@@ -221,6 +234,11 @@ class TestSteerAudio:
         bank = random_bank(rng, 2, 64)
         with pytest.raises(DataError, match="3-channel input vs 2-mic bank"):
             steer_audio(rng.standard_normal((3, 640)), bank)
+
+    def test_negative_num_samples_refused(self, random_bank, rng):
+        bank = random_bank(rng, 2, 64)
+        with pytest.raises(DataError, match="num_samples must not be negative, got -5"):
+            steer_audio(rng.standard_normal((2, 640)), bank, -5)
 
 
 def _run_observer(monkeypatch, hook=None):
@@ -372,11 +390,11 @@ class TestSteerThreads:
         add = dsp._overlap_add
         calls = []
 
-        def interrupted(frames, hop, out):
+        def interrupted(frames, out):
             calls.append(1)
-            if len(calls) == 5:  # two rows a run: during run 2
+            if len(calls) == 3:  # one call a run: during run 2
                 raise KeyboardInterrupt
-            add(frames, hop, out)
+            add(frames, out)
 
         monkeypatch.setattr(dsp, "_overlap_add", interrupted)
         bank = random_bank(rng, 2, 64, num_looks=1)

@@ -69,7 +69,25 @@ class TestAddPulses:
 
 class TestOverlapAdd:
     def test_single_frame_copies(self, rng):
-        frame = rng.normal(size=(1, 64))
-        out = np.zeros(64)
-        _overlap_add(frame, 32, out)
+        frame = rng.normal(size=(1, 1, 64))
+        out = np.zeros((1, 64))
+        _overlap_add(frame, out)
         np.testing.assert_array_equal(out, frame[0])
+
+    @pytest.mark.parametrize("channels", [1, 5])
+    @pytest.mark.parametrize("n_frames", [1, 2, 7])
+    def test_equals_per_frame_loop_in_a_column_slice(self, rng, channels, n_frames):
+        """Bit for bit the frame-by-frame overlap-add at hop n_fft/2, into
+        zeros in a column slice of a wider array whose other columns stay
+        untouched. Every sample gets at most two terms, so the order of the
+        adds does not change a bit."""
+        n_fft, hop, left = 64, 32, 5
+        frames = rng.normal(size=(channels, n_frames, n_fft))
+        wide = rng.normal(size=(channels, left + (n_frames + 1) * hop + 3))
+        columns = slice(left, left + (n_frames + 1) * hop)
+        wide[:, columns] = 0.0
+        expected = wide.copy()
+        for t in range(n_frames):
+            expected[:, columns][:, t * hop : t * hop + n_fft] += frames[:, t]
+        _overlap_add(frames, wide[:, columns])
+        assert wide.tobytes() == expected.tobytes()
