@@ -246,6 +246,20 @@ def _input_wavs(path, geometry_id) -> tuple:
     return [path], 0
 
 
+def _feature_names(manifest_path, wavs) -> list:
+    """The feature file name of each audio path, its stem plus ``.feat``;
+    a DataError if two paths would write one file."""
+    seen = {}  # name -> the audio path that writes it, in manifest order
+    for wav in wavs:
+        name = wav.stem + ".feat"
+        if name in seen:
+            raise DataError(
+                f"{manifest_path}: audio {seen[name]} and {wav} would both write {name}"
+            )
+        seen[name] = wav
+    return list(seen)
+
+
 def cmd_featurize(args) -> dict:
     from .beamformer import load_bank
     from .features import export_features, load_stats
@@ -255,10 +269,11 @@ def cmd_featurize(args) -> dict:
     inp = Path(args.input)
     if inp.suffix == ".jsonl":
         out_dir = Path(args.out) if args.out is not None else inp.parent / "features"
-        out_dir.mkdir(parents=True, exist_ok=True)
         wavs, skipped = _manifest_wavs(inp, bank.geometry.id)
-        for wav in wavs:
-            export_features(_featurize_wav(wav, bank, stats), out_dir / (wav.stem + ".feat"))
+        names = _feature_names(inp, wavs)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for wav, name in zip(wavs, names):
+            export_features(_featurize_wav(wav, bank, stats), out_dir / name)
         return {
             "command": "featurize",
             "out_dir": str(out_dir),

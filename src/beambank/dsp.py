@@ -13,20 +13,22 @@ the two halves of every frame of every channel in two slice adds.
 
 - whole signal: ``stft``, ``apply_bank`` and ``istft`` each run one stage
   over every frame of a signal
-- chunked offline: the signal is cut into runs of frames, each analysed
-  by ``_analyze`` from a view of the audio. ``features.featurize_audio``
-  steers each run from ``_analysis_runs`` into log-mel rows, serially.
-  ``steer_audio`` computes its runs on up to one thread per usable core
-  and overlap-adds them into one output array in run order, so its bytes
-  are the same at any thread count. Both hold the audio, the output and a
+- chunked offline: ``_analyzed_runs`` cuts the signal into runs of
+  frames, each analysed by ``_analyze`` from a view of the audio. It
+  computes each run on one of up to one thread per usable core and hands
+  the results to the calling thread in run order. ``steer_audio`` steers
+  and synthesizes each run on those threads and overlap-adds it into one
+  output array; ``features.featurize_audio`` steers each run into its
+  power on them and turns it into log-mel rows. So the bytes of both are
+  the same at any thread count, and both hold the audio, the output and a
   few runs of frames, never a whole-signal spectrogram
 - streaming: ``BlockProcessor`` runs all three over the frames each pushed
   block completes
 
 ``_in_run_order`` is the one ordered executor of the package: it computes
 numbered pieces of work on up to ``_usable_cores()`` threads and hands them
-to the calling thread strictly in order. ``steer_audio`` runs its runs of
-frames on it, and ``simulate._convolve_place`` its overlap-add blocks.
+to the calling thread strictly in order. ``_analyzed_runs`` runs its runs
+of frames on it, and ``simulate._convolve_place`` its overlap-add blocks.
 """
 
 from __future__ import annotations
@@ -47,15 +49,16 @@ DEFAULT_FS = 16000
 DEFAULT_N_FFT = 512
 # OLA gain below this fraction of the peak is treated as unrecoverable
 _EDGE_THRESHOLD = 1e-8
-# run length of _analysis_runs and steer_audio: as many frames as fit their
-# input spectra in this many bytes. In a serial sweep (one thread) of 128 KB
-# to 4 MB on a 2-core x86-64 host (20 s at 5 mics and n_fft 512, 30 s at 7
-# mics and 1024), 0.5-1 MB was fastest on both (25-51 and 9-18 frames); 4 MB
-# runs took 1.2x as long and one whole-signal run 1.4x. Featurizing the same
-# shapes in runs of 16-64 frames was 1.1-1.6x faster than in one
-# whole-signal run. steer_audio's threaded runs were not swept again.
+# run length of _analyzed_runs: as many frames as fit their input spectra
+# in this many bytes. In a serial sweep (one thread) of steer_audio's runs
+# from 128 KB to 4 MB on a 2-core x86-64 host (20 s at 5 mics and n_fft 512,
+# 30 s at 7 mics and 1024), 0.5-1 MB was fastest on both (25-51 and 9-18
+# frames); 4 MB runs took 1.2x as long and one whole-signal run 1.4x.
+# Featurizing the same shapes serially in runs of 16-64 frames was 1.1-1.6x
+# faster than in one whole-signal run. Neither front end's threaded runs
+# were swept again.
 _RUN_BYTES = 1 << 20
-# name prefix of the threads _in_run_order starts (steer_audio's and
+# name prefix of the threads _in_run_order starts (_analyzed_runs' and
 # simulate._convolve_place's)
 _THREAD_PREFIX = "beambank-worker"
 # processes that share this process's cores: a dataset's process pool sets
@@ -134,8 +137,6 @@ def _normalize(out: np.ndarray, window: np.ndarray, num_samples: int | None):
     (zero where that gain is unrecoverable), drop the half window of center
     padding, and cut or zero-pad to ``num_samples`` (default: the span the
     frames imply)."""
-    if num_samples is not None and num_samples < 0:
-        raise DataError(f"num_samples must not be negative, got {num_samples}")
     hop = window.shape[0] // 2
     n_frames = out.shape[1] // hop - 1
     wsum = _window_sum(window, n_frames)
@@ -149,6 +150,13 @@ def _normalize(out: np.ndarray, window: np.ndarray, num_samples: int | None):
     if num_samples > full.shape[1]:
         full = np.pad(full, ((0, 0), (0, num_samples - full.shape[1])))
     return full[:, :num_samples]
+
+
+def _check_num_samples(num_samples: int | None) -> None:
+    """A DataError for a negative output length, raised before any frame
+    is analysed."""
+    if num_samples is not None and num_samples < 0:
+        raise DataError(f"num_samples must not be negative, got {num_samples}")
 
 
 def sqrt_hann(n_fft: int) -> np.ndarray:
@@ -234,6 +242,7 @@ def istft(spec: Spectrogram, num_samples: int | None = None) -> np.ndarray:
     ``num_samples`` trims/limits the output length (default: the full
     span implied by the frame count).
     """
+    _check_num_samples(num_samples)
     window = sqrt_hann(spec.n_fft)
     return _normalize(_synthesize(spec.data, window), window, num_samples)
 
@@ -260,7 +269,7 @@ def apply_bank(spec: Spectrogram, bank) -> Spectrogram:
 
 
 def _run_frames(num_mics: int, n_fft: int) -> int:
-    """Frames per _analysis_runs run: their (num_mics, frames, bins) input
+    """Frames per _analyzed_runs run: their (num_mics, frames, bins) input
     spectra fill about _RUN_BYTES."""
     return max(1, _RUN_BYTES // (num_mics * (n_fft // 2 + 1) * 16))
 
@@ -275,15 +284,6 @@ def _bank_frames(audio, bank) -> tuple:
     if samples < bank.n_fft:
         raise DataError(f"need at least n_fft = {bank.n_fft} samples, got {samples}")
     return x, samples // (bank.n_fft // 2) + 1  # stft's count over the center-padded signal
-
-
-def _analysis_runs(x: np.ndarray, window: np.ndarray, n_frames: int):
-    """Yield (first frame, (channels, frames, bins) spectra) for each run of
-    the center-padded stft of ``x`` at hop n_fft/2, in order; together the
-    runs are ``stft(x).data``, bit for bit."""
-    run = _run_frames(x.shape[0], window.shape[0])
-    for first in range(0, n_frames, run):
-        yield first, _analyze(x, window, first, min(run, n_frames - first))
 
 
 def _share_cores(processes: int) -> None:
@@ -385,39 +385,61 @@ def _in_run_order(compute, consume, runs: int, threads: int) -> None:
             thread.join()
 
 
+def _analyzed_runs(x: np.ndarray, window: np.ndarray, n_frames: int, compute,
+                   consume) -> None:
+    """``consume(first, compute(spectra))`` for each run of the ``n_frames``
+    frames of the center-padded stft of C-contiguous (channels, samples)
+    ``x`` at hop n_fft/2, where ``spectra`` is the (channels, frames, bins)
+    rfft of a run's frames and ``first`` the number of its first frame;
+    together the runs' spectra are ``stft(x).data``, bit for bit.
+
+    Runs hold about ``_RUN_BYTES`` of spectra. They are analysed and
+    computed on up to one thread per usable core (``_usable_cores``, at most
+    one per run), the calling thread among them, each into arrays of its
+    own, and consumed by the calling thread alone, strictly in run order
+    (``_in_run_order``). So ``consume`` never runs beside itself or on
+    another thread, and what it builds is the same at any thread count.
+    """
+    run = _run_frames(x.shape[0], window.shape[0])
+    runs = -(-n_frames // run)
+
+    def analyzed(i):
+        first = i * run
+        return compute(_analyze(x, window, first, min(run, n_frames - first)))
+
+    def consumed(i, value):
+        consume(i * run, value)
+
+    _in_run_order(analyzed, consumed, runs, min(_usable_cores(), runs))
+
+
 def steer_audio(audio, bank, num_samples: int | None = None) -> np.ndarray:
     """Steer (channels, samples) audio through every bank direction:
     ``istft(apply_bank(stft(audio, n_fft=bank.n_fft), bank), num_samples)``,
     bit for bit, one run of frames at a time.
 
-    Runs are analysed, steered and synthesized on up to one thread per
-    usable core (``_usable_cores``, at most one per run), the calling thread
-    among them, each into arrays of its own. The calling thread overlap-adds
-    the runs into one output array strictly in run order, so no
-    whole-signal spectrogram is built and the bytes are the same at any
-    thread count. At hop n_fft/2 every output sample is the sum of exactly
-    two frame terms, which is the same in either order, so the run
-    boundaries do not change a bit either. The audio's sample rate is the
-    caller's to check.
+    Each run from ``_analyzed_runs`` is steered and synthesized on one of
+    its threads, and the calling thread overlap-adds the runs into one
+    output array strictly in run order, so no whole-signal spectrogram is
+    built and the bytes are the same at any thread count. At hop n_fft/2
+    every output sample is the sum of exactly two frame terms, which is the
+    same in either order, so the run boundaries do not change a bit either.
+    A negative ``num_samples`` is refused before any run is analysed. The
+    audio's sample rate is the caller's to check.
     """
+    _check_num_samples(num_samples)
     x, n_frames = _bank_frames(audio, bank)
-    n_fft = bank.n_fft
-    hop = n_fft // 2
-    window, conj_weights = sqrt_hann(n_fft), bank.weights.conj()
-    run = _run_frames(x.shape[0], n_fft)
-    runs = -(-n_frames // run)
+    hop = bank.n_fft // 2
+    window, conj_weights = sqrt_hann(bank.n_fft), bank.weights.conj()
     out = np.zeros((bank.num_directions, (n_frames + 1) * hop))
 
-    def frames(i):
-        first = i * run
-        spec = _analyze(x, window, first, min(run, n_frames - first))
+    def frames(spec):
         return _synthesis_frames(_steer(conj_weights, spec), window)
 
-    def overlap_add(i, run_frames):
-        first = i * run
+    def overlap_add(first, run_frames):
         _overlap_add(run_frames, out[:, first * hop : (first + run_frames.shape[1] + 1) * hop])
 
-    _in_run_order(frames, overlap_add, runs, min(_usable_cores(), runs))
+    _analyzed_runs(x, window, n_frames, frames, overlap_add)
     return _normalize(out, window, num_samples)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _container
 from .errors import DataError
-from .dsp import Spectrogram, _analysis_runs, _bank_frames, sqrt_hann
+from .dsp import Spectrogram, _analyzed_runs, _bank_frames, sqrt_hann
 
 NUM_MEL = 80
 LOG_FLOOR = 1e-10
@@ -67,9 +67,14 @@ def log_mel(channel: np.ndarray, fs: int) -> np.ndarray:
     channel = np.asarray(channel)
     if channel.ndim < 2:
         raise DataError("log_mel expects (..., frames, bins)")
-    n_fft = 2 * (channel.shape[-1] - 1)
-    bank = _filterbank(n_fft, fs)
-    power = np.abs(channel) ** 2
+    return _power_log_mel(np.abs(channel) ** 2, fs)
+
+
+def _power_log_mel(power: np.ndarray, fs: int) -> np.ndarray:
+    """Natural-log mel energies of (..., frames, bins) power, by one
+    product with the cached filterbank: the one call of the log-mel that
+    BLAS may spread over threads of its own."""
+    bank = _filterbank(2 * (power.shape[-1] - 1), fs)
     return np.log(np.maximum(power @ bank.T, LOG_FLOOR))
 
 
@@ -116,33 +121,42 @@ def featurize_bank_output(spec: Spectrogram, direction_labels) -> FeatureTensor:
     )
 
 
-def _steered_log_mel(conj_weights: np.ndarray, data: np.ndarray, fs: int):
-    """(K, T, NUM_MEL) log-mel of (M, T, F) spectra steered through
-    (F, K, M) conjugate bank weights, by one batched (F, K, M) @ (F, M, T)
-    product whose contiguous (F, K, T) result goes to :func:`log_mel` as a
-    (K, T, F) view, with no transposing copy."""
+def _steered_power(conj_weights: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """(K, T, F) power of (M, T, F) spectra steered through (F, K, M)
+    conjugate bank weights, by one batched (F, K, M) @ (F, M, T) product.
+    The power is a view of a contiguous (F, K, T) array, which
+    :func:`_power_log_mel` reads in place, as :func:`log_mel` reads the same
+    view of the steered spectra."""
     steered = np.matmul(conj_weights, data.transpose(2, 0, 1))
-    return log_mel(steered.transpose(1, 2, 0), fs)
+    return (np.abs(steered) ** 2).transpose(1, 2, 0)
 
 
 def featurize_audio(audio, bank) -> FeatureTensor:
     """Log-mel of ``audio`` steered through every direction of ``bank``,
     (frames, directions, NUM_MEL) float32, one run of frames at a time.
 
-    Each run from the frame engine's ``_analysis_runs`` is steered and
-    turned into log-mel rows of one float32 tensor, so no whole-signal
-    spectrogram, steered spectrogram or float64 log-mel is built. Rows match
-    :func:`_steered_log_mel` of the whole-signal ``stft(audio, bank.fs,
-    bank.n_fft, bank.n_fft // 2)`` up to float64 rounding in the batched
-    products, which float32 almost always hides. The audio's sample rate is
-    the caller's to check.
+    The frame engine's ``_analyzed_runs`` analyses each run, and steers it
+    into its power by :func:`_steered_power`, on one of up to one thread per
+    usable core. The calling thread alone takes the mel product, the log
+    and the float32 store of each run, in run order: the mel product is the
+    one call that BLAS may spread over its own threads, so it never runs
+    beside itself. No whole-signal spectrogram, steered spectrogram or
+    float64 log-mel is built, and the bytes are the same at any thread
+    count. Rows match :func:`log_mel` of the whole-signal ``stft(audio,
+    bank.fs, bank.n_fft)`` steered by one batched product up to float64
+    rounding in the batched products, which float32 almost always hides.
+    The audio's sample rate is the caller's to check.
     """
     x, n_frames = _bank_frames(audio, bank)
     conj_weights = bank.weights.conj().transpose(1, 0, 2)
     data = np.empty((n_frames, bank.num_directions, NUM_MEL), dtype=np.float32)
-    for first, spec in _analysis_runs(x, sqrt_hann(bank.n_fft), n_frames):
-        mel = _steered_log_mel(conj_weights, spec, bank.fs)
-        data[first : first + spec.shape[1]] = mel.swapaxes(0, 1)
+
+    def store(first, power):
+        mel = _power_log_mel(power, bank.fs)
+        data[first : first + mel.shape[1]] = mel.swapaxes(0, 1)
+
+    _analyzed_runs(x, sqrt_hann(bank.n_fft), n_frames,
+                   lambda spec: _steered_power(conj_weights, spec), store)
     return FeatureTensor(
         data=data, frame_rate=bank.fs / (bank.n_fft // 2), direction_labels=bank.direction_labels()
     )

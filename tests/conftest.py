@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from beambank import _container, features
+from beambank import _container, dsp, features
 from beambank.beamformer import BeamformerBank
 from beambank.dsp import _THREAD_PREFIX, write_wav
 from beambank.geometry import ArrayGeometry, DirectionSpec, reference_glasses, reference_glasses_5
@@ -22,6 +22,89 @@ def no_worker_thread_left():
     left = [t.name for t in threading.enumerate() if t.name.startswith(_THREAD_PREFIX)]
     if left:
         pytest.fail(f"worker threads left running: {left}")
+
+
+@pytest.fixture()
+def run_observer(monkeypatch):
+    """Call with an optional ``hook(i)`` to wrap dsp._in_run_order, the run
+    scheduler of steer_audio and featurize_audio: ``hook(i)`` runs as run i
+    starts, and the returned dict records the runs, threads, the executor's
+    lookahead bound min(2 x threads, runs) as ``depth``, the largest
+    lookahead (runs started minus runs consumed), and as ``mel`` the mel
+    products taken during the call. A mel product on any thread but the one
+    that called the scheduler raises AssertionError, which reaches the
+    caller: featurize_audio keeps that product, the one BLAS may spread
+    over threads of its own, off the worker threads."""
+
+    def observe(hook=None):
+        seen = {"started": 0, "consumed": 0, "lookahead": 0, "depth": None, "threads": None,
+                "runs": None, "caller": None, "mel": 0}
+        lock = threading.Lock()
+        schedule, mel = dsp._in_run_order, features._power_log_mel
+
+        def observed(compute, consume, runs, threads):
+            seen.update(runs=runs, threads=threads, depth=min(2 * threads, runs),
+                        caller=threading.current_thread())
+
+            def compute_(i):
+                with lock:
+                    seen["started"] = max(seen["started"], i + 1)
+                    seen["lookahead"] = max(seen["lookahead"], seen["started"] - seen["consumed"])
+                if hook is not None:
+                    hook(i)
+                return compute(i)
+
+            def consume_(i, value):
+                consume(i, value)
+                with lock:
+                    seen["consumed"] = i + 1
+
+            try:
+                schedule(compute_, consume_, runs, threads)
+            finally:
+                seen["caller"] = None
+
+        def guarded_mel(power, fs):
+            caller = seen["caller"]
+            if caller is not None:
+                here = threading.current_thread()
+                assert here is caller, f"mel product on {here.name}, not on {caller.name}"
+                seen["mel"] += 1
+            return mel(power, fs)
+
+        monkeypatch.setattr(dsp, "_in_run_order", observed)
+        monkeypatch.setattr(features, "_power_log_mel", guarded_mel)
+        return seen
+
+    return observe
+
+
+def _bounded(call, seconds=60):
+    """``call()``'s result or error, from a thread joined with a timeout, so
+    a deadlock fails the test instead of hanging it."""
+    outcome = []
+
+    def target():
+        try:
+            outcome.append((True, call()))
+        except BaseException as exc:  # handed to the test thread below
+            outcome.append((False, exc))
+
+    caller = threading.Thread(target=target, name="test-caller", daemon=True)
+    caller.start()
+    caller.join(timeout=seconds)
+    assert not caller.is_alive(), f"no return within {seconds} s"
+    ok, value = outcome[0]
+    if not ok:
+        raise value
+    return value
+
+
+@pytest.fixture(scope="session")
+def bounded():
+    """Call with a no-argument function: its result or error, from a thread
+    joined within 60 s, so a deadlock fails the test instead of hanging it."""
+    return _bounded
 
 
 @pytest.fixture(scope="session")
@@ -62,11 +145,12 @@ def random_bank():
 
 
 def _whole_signal_features(spec, bank):
-    """(frames, directions, 80) float32 log-mel of a whole-signal
-    spectrogram steered through ``bank`` by the same batched product
-    featurize_audio applies to each run of frames."""
+    """(frames, directions, 80) float32 log_mel of a whole-signal
+    spectrogram steered through ``bank`` by the batched (F, K, M) @
+    (F, M, T) product featurize_audio applies to each run of frames."""
     conj_weights = bank.weights.conj().transpose(1, 0, 2)
-    mel = features._steered_log_mel(conj_weights, spec.data, spec.fs)
+    steered = np.matmul(conj_weights, spec.data.transpose(2, 0, 1))
+    mel = features.log_mel(steered.transpose(1, 2, 0), spec.fs)
     return mel.swapaxes(0, 1).astype(np.float32)
 
 

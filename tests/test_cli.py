@@ -970,6 +970,29 @@ class TestFeaturizeAndStats:
         got = import_features(out)
         np.testing.assert_array_max_ulp(got.data, whole, maxulp=1)
 
+    def test_bytes_do_not_depend_on_blas_threads(self, random_bank, tmp_path):
+        """A 3 s 7-channel recording featurized through a random bank of 9
+        directions at n_fft 1024 in fresh interpreters at one and at two
+        BLAS threads. Each run's (18 x 513) @ (513 x 80) mel products are
+        large enough for OpenBLAS to split among its threads, and the runs
+        are steered on every usable core beside them."""
+        rng = np.random.default_rng(3)
+        bank = tmp_path / "wide.bbk"
+        save_bank(random_bank(rng, 7, 1024, num_looks=8), bank)
+        wav = tmp_path / "rec.wav"
+        write_wav(wav, 0.1 * rng.standard_normal((7, 48000)), 16000)
+        files = []
+        for blas_threads in ("1", "2"):
+            out = tmp_path / f"blas{blas_threads}.feat"
+            done = _fresh_interpreter(
+                _MODULES_AFTER_MAIN, "featurize", wav, "--bank", bank, "--out", out,
+                env_vars=dict(OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads,
+                              MKL_NUM_THREADS=blas_threads),
+            )
+            assert done.returncode == 0, done.stderr
+            files.append(out.read_bytes())
+        assert files[0] == files[1]
+
     def test_input_shorter_than_n_fft_exits_2_with_one_line(
         self, bank_file, tmp_path, rng, capsys
     ):
@@ -1415,6 +1438,32 @@ class TestSceneAndDataset:
         ]
         assert list(feat_dir.glob("*.feat")) == []
 
+    def test_manifest_rows_sharing_a_stem_exit_2_before_any_feature_file(
+        self, dataset_cfg, bank_file, tmp_path, capsys
+    ):
+        """Rows a/s.wav and b/s.wav would both write s.feat: one file was
+        left and the summary counted two. The manifest is refused before the
+        output directory is made."""
+        out = tmp_path / "ds"
+        assert run(capsys, "dataset", "--config", str(dataset_cfg), "--out", str(out))[0] == 0
+        manifest = out / "manifest.jsonl"
+        rows = [json.loads(line) for line in manifest.read_text().splitlines()]
+        for row, sub in zip(rows, "ab"):
+            (out / sub).mkdir()
+            (out / row["audio_path"]).rename(out / sub / "s.wav")
+            row["audio_path"] = f"{sub}/s.wav"
+        manifest.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows))
+        feat_dir = tmp_path / "feats"
+        code, summary, err = run(
+            capsys, "featurize", str(manifest), "--bank", str(bank_file), "--out", str(feat_dir)
+        )
+        assert (code, summary) == (2, None)
+        assert err.splitlines() == [
+            f"beambank featurize: {manifest}: audio {out / 'a' / 's.wav'} and "
+            f"{out / 'b' / 's.wav'} would both write s.feat"
+        ]
+        assert not feat_dir.exists()
+
     @pytest.mark.parametrize("command", ["featurize", "stats"])
     def test_manifest_line_over_the_cap_exits_2_with_one_line(
         self, dataset_cfg, bank_file, tmp_path, capsys, command
@@ -1650,9 +1699,10 @@ def test_fuzzed_flag_value_exits_1_with_one_line(bank_file, data):
         assert not out.exists()
 
 
-def _fresh_interpreter(probe: str, *argv) -> subprocess.CompletedProcess:
-    """Run ``python -c probe *argv`` with this checkout's src/ first on the path."""
-    env = dict(os.environ)
+def _fresh_interpreter(probe: str, *argv, env_vars=None) -> subprocess.CompletedProcess:
+    """Run ``python -c probe *argv`` with this checkout's src/ first on the
+    path and ``env_vars`` (a dict) added to the child's environment."""
+    env = dict(os.environ, **(env_vars or {}))
     src = str(Path(beambank.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(

@@ -235,62 +235,14 @@ class TestSteerAudio:
         with pytest.raises(DataError, match="3-channel input vs 2-mic bank"):
             steer_audio(rng.standard_normal((3, 640)), bank)
 
-    def test_negative_num_samples_refused(self, random_bank, rng):
+    def test_negative_num_samples_refused(self, random_bank, rng, run_observer):
+        """Before any run is scheduled: it was refused only after every run
+        had been analysed, steered and overlap-added."""
+        seen = run_observer()
         bank = random_bank(rng, 2, 64)
         with pytest.raises(DataError, match="num_samples must not be negative, got -5"):
             steer_audio(rng.standard_normal((2, 640)), bank, -5)
-
-
-def _run_observer(monkeypatch, hook=None):
-    """Wrap steer_audio's run scheduler: ``hook(i)`` (if given) runs as run i
-    starts, and the returned dict records the runs, threads, the executor's
-    lookahead bound min(2 x threads, runs) as ``depth``, and the largest
-    lookahead (runs started minus runs overlap-added)."""
-    seen = {"started": 0, "consumed": 0, "lookahead": 0, "depth": None, "threads": None}
-    lock = threading.Lock()
-    schedule = dsp._in_run_order
-
-    def observed(compute, consume, runs, threads):
-        seen.update(runs=runs, threads=threads, depth=min(2 * threads, runs))
-
-        def compute_(i):
-            with lock:
-                seen["started"] = max(seen["started"], i + 1)
-                seen["lookahead"] = max(seen["lookahead"], seen["started"] - seen["consumed"])
-            if hook is not None:
-                hook(i)
-            return compute(i)
-
-        def consume_(i, value):
-            consume(i, value)
-            with lock:
-                seen["consumed"] = i + 1
-
-        schedule(compute_, consume_, runs, threads)
-
-    monkeypatch.setattr(dsp, "_in_run_order", observed)
-    return seen
-
-
-def _bounded(call, seconds=60):
-    """``call()``'s result or error, from a thread joined with a timeout, so
-    a deadlock fails the test instead of hanging it."""
-    outcome = []
-
-    def target():
-        try:
-            outcome.append((True, call()))
-        except BaseException as exc:  # handed to the test thread below
-            outcome.append((False, exc))
-
-    caller = threading.Thread(target=target, name="test-caller", daemon=True)
-    caller.start()
-    caller.join(timeout=seconds)
-    assert not caller.is_alive(), f"no return within {seconds} s"
-    ok, value = outcome[0]
-    if not ok:
-        raise value
-    return value
+        assert (seen["runs"], seen["started"]) == (None, 0)
 
 
 def _steer_threads():
@@ -310,13 +262,13 @@ class TestSteerThreads:
     )
     @pytest.mark.parametrize("extra", [0, 31])
     def test_bytes_equal_whole_signal_route_at_any_thread_count(
-        self, random_bank, rng, monkeypatch, threads, runs, frame_offset, extra
+        self, random_bank, rng, monkeypatch, run_observer, threads, runs, frame_offset, extra
     ):
         """One run (both padded ends in it), fewer runs than threads, and a
         run boundary +-1 frame, where the first and last runs reach into
         the padding at either end."""
         monkeypatch.setattr(dsp, "_usable_cores", lambda: threads)
-        seen = _run_observer(monkeypatch)
+        seen = run_observer()
         bank = random_bank(rng, 3, 64)
         frames = max(3, runs * _run_frames(3, 64) + frame_offset)
         samples = (frames - 1) * 32 + extra
@@ -328,14 +280,14 @@ class TestSteerThreads:
 
     @pytest.mark.parametrize("threads", [2, 3, 8])
     def test_many_runs_under_fast_thread_switching(self, random_bank, rng, monkeypatch,
-                                                   threads):
+                                                   run_observer, threads):
         """40 runs of 5 frames, with the interpreter switching threads every
         microsecond: a run overlap-added out of order or from frames still
         being written would change the bytes, and at most 2 x threads runs
         are computed and not yet overlap-added."""
         monkeypatch.setattr(dsp, "_usable_cores", lambda: threads)
         monkeypatch.setattr(dsp, "_run_frames", lambda num_mics, n_fft: 5)
-        seen = _run_observer(monkeypatch)
+        seen = run_observer()
         bank = random_bank(rng, 2, 64)
         x = rng.standard_normal((2, 199 * 32 + 7))
         whole = istft(apply_bank(stft(x, 16000, 64, 32), bank), x.shape[1])
@@ -349,24 +301,25 @@ class TestSteerThreads:
         assert (seen["runs"], seen["depth"]) == (40, 2 * threads)
         assert seen["lookahead"] <= seen["depth"]
 
-    def test_slow_first_run_stalls_nothing(self, random_bank, rng, monkeypatch):
+    def test_slow_first_run_stalls_nothing(self, random_bank, rng, monkeypatch, run_observer,
+                                           bounded):
         """The first run sleeps while the others race ahead: they stop at
         2 x threads runs ahead, and the call finishes with the same bytes
         (run in a joined thread, so a deadlock fails the test instead of
         hanging it)."""
         monkeypatch.setattr(dsp, "_usable_cores", lambda: 3)
         monkeypatch.setattr(dsp, "_run_frames", lambda num_mics, n_fft: 4)
-        seen = _run_observer(monkeypatch, lambda i: time.sleep(0.3) if i == 0 else None)
+        seen = run_observer(lambda i: time.sleep(0.3) if i == 0 else None)
         bank = random_bank(rng, 2, 64)
         x = rng.standard_normal((2, 30 * 4 * 32))
         whole = istft(apply_bank(stft(x, 16000, 64, 32), bank), x.shape[1])
-        assert _bounded(lambda: steer_audio(x, bank, x.shape[1])).tobytes() == whole.tobytes()
+        assert bounded(lambda: steer_audio(x, bank, x.shape[1])).tobytes() == whole.tobytes()
         assert seen["depth"] == 6
         assert 3 < seen["lookahead"] <= seen["depth"]
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_error_in_a_run_reaches_the_caller_with_every_thread_joined(
-        self, random_bank, rng, monkeypatch, threads
+        self, random_bank, rng, monkeypatch, run_observer, bounded, threads
     ):
         monkeypatch.setattr(dsp, "_usable_cores", lambda: threads)
         monkeypatch.setattr(dsp, "_run_frames", lambda num_mics, n_fft: 4)
@@ -375,16 +328,17 @@ class TestSteerThreads:
             if i == 3:
                 raise MemoryError("run 3")
 
-        seen = _run_observer(monkeypatch, fail)
+        seen = run_observer(fail)
         bank = random_bank(rng, 2, 64)
         before = threading.active_count()
         with pytest.raises(MemoryError, match="run 3"):
-            _bounded(lambda: steer_audio(rng.standard_normal((2, 40 * 4 * 32)), bank))
+            bounded(lambda: steer_audio(rng.standard_normal((2, 40 * 4 * 32)), bank))
         assert threading.active_count() == before
         assert not _steer_threads()
         assert seen["lookahead"] <= seen["depth"]
 
-    def test_interrupt_in_the_caller_joins_every_thread(self, random_bank, rng, monkeypatch):
+    def test_interrupt_in_the_caller_joins_every_thread(self, random_bank, rng, monkeypatch,
+                                                        bounded):
         monkeypatch.setattr(dsp, "_usable_cores", lambda: 2)
         monkeypatch.setattr(dsp, "_run_frames", lambda num_mics, n_fft: 4)
         add = dsp._overlap_add
@@ -400,12 +354,12 @@ class TestSteerThreads:
         bank = random_bank(rng, 2, 64, num_looks=1)
         before = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
-            _bounded(lambda: steer_audio(rng.standard_normal((2, 40 * 4 * 32)), bank))
+            bounded(lambda: steer_audio(rng.standard_normal((2, 40 * 4 * 32)), bank))
         assert threading.active_count() == before
         assert not _steer_threads()
 
     def test_calling_thread_and_named_threads_share_the_runs(
-        self, random_bank, rng, monkeypatch
+        self, random_bank, rng, monkeypatch, run_observer
     ):
         """At three usable cores the calling thread and two threads named
         with the prefix compute the runs (every run sleeps, the first one
@@ -417,7 +371,7 @@ class TestSteerThreads:
             names.add(threading.current_thread().name)
             time.sleep(0.2 if i == 0 else 0.02)
 
-        seen = _run_observer(monkeypatch, hook)
+        seen = run_observer(hook)
         bank = random_bank(rng, 2, 64)
         steer_audio(rng.standard_normal((2, 6 * _run_frames(2, 64) * 32)), bank)
         assert seen["threads"] == 3
@@ -433,7 +387,7 @@ class TestSteerThreads:
         assert steer_audio(x, bank, x.shape[1]).tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("threads, runs", [(2, 30), (3, 30), (4, 30), (4, 3)])
-    def test_executor_bounds_its_own_lookahead(self, threads, runs):
+    def test_executor_bounds_its_own_lookahead(self, bounded, threads, runs):
         """_in_run_order alone keeps runs started minus runs consumed within
         min(2 x threads, runs): run 0 sleeps while the other threads take
         every run they may, and the values still arrive in run order."""
@@ -453,7 +407,7 @@ class TestSteerThreads:
             with lock:
                 seen["consumed"] += 1
 
-        _bounded(lambda: dsp._in_run_order(compute, consume, runs, threads))
+        bounded(lambda: dsp._in_run_order(compute, consume, runs, threads))
         assert values == [(i, i * i) for i in range(runs)]
         assert seen["lookahead"] == min(2 * threads, runs)
 

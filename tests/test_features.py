@@ -1,13 +1,16 @@
 """Log-mel features, corpus statistics, normalization."""
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beambank import features
+from beambank import dsp, features
 from beambank.beamformer import design_bank
 from beambank.dsp import _run_frames, apply_bank, stft
 from beambank.errors import DataError, GridMismatchError, ParseError
@@ -249,13 +252,13 @@ class TestFeaturizeAudio:
         bank = random_bank(rng, 3, 64)
         run = _run_frames(3, 64)
         x = rng.standard_normal((3, 2 * run * 32 + 100))  # two runs and a part
-        frames = []
+        frames, mel = [], features._power_log_mel
 
-        def spy(channel, *args, **kwargs):
-            frames.append(channel.shape[1])
-            return log_mel(channel, *args, **kwargs)
+        def spy(power, fs):
+            frames.append(power.shape[1])
+            return mel(power, fs)
 
-        monkeypatch.setattr(features, "log_mel", spy)
+        monkeypatch.setattr(features, "_power_log_mel", spy)
         tensor = featurize_audio(x, bank)
         assert frames == [run, run, tensor.num_frames - 2 * run]
         assert tensor.data.dtype == np.float32 and tensor.data.flags.c_contiguous
@@ -266,6 +269,145 @@ class TestFeaturizeAudio:
             featurize_audio(rng.standard_normal((2, 63)), bank)
         with pytest.raises(DataError, match="3-channel input vs 2-mic bank"):
             featurize_audio(rng.standard_normal((3, 640)), bank)
+
+
+def _one_thread_bytes(monkeypatch, x, bank):
+    """featurize_audio's bytes with every run on the calling thread."""
+    with monkeypatch.context() as patch:
+        patch.setattr(dsp, "_usable_cores", lambda: 1)
+        return featurize_audio(x, bank).data.tobytes()
+
+
+class TestFeaturizeThreads:
+    """featurize_audio's runs on a pool of threads: the bytes never depend on
+    the thread count, the mel product stays on the calling thread, a slow
+    run stalls nothing, and an error stops and joins every thread before it
+    reaches the caller."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 8])
+    @pytest.mark.parametrize(
+        "runs, frame_offset",
+        [(0, 0), (1, 1), (3, -1), (3, 0), (3, 1)],
+        ids=["one-run", "two-runs", "boundary-1", "boundary", "boundary+1"],
+    )
+    @pytest.mark.parametrize("extra", [0, 31])
+    def test_bytes_equal_one_thread_result_at_any_thread_count(
+        self, random_bank, rng, monkeypatch, run_observer, threads, runs, frame_offset, extra
+    ):
+        """One run (both padded ends in it), fewer runs than threads, and a
+        run boundary +-1 frame, where the first and last runs reach into
+        the padding at either end."""
+        bank = random_bank(rng, 3, 64)
+        frames = max(3, runs * _run_frames(3, 64) + frame_offset)
+        x = rng.standard_normal((3, (frames - 1) * 32 + extra))
+        expected = _one_thread_bytes(monkeypatch, x, bank)
+        monkeypatch.setattr(dsp, "_usable_cores", lambda: threads)
+        seen = run_observer()
+        assert featurize_audio(x, bank).data.tobytes() == expected
+        assert seen["runs"] == max(1, runs + (frame_offset > 0))
+        assert seen["threads"] == min(threads, seen["runs"])
+        assert seen["mel"] == seen["runs"]
+
+    @pytest.mark.parametrize("threads", [2, 3, 8])
+    def test_many_runs_under_fast_thread_switching(self, random_bank, rng, monkeypatch,
+                                                   run_observer, threads):
+        """40 runs of 5 frames, with the interpreter switching threads every
+        microsecond: a run stored out of order or from power still being
+        written would change the bytes, and at most 2 x threads runs are
+        computed and not yet stored."""
+        monkeypatch.setattr(dsp, "_run_frames", lambda num_mics, n_fft: 5)
+        bank = random_bank(rng, 2, 64)
+        x = rng.standard_normal((2, 199 * 32 + 7))
+        expected = _one_thread_bytes(monkeypatch, x, bank)
+        monkeypatch.setattr(dsp, "_usable_cores", lambda: threads)
+        seen = run_observer()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = featurize_audio(x, bank)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.data.tobytes() == expected
+        assert (seen["runs"], seen["depth"], seen["mel"]) == (40, 2 * threads, 40)
+        assert seen["lookahead"] <= seen["depth"]
+
+    def test_slow_first_run_stalls_nothing(self, random_bank, rng, monkeypatch, run_observer,
+                                           bounded):
+        """The first run sleeps while the others race ahead: they stop at
+        2 x threads runs ahead, and the call finishes with the same bytes."""
+        monkeypatch.setattr(dsp, "_run_frames", lambda num_mics, n_fft: 4)
+        bank = random_bank(rng, 2, 64)
+        x = rng.standard_normal((2, 30 * 4 * 32))
+        expected = _one_thread_bytes(monkeypatch, x, bank)
+        monkeypatch.setattr(dsp, "_usable_cores", lambda: 3)
+        seen = run_observer(lambda i: time.sleep(0.3) if i == 0 else None)
+        assert bounded(lambda: featurize_audio(x, bank)).data.tobytes() == expected
+        assert seen["depth"] == 6
+        assert 3 < seen["lookahead"] <= seen["depth"]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_error_in_a_run_reaches_the_caller_with_every_thread_joined(
+        self, random_bank, rng, monkeypatch, run_observer, bounded, threads
+    ):
+        monkeypatch.setattr(dsp, "_usable_cores", lambda: threads)
+        monkeypatch.setattr(dsp, "_run_frames", lambda num_mics, n_fft: 4)
+
+        def fail(i):
+            if i == 3:
+                raise MemoryError("run 3")
+
+        seen = run_observer(fail)
+        bank = random_bank(rng, 2, 64)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="run 3"):
+            bounded(lambda: featurize_audio(rng.standard_normal((2, 40 * 4 * 32)), bank))
+        assert threading.active_count() == before
+        assert seen["lookahead"] <= seen["depth"]
+
+    def test_interrupt_in_the_caller_joins_every_thread(self, random_bank, rng, monkeypatch,
+                                                        run_observer, bounded):
+        """A KeyboardInterrupt in the third mel product, on the calling
+        thread, while the other threads steer runs ahead."""
+        monkeypatch.setattr(dsp, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(dsp, "_run_frames", lambda num_mics, n_fft: 4)
+        mel, calls = features._power_log_mel, []
+
+        def interrupted(power, fs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return mel(power, fs)
+
+        monkeypatch.setattr(features, "_power_log_mel", interrupted)
+        seen = run_observer()
+        bank = random_bank(rng, 2, 64)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            bounded(lambda: featurize_audio(rng.standard_normal((2, 40 * 4 * 32)), bank))
+        assert threading.active_count() == before
+        assert (seen["consumed"], len(calls)) == (2, 3)
+
+    def test_threads_steer_runs_and_the_caller_alone_takes_the_mel_product(
+        self, random_bank, rng, monkeypatch, run_observer
+    ):
+        """At three usable cores two threads named with the prefix steer
+        runs beside the calling thread (every run sleeps, the first one
+        longest, so each thread takes runs), and every mel product runs on
+        the calling thread."""
+        monkeypatch.setattr(dsp, "_usable_cores", lambda: 3)
+        names = set()
+
+        def hook(i):
+            names.add(threading.current_thread().name)
+            time.sleep(0.2 if i == 0 else 0.02)
+
+        seen = run_observer(hook)
+        bank = random_bank(rng, 2, 64)
+        featurize_audio(rng.standard_normal((2, 6 * _run_frames(2, 64) * 32)), bank)
+        assert seen["threads"] == 3
+        caller = threading.current_thread().name
+        assert sorted(names - {caller}) == [f"{dsp._THREAD_PREFIX}-{w}" for w in (1, 2)]
+        assert seen["mel"] == seen["runs"]
 
 
 def _random_tensor(rng, frames):
