@@ -175,25 +175,30 @@ def cmd_dataset(args) -> dict:
 
 
 def cmd_apply(args) -> dict:
+    import numpy as np
+
     from .beamformer import load_bank
-    from .dsp import _riff_size, _wav_frames, read_wav, steer_audio, write_wav
+    from .dsp import _riff_size, _steer_into, _wav_frames, read_wav, write_wav
 
     bank = load_bank(args.bank)
     # an output a WAV cannot hold is refused from the input's header, before
     # its samples are read, and again from what was read (a file that could
-    # not be probed), before they are steered
+    # not be probed), before the payload is made or any run is steered
     frames = _wav_frames(args.input)
     if frames is not None:
         _riff_size(args.out, bank.num_directions, frames)
     audio, fs = read_wav(args.input, expected_fs=bank.fs)
     _riff_size(args.out, bank.num_directions, audio.shape[1])
-    steered = steer_audio(audio, bank, num_samples=audio.shape[1])
-    write_wav(args.out, steered, fs)
+    # the float32 (samples, directions) payload write_wav writes as it is;
+    # each run of steered samples is stored straight into it
+    payload = np.empty((audio.shape[1], bank.num_directions), dtype=np.float32)
+    _steer_into(audio, bank, payload.T)
+    write_wav(args.out, payload.T, fs)
     return {
         "command": "apply",
         "out": str(args.out),
-        "channels": int(steered.shape[0]),
-        "samples": int(steered.shape[1]),
+        "channels": int(payload.shape[1]),
+        "samples": int(payload.shape[0]),
     }
 
 

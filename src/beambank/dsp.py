@@ -6,24 +6,31 @@ first frame is centered on sample 0. Banks are applied per bin:
 out[k, t, f] = h_k(f)^H x(t, f).
 
 One weighted overlap-add frame engine (Crochiere, IEEE TASSP 1980) has
-three stages, ``_analyze`` (frames, window, rfft), ``_steer`` and
-synthesis (irfft, window, overlap-add), and three front ends. Every front
-end steps by n_fft/2, the engine's only frame step: ``_overlap_add`` adds
-the two halves of every frame of every channel in two slice adds.
+three stages, ``_analyze`` (frames, window, rfft), steering and synthesis
+(irfft, window, overlap-add), and three front ends. Every front end steps
+by n_fft/2, the engine's only frame step: ``_overlap_add`` adds the two
+halves of every frame of every channel in two slice adds.
 
 - whole signal: ``stft``, ``apply_bank`` and ``istft`` each run one stage
-  over every frame of a signal
+  over every frame of a signal. ``apply_bank`` steers by
+  ``_batched_steer``, whose last bits depend on the frame count, in the
+  runs of frames ``_analyzed_runs`` cuts; ``istft`` synthesizes run by run
+  into ``_synthesis_sink``
 - chunked offline: ``_analyzed_runs`` cuts the signal into runs of
   frames, each analysed by ``_analyze`` from a view of the audio. It
   computes each run on one of up to one thread per usable core and hands
-  the results to the calling thread in run order. ``steer_audio`` steers
-  and synthesizes each run on those threads and overlap-adds it into one
-  output array; ``features.featurize_audio`` steers each run into its
-  power on them and turns it into log-mel rows. So the bytes of both are
-  the same at any thread count, and both hold the audio, the output and a
-  few runs of frames, never a whole-signal spectrogram
+  the results to the calling thread in run order. ``steer_audio`` (and
+  ``_steer_into``, which ``apply`` calls with its float32 WAV payload)
+  steers and synthesizes each run on those threads; the calling thread
+  overlap-adds each run and stores every finished sample into the output
+  (``_synthesis_sink``). ``features.featurize_audio`` steers each run into
+  its power on them and turns it into log-mel rows. So the bytes of both
+  are the same at any thread count, ``steer_audio``'s equal
+  ``istft(apply_bank(stft(x)))``'s, and both hold the audio, the output and
+  a few runs of frames, never a whole-signal spectrogram
 - streaming: ``BlockProcessor`` runs all three over the frames each pushed
-  block completes
+  block completes, steering by ``_steer``'s ``einsum``, which is faster
+  than ``_batched_steer`` at a push's few frames
 
 ``_in_run_order`` is the one ordered executor of the package: it computes
 numbered pieces of work on up to ``_usable_cores()`` threads and hands them
@@ -49,8 +56,9 @@ DEFAULT_FS = 16000
 DEFAULT_N_FFT = 512
 # OLA gain below this fraction of the peak is treated as unrecoverable
 _EDGE_THRESHOLD = 1e-8
-# run length of _analyzed_runs: as many frames as fit their input spectra
-# in this many bytes. In a serial sweep (one thread) of steer_audio's runs
+# run length of _analyzed_runs, and of apply_bank's and istft's loops over a
+# whole-signal spectrogram: as many frames as fit their input spectra in
+# this many bytes. In a serial sweep (one thread) of steer_audio's runs
 # from 128 KB to 4 MB on a 2-core x86-64 host (20 s at 5 mics and n_fft 512,
 # 30 s at 7 mics and 1024), 0.5-1 MB was fastest on both (25-51 and 9-18
 # frames); 4 MB runs took 1.2x as long and one whole-signal run 1.4x.
@@ -110,6 +118,24 @@ def _steer(conj_weights: np.ndarray, data: np.ndarray) -> np.ndarray:
     return np.einsum("kfm,mtf->ktf", conj_weights, data)
 
 
+def _steering_weights(bank) -> np.ndarray:
+    """The (F, K, M) conjugate weights of ``bank`` that ``_batched_steer``
+    takes."""
+    return bank.weights.conj().transpose(1, 0, 2)
+
+
+def _batched_steer(conj_weights: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """(K, T, F) view of the contiguous (F, K, T) product of (F, K, M)
+    ``conj_weights`` (``_steering_weights``) and (M, T, F) spectra made
+    contiguous as (F, M, T): one BLAS product per bin.
+
+    Its last bits depend on T, so every route whose bytes must agree steers
+    the same runs of frames (``_run_frames`` from frame 0).
+    """
+    product = np.matmul(conj_weights, np.ascontiguousarray(data.transpose(2, 0, 1)))
+    return product.transpose(1, 2, 0)
+
+
 def _synthesis_frames(data: np.ndarray, window: np.ndarray) -> np.ndarray:
     """The windowed irfft frames (C, T, n_fft) of (C, T, bins) data."""
     frames = np.fft.irfft(data, n=window.shape[0], axis=2)
@@ -125,31 +151,57 @@ def _synthesize(data: np.ndarray, window: np.ndarray) -> np.ndarray:
     return out
 
 
-def _window_sum(window: np.ndarray, n_frames: int) -> np.ndarray:
-    """Per-sample WOLA gain: ``n_frames`` squared windows overlap-added."""
-    wsum = np.zeros((1, (n_frames + 1) * (window.shape[0] // 2)))
-    _overlap_add(np.broadcast_to(window * window, (1, n_frames, window.shape[0])), wsum)
-    return wsum[0]
+def _synthesis_sink(window: np.ndarray, n_frames: int, out: np.ndarray):
+    """``consume(first, frames)`` for the runs of windowed synthesis frames
+    (C, T, n_fft) of an ``n_frames``-frame signal, given in order from
+    frame 0, none longer than the first. It stores into (C, num_samples)
+    ``out``, of any real dtype and strides, what ``istft`` defines: the
+    frames overlap-added at hop n_fft/2, divided by the sum of their
+    squared windows (zero where that gain is below ``_EDGE_THRESHOLD`` of
+    its peak), less the first hop of center padding, cut or zero-padded to
+    num_samples.
 
-
-def _normalize(out: np.ndarray, window: np.ndarray, num_samples: int | None):
-    """Divide overlap-added ``out`` in place by the window sum of its frames
-    (zero where that gain is unrecoverable), drop the half window of center
-    padding, and cut or zero-pad to ``num_samples`` (default: the span the
-    frames imply)."""
+    Each run is overlap-added into a run-sized buffer of +0.0 whose first
+    hop holds the last hop of the run before. Every hop that both of its
+    frame terms have reached is then divided and stored at once. Each
+    sample is the same two terms and one division as in a whole-signal
+    overlap-add, so the bytes do not depend on where the runs end.
+    """
     hop = window.shape[0] // 2
-    n_frames = out.shape[1] // hop - 1
-    wsum = _window_sum(window, n_frames)
-    good = wsum > _EDGE_THRESHOLD * wsum.max()
-    np.divide(out, wsum, out=out, where=good)
-    out[:, np.flatnonzero(~good)] = 0.0
+    channels, num_samples = out.shape
+    squared = (window * window).reshape(2, hop)
+    # the window sums of the first hop, of every middle hop and of the last
+    # hop; a single frame has no middle hop
+    gains = np.stack([squared[0], squared[0] + squared[1], squared[1]])
+    good = gains > _EDGE_THRESHOLD * (gains if n_frames > 1 else gains[::2]).max()
+    out[:, n_frames * hop :] = 0.0
+    buf, carried = None, 0  # carried: the frames of the run before
 
-    full = out[:, hop:]
-    if num_samples is None:
-        num_samples = (n_frames - 1) * hop
-    if num_samples > full.shape[1]:
-        full = np.pad(full, ((0, 0), (0, num_samples - full.shape[1])))
-    return full[:, :num_samples]
+    def consume(first, frames):
+        nonlocal buf, carried
+        count = frames.shape[1]
+        if buf is None:
+            buf = np.zeros((channels, (count + 1) * hop))
+        else:
+            buf[:, :hop] = buf[:, carried * hop : (carried + 1) * hop]
+            buf[:, hop:] = 0.0
+        carried = count
+        span = buf[:, : (count + 1) * hop]
+        _overlap_add(frames, span)
+        # final: buffer hops lo to hi - 1; the first frame's first hop is
+        # center padding, and the last hop waits for the next run's first
+        # frame unless this run ends the signal
+        lo, last = int(first == 0), first + count == n_frames
+        hi = count + last
+        hops = span.reshape(channels, count + 1, hop)
+        for part, row in ((hops[:, lo:count], 1), (hops[:, count:hi], 2)):
+            np.divide(part, gains[row], out=part, where=good[row])
+            part[..., ~good[row]] = 0.0
+        start, stop = (first + lo - 1) * hop, min((first + hi - 1) * hop, num_samples)
+        if stop > start:
+            out[:, start:stop] = span[:, lo * hop : lo * hop + stop - start]
+
+    return consume
 
 
 def _check_num_samples(num_samples: int | None) -> None:
@@ -240,11 +292,20 @@ def istft(spec: Spectrogram, num_samples: int | None = None) -> np.ndarray:
     """Square-root-Hann synthesis by weighted overlap-add; inverts stft.
 
     ``num_samples`` trims/limits the output length (default: the full
-    span implied by the frame count).
+    span implied by the frame count). The frames are synthesized one run
+    at a time into the output through ``_synthesis_sink``, as in
+    ``steer_audio``.
     """
     _check_num_samples(num_samples)
     window = sqrt_hann(spec.n_fft)
-    return _normalize(_synthesize(spec.data, window), window, num_samples)
+    if num_samples is None:
+        num_samples = max(0, (spec.num_frames - 1) * spec.hop)
+    out = np.empty((spec.num_channels, num_samples))
+    sink = _synthesis_sink(window, spec.num_frames, out)
+    run = _run_frames(spec.num_channels, spec.n_fft)
+    for first in range(0, spec.num_frames, run):
+        sink(first, _synthesis_frames(spec.data[:, first : first + run], window))
+    return out
 
 
 def _check_grid(spec: Spectrogram, bank) -> None:
@@ -262,9 +323,18 @@ def _check_grid(spec: Spectrogram, bank) -> None:
 
 def apply_bank(spec: Spectrogram, bank) -> Spectrogram:
     """Steer a multichannel spectrogram through every bank direction:
-    out[k, t, f] = h_k(f)^H x(t, f)."""
+    out[k, t, f] = h_k(f)^H x(t, f).
+
+    Steered by ``_batched_steer`` in the runs of ``_run_frames`` frames
+    from frame 0 that ``_analyzed_runs`` cuts, so ``steer_audio`` and
+    ``features.featurize_audio`` take the very same products.
+    """
     _check_grid(spec, bank)
-    data = _steer(bank.weights.conj(), spec.data)
+    conj_weights, run = _steering_weights(bank), _run_frames(spec.num_channels, spec.n_fft)
+    data = np.empty((bank.num_directions,) + spec.data.shape[1:], dtype=complex)
+    for first in range(0, spec.num_frames, run):
+        data[:, first : first + run] = _batched_steer(conj_weights,
+                                                      spec.data[:, first : first + run])
     return Spectrogram(data=data, fs=spec.fs, n_fft=spec.n_fft, hop=spec.hop)
 
 
@@ -413,34 +483,45 @@ def _analyzed_runs(x: np.ndarray, window: np.ndarray, n_frames: int, compute,
     _in_run_order(analyzed, consumed, runs, min(_usable_cores(), runs))
 
 
+def _steer_into(audio, bank, out: np.ndarray) -> None:
+    """Steer (channels, samples) audio through every bank direction into the
+    caller's (directions, num_samples) ``out``, of any real dtype and
+    strides: ``steer_audio(audio, bank, num_samples)``, cast to out's dtype.
+
+    Each run from ``_analyzed_runs`` is steered by ``_batched_steer`` and
+    synthesized on one of its threads. The calling thread overlap-adds the
+    runs in run order and stores each finished sample into ``out`` at once
+    (``_synthesis_sink``), so no whole-signal spectrogram or float64 output
+    is built and the bytes are the same at any thread count. ``apply``
+    passes the transpose of its float32 (samples, directions) WAV payload.
+    """
+    x, n_frames = _bank_frames(audio, bank)
+    window, conj_weights = sqrt_hann(bank.n_fft), _steering_weights(bank)
+
+    def frames(spec):
+        steered = np.ascontiguousarray(_batched_steer(conj_weights, spec))
+        return _synthesis_frames(steered, window)
+
+    _analyzed_runs(x, window, n_frames, frames, _synthesis_sink(window, n_frames, out))
+
+
 def steer_audio(audio, bank, num_samples: int | None = None) -> np.ndarray:
     """Steer (channels, samples) audio through every bank direction:
     ``istft(apply_bank(stft(audio, n_fft=bank.n_fft), bank), num_samples)``,
-    bit for bit, one run of frames at a time.
+    bit for bit, one run of frames at a time (``_steer_into``).
 
-    Each run from ``_analyzed_runs`` is steered and synthesized on one of
-    its threads, and the calling thread overlap-adds the runs into one
-    output array strictly in run order, so no whole-signal spectrogram is
-    built and the bytes are the same at any thread count. At hop n_fft/2
-    every output sample is the sum of exactly two frame terms, which is the
-    same in either order, so the run boundaries do not change a bit either.
-    A negative ``num_samples`` is refused before any run is analysed. The
-    audio's sample rate is the caller's to check.
+    ``apply_bank`` steers the same runs by the same product, and ``istft``
+    synthesizes through the same ``_synthesis_sink``, so the two routes
+    agree by construction. A negative ``num_samples`` is refused before
+    any run is analysed. The audio's sample rate is the caller's to check.
     """
     _check_num_samples(num_samples)
     x, n_frames = _bank_frames(audio, bank)
-    hop = bank.n_fft // 2
-    window, conj_weights = sqrt_hann(bank.n_fft), bank.weights.conj()
-    out = np.zeros((bank.num_directions, (n_frames + 1) * hop))
-
-    def frames(spec):
-        return _synthesis_frames(_steer(conj_weights, spec), window)
-
-    def overlap_add(first, run_frames):
-        _overlap_add(run_frames, out[:, first * hop : (first + run_frames.shape[1] + 1) * hop])
-
-    _analyzed_runs(x, window, n_frames, frames, overlap_add)
-    return _normalize(out, window, num_samples)
+    if num_samples is None:
+        num_samples = (n_frames - 1) * (bank.n_fft // 2)
+    out = np.empty((bank.num_directions, num_samples))
+    _steer_into(x, bank, out)
+    return out
 
 
 class BlockProcessor:

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import _container
 from .errors import DataError
-from .dsp import Spectrogram, _analyzed_runs, _bank_frames, sqrt_hann
+from .dsp import (Spectrogram, _analyzed_runs, _bank_frames, _batched_steer, _steering_weights,
+                  sqrt_hann)
 
 NUM_MEL = 80
 LOG_FLOOR = 1e-10
@@ -123,12 +124,12 @@ def featurize_bank_output(spec: Spectrogram, direction_labels) -> FeatureTensor:
 
 def _steered_power(conj_weights: np.ndarray, data: np.ndarray) -> np.ndarray:
     """(K, T, F) power of (M, T, F) spectra steered through (F, K, M)
-    conjugate bank weights, by one batched (F, K, M) @ (F, M, T) product.
-    The power is a view of a contiguous (F, K, T) array, which
+    conjugate bank weights by ``dsp._batched_steer``, the product
+    ``apply_bank`` and ``steer_audio`` take on the same runs of frames. The
+    power is a view of a contiguous (F, K, T) array, which
     :func:`_power_log_mel` reads in place, as :func:`log_mel` reads the same
     view of the steered spectra."""
-    steered = np.matmul(conj_weights, data.transpose(2, 0, 1))
-    return (np.abs(steered) ** 2).transpose(1, 2, 0)
+    return np.abs(_batched_steer(conj_weights, data)) ** 2
 
 
 def featurize_audio(audio, bank) -> FeatureTensor:
@@ -142,13 +143,14 @@ def featurize_audio(audio, bank) -> FeatureTensor:
     one call that BLAS may spread over its own threads, so it never runs
     beside itself. No whole-signal spectrogram, steered spectrogram or
     float64 log-mel is built, and the bytes are the same at any thread
-    count. Rows match :func:`log_mel` of the whole-signal ``stft(audio,
-    bank.fs, bank.n_fft)`` steered by one batched product up to float64
-    rounding in the batched products, which float32 almost always hides.
+    count. Rows match :func:`featurize_bank_output` of ``apply_bank(stft(audio,
+    bank.fs, bank.n_fft), bank)``, which steers the same runs by the same
+    product, up to float64 rounding in the mel products, which float32
+    almost always hides.
     The audio's sample rate is the caller's to check.
     """
     x, n_frames = _bank_frames(audio, bank)
-    conj_weights = bank.weights.conj().transpose(1, 0, 2)
+    conj_weights = _steering_weights(bank)
     data = np.empty((n_frames, bank.num_directions, NUM_MEL), dtype=np.float32)
 
     def store(first, power):

@@ -813,15 +813,22 @@ class TestApply:
         self, bank_file, tmp_path, capsys, monkeypatch
     ):
         """3.7 h of 5-mic audio through the 5-direction bank is more float32
-        than a RIFF file holds. It is refused before steer_audio builds
-        float64 output of that size."""
+        than a RIFF file holds. It is refused before the 4.3 GB float32
+        payload is allocated (the call's traced peak stays far below it)
+        and before _steer_into steers any run into it."""
         frames = 0xFFFFFFFF // (4 * 5) + 1
         audio = np.broadcast_to(np.float64(0.0), (5, frames))
         monkeypatch.setattr(dsp, "read_wav", lambda path, expected_fs=None: (audio, 16000))
-        monkeypatch.setattr(dsp, "steer_audio", _forbidden("steer_audio"))
+        monkeypatch.setattr(dsp, "_steer_into", _forbidden("_steer_into"))
         out = tmp_path / "o.wav"
-        code, summary, err = run(capsys, "apply", str(tmp_path / "in.wav"),
-                                 "--bank", str(bank_file), "--out", str(out))
+        tracemalloc.start()
+        try:
+            code, summary, err = run(capsys, "apply", str(tmp_path / "in.wav"),
+                                     "--bank", str(bank_file), "--out", str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 26
         assert code == 2
         assert summary is None
         assert err.strip().splitlines() == [
@@ -900,6 +907,80 @@ class TestApply:
         assert err.strip().splitlines() == ["beambank apply: out of memory"]
         assert threading.active_count() == before
         assert not out.exists()
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 8])
+    @pytest.mark.parametrize(
+        "runs, frame_offset",
+        [(0, 0), (3, -1), (3, 0), (3, 1)],
+        ids=["one-run", "boundary-1", "boundary", "boundary+1"],
+    )
+    @pytest.mark.parametrize("extra", [0, 13], ids=["hop-end", "inside-last-hop"])
+    def test_file_equals_steer_audio_written(
+        self, bank_file, tmp_path, rng, capsys, monkeypatch, threads, runs, frame_offset, extra
+    ):
+        """Each finished run is stored straight into the float32 payload:
+        the file is write_wav(steer_audio(...)) byte for byte at any thread
+        count, with a run boundary +-1 frame, and with a length that ends at
+        a hop or inside the last hop."""
+        monkeypatch.setattr(dsp, "_usable_cores", lambda: threads)
+        frames = max(3, runs * _run_frames(5, 64) + frame_offset)
+        wav = tmp_path / "in.wav"
+        write_wav(wav, 0.1 * rng.standard_normal((5, (frames - 1) * 32 + extra)), 16000)
+        audio, _ = read_wav(wav)
+        expected = tmp_path / "expected.wav"
+        write_wav(expected, dsp.steer_audio(audio, load_bank(bank_file), audio.shape[1]), 16000)
+        out = tmp_path / "steered.wav"
+        code, summary, _ = run(capsys, "apply", str(wav), "--bank", str(bank_file),
+                               "--out", str(out))
+        assert code == 0
+        assert (summary["channels"], summary["samples"]) == (5, audio.shape[1])
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_peak_memory_is_input_payload_and_a_few_runs(self, bank_file, tmp_path, capsys,
+                                                         monkeypatch):
+        """100 s of 5-mic audio at two threads: the traced peak of `apply`
+        stays within the float64 input, the float32 payload and six runs in
+        flight (the executor's four computed runs and two being computed),
+        each holding up to four arrays of about _RUN_BYTES: spectra, steered
+        spectra, their contiguous copy and synthesis frames. A float64
+        output of every direction, 64 MB here, would exceed it."""
+        monkeypatch.setattr(dsp, "_usable_cores", lambda: 2)
+        samples = 100 * 16000
+        wav = tmp_path / "long.wav"
+        write_wav(wav, np.full((5, samples), 0.1, dtype=np.float32), 16000)
+        out = tmp_path / "steered.wav"
+        tracemalloc.start()
+        try:
+            code, _, _ = run(capsys, "apply", str(wav), "--bank", str(bank_file),
+                             "--out", str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        audio_bytes, payload_bytes = 8 * 5 * samples, 4 * 5 * samples
+        assert peak < audio_bytes + payload_bytes + 6 * 4 * dsp._RUN_BYTES
+
+    def test_bytes_do_not_depend_on_blas_threads(self, random_bank, tmp_path):
+        """A 3 s 7-channel recording steered through a random bank of 9
+        directions at n_fft 1024 in fresh interpreters at one and at two
+        BLAS threads: the steering products call BLAS on every usable
+        core's thread."""
+        rng = np.random.default_rng(3)
+        bank = tmp_path / "wide.bbk"
+        save_bank(random_bank(rng, 7, 1024, num_looks=8), bank)
+        wav = tmp_path / "rec.wav"
+        write_wav(wav, 0.1 * rng.standard_normal((7, 48000)), 16000)
+        files = []
+        for blas_threads in ("1", "2"):
+            out = tmp_path / f"blas{blas_threads}.wav"
+            done = _fresh_interpreter(
+                _MODULES_AFTER_MAIN, "apply", wav, "--bank", bank, "--out", out,
+                env_vars=dict(OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads,
+                              MKL_NUM_THREADS=blas_threads),
+            )
+            assert done.returncode == 0, done.stderr
+            files.append(out.read_bytes())
+        assert files[0] == files[1]
 
     @pytest.mark.parametrize("cut", [30, 44, 57])
     def test_cut_input_exits_2_with_one_line(

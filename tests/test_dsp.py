@@ -101,6 +101,31 @@ class TestStftRoundTrip:
         assert edges.tolist() == ([98302, 98303] if n_fft == 65536 else [])
         assert np.all(got[:, edges] == 0.0) and not np.any(np.signbit(got[:, edges]))
 
+    @pytest.mark.parametrize("frames", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("num_samples", [None, 0, 45, 200])
+    def test_few_frames_equal_frame_by_frame_overlap_add(self, rng, monkeypatch, frames,
+                                                         num_samples):
+        """istft's run-by-run sink on spectrograms of 0 to 4 frames, in runs
+        of 2 frames (a carried hop, and a last run of 1 frame), equals the
+        frame-by-frame overlap-add divided by its window sum: a single frame
+        has no middle hop, and lengths that cut inside a hop or zero-pad."""
+        monkeypatch.setattr(dsp, "_run_frames", lambda channels, n_fft: 2)
+        n_fft, hop = 64, 32
+        data = rng.standard_normal((2, frames, 33)) + 1j * rng.standard_normal((2, frames, 33))
+        window = sqrt_hann(n_fft)
+        total = (frames + 1) * hop
+        out, wsum = np.zeros((2, total)), np.zeros(total)
+        for t in range(frames):
+            out[:, t * hop : t * hop + n_fft] += np.fft.irfft(data[:, t], n_fft) * window
+            wsum[t * hop : t * hop + n_fft] += window * window
+        good = wsum > 1e-8 * wsum.max() if frames else np.zeros(total, bool)
+        out[:, good] /= wsum[good]
+        out[:, ~good] = 0.0
+        length = max(0, (frames - 1) * hop) if num_samples is None else num_samples
+        expected = np.pad(out[:, hop:], ((0, 0), (0, max(0, length + hop - total))))[:, :length]
+        got = istft(Spectrogram(data=data, fs=16000, n_fft=n_fft), num_samples)
+        assert got.tobytes() == expected.tobytes()  # also tells -0.0 from +0.0
+
     @pytest.mark.parametrize("hop", [0, -256, 128, 300, 512])
     def test_hop_other_than_half_n_fft_refused(self, rng, hop):
         with pytest.raises(DataError, match="must be n_fft/2 = 256"):
@@ -182,6 +207,26 @@ class TestApplyBank:
         spec = stft(rng.standard_normal((3, 4000)), fs=16000, n_fft=512)
         with pytest.raises(DataError):
             apply_bank(spec, bank)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("frames", ["1", "2", "run", "3 runs"])
+    def test_steers_in_the_run_grid(self, random_bank, rng, frames, offset):
+        """The batched product's last bits depend on its frame count, so
+        apply_bank steers the runs of frames steer_audio and featurize_audio
+        steer: its bytes are _batched_steer's over each run from frame 0, on
+        1, 2 and a run boundary +-1 frames, and within float64 rounding of
+        the einsum definition."""
+        bank = random_bank(rng, 3, 64)
+        run = _run_frames(3, 64)
+        count = max(1, {"1": 1, "2": 2, "run": run, "3 runs": 3 * run}[frames] + offset)
+        data = rng.standard_normal((3, count, 33)) + 1j * rng.standard_normal((3, count, 33))
+        got = apply_bank(Spectrogram(data=data, fs=16000, n_fft=64), bank).data
+        conj_weights = dsp._steering_weights(bank)
+        runs = [dsp._batched_steer(conj_weights, data[:, first : first + run])
+                for first in range(0, count, run)]
+        assert got.tobytes() == np.concatenate(runs, axis=1).tobytes()
+        definition = np.einsum("kfm,mtf->ktf", bank.weights.conj(), data)
+        np.testing.assert_allclose(got, definition, rtol=0, atol=1e-12)
 
 
 class TestSteerAudio:

@@ -170,8 +170,9 @@ class TestFeaturizeWithBank:
     def test_equals_apply_then_featurize(
         self, banks, rng, monkeypatch, whole_signal_features, name, seconds
     ):
-        """featurize_audio's batched steering product gives what apply_bank's
-        einsum and featurize_bank_output give, up to float64 rounding."""
+        """The whole-signal batched steering product gives what apply_bank's
+        products over runs of frames and featurize_bank_output give, up to
+        float64 rounding."""
         bank = banks[name]
         n = bank.n_fft if seconds is None else int(seconds * bank.fs)
         spec = stft(0.1 * rng.standard_normal((bank.num_mics, n)), bank.fs, bank.n_fft)
