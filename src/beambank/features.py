@@ -15,11 +15,14 @@ from functools import lru_cache
 import numpy as np
 
 from . import _container
+from .constants import MAX_FS
 from .errors import DataError
 from .dsp import (Spectrogram, _analyzed_runs, _bank_frames, _batched_steer, _steering_weights,
                   sqrt_hann)
 
 NUM_MEL = 80
+# filters per block of the banded mel product: 16 blocks of 5 at NUM_MEL
+MEL_GROUP = 5
 LOG_FLOOR = 1e-10
 VARIANCE_FLOOR = 1e-8
 
@@ -37,7 +40,12 @@ def mel_to_hz(m):
 
 def mel_filterbank(num_filters: int, n_fft: int, fs: int) -> np.ndarray:
     """Triangular unit-peak filters, (num_filters, n_fft/2 + 1), spanning
-    0 to fs/2 on the mel scale."""
+    0 to fs/2 on the mel scale. Raises DataError for an fs outside
+    (0, MAX_FS], the banks' own rule, or fewer than 2 bins."""
+    if not 0 < fs <= MAX_FS:  # a NaN fails too
+        raise DataError(f"fs {fs} must be > 0 and <= {MAX_FS} Hz")
+    if n_fft < 2:
+        raise DataError(f"a mel filterbank needs at least 2 frequency bins, got {n_fft // 2 + 1}")
     edges_mel = np.linspace(hz_to_mel(0.0), hz_to_mel(fs / 2.0), num_filters + 2)
     edges_hz = mel_to_hz(edges_mel)
     bins = np.fft.rfftfreq(n_fft, 1.0 / fs)
@@ -59,12 +67,32 @@ def _filterbank(n_fft: int, fs: int) -> np.ndarray:
     return bank
 
 
+@lru_cache(maxsize=8)
+def _mel_blocks(n_fft: int, fs: int) -> tuple:
+    """The cached filterbank cut into NUM_MEL / MEL_GROUP groups of
+    consecutive filters, built once per process and grid: per group its
+    first filter, the span [lo, hi) of bins where any of its filters is
+    nonzero, and its read-only, C-contiguous (MEL_GROUP, hi - lo) weights.
+    A group of empty filters (a coarse grid puts no bin under a narrow
+    low-frequency triangle) has an empty span."""
+    bank = _filterbank(n_fft, fs)
+    blocks = []
+    for first in range(0, NUM_MEL, MEL_GROUP):
+        rows = bank[first : first + MEL_GROUP]
+        used = np.flatnonzero(rows.any(axis=0))
+        lo, hi = (int(used[0]), int(used[-1]) + 1) if used.size else (0, 0)
+        block = np.ascontiguousarray(rows[:, lo:hi])
+        block.flags.writeable = False
+        blocks.append((first, lo, hi, block))
+    return tuple(blocks)
+
+
 def log_mel(channel: np.ndarray, fs: int) -> np.ndarray:
     """Natural-log mel energies of STFT frames, (..., frames, bins) ->
-    (..., frames, NUM_MEL). The filterbank is built once per process
-    for each (n_fft, fs). A strided input, such as a (K, T, F)
-    view of frequency-major data, is read in place: the power keeps its
-    layout and the stacked product reads each (frames, bins) block as is."""
+    (..., frames, NUM_MEL), by :func:`_power_log_mel`. Raises DataError for
+    an fs outside (0, MAX_FS] or fewer than 2 bins. A (K, T, F) view of
+    frequency-major data is read in place; any other layout is copied once
+    into that order, so every layout gives the same bits."""
     channel = np.asarray(channel)
     if channel.ndim < 2:
         raise DataError("log_mel expects (..., frames, bins)")
@@ -72,11 +100,27 @@ def log_mel(channel: np.ndarray, fs: int) -> np.ndarray:
 
 
 def _power_log_mel(power: np.ndarray, fs: int) -> np.ndarray:
-    """Natural-log mel energies of (..., frames, bins) power, by one
-    product with the cached filterbank: the one call of the log-mel that
-    BLAS may spread over threads of its own."""
-    bank = _filterbank(2 * (power.shape[-1] - 1), fs)
-    return np.log(np.maximum(power @ bank.T, LOG_FLOOR))
+    """Natural-log mel energies of (..., frames, bins) power, returned as a
+    (..., frames, NUM_MEL) view of a (NUM_MEL, ...) array.
+
+    The operand is the power as a C-contiguous (bins, rest) array: free for
+    frequency-major power, one copy otherwise. No bin lies under more than
+    two filters, so each group of :func:`_mel_blocks` takes one product of
+    its (MEL_GROUP, hi - lo) weights with the operand's rows [lo, hi),
+    about a fifth of the dense product's arithmetic. On the runs of
+    :func:`featurize_audio` a group product is too small for OpenBLAS to
+    spread over threads of its own (at most 5 x 95 x 162 multiply-adds for
+    a 9-direction, n_fft-1024 bank at 16 kHz), so it never competes with
+    the threads that steer runs. The floor and the log are taken in place."""
+    bins = power.shape[-1]
+    blocks = _mel_blocks(2 * (bins - 1), fs)
+    operand = np.ascontiguousarray(np.moveaxis(power, -1, 0).reshape(bins, -1))
+    mel = np.empty((NUM_MEL, operand.shape[1]))
+    for first, lo, hi, block in blocks:
+        np.matmul(block, operand[lo:hi], out=mel[first : first + MEL_GROUP])
+    np.maximum(mel, LOG_FLOOR, out=mel)
+    np.log(mel, out=mel)
+    return np.moveaxis(mel.reshape((NUM_MEL,) + power.shape[:-1]), 0, -1)
 
 
 @dataclass
@@ -138,15 +182,15 @@ def featurize_audio(audio, bank) -> FeatureTensor:
 
     The frame engine's ``_analyzed_runs`` analyses each run, and steers it
     into its power by :func:`_steered_power`, on one of up to one thread per
-    usable core. The calling thread alone takes the mel product, the log
-    and the float32 store of each run, in run order: the mel product is the
-    one call that BLAS may spread over its own threads, so it never runs
-    beside itself. No whole-signal spectrogram, steered spectrogram or
-    float64 log-mel is built, and the bytes are the same at any thread
-    count. Rows match :func:`featurize_bank_output` of ``apply_bank(stft(audio,
-    bank.fs, bank.n_fft), bank)``, which steers the same runs by the same
-    product, up to float64 rounding in the mel products, which float32
-    almost always hides.
+    usable core. The calling thread alone takes the banded mel products of
+    :func:`_power_log_mel` on that frequency-major power as it is, the log
+    and the float32 store of each run, in run order. No whole-signal
+    spectrogram, steered spectrogram or float64 log-mel is built, and the
+    bytes are the same at any thread count and BLAS thread count. Rows
+    match :func:`featurize_bank_output` of ``apply_bank(stft(audio, bank.fs,
+    bank.n_fft), bank)``, which steers the same runs by the same product, up
+    to float64 rounding in the mel products, which float32 almost always
+    hides.
     The audio's sample rate is the caller's to check.
     """
     x, n_frames = _bank_frames(audio, bank)

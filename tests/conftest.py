@@ -33,8 +33,7 @@ def run_observer(monkeypatch):
     lookahead (runs started minus runs consumed), and as ``mel`` the mel
     products taken during the call. A mel product on any thread but the one
     that called the scheduler raises AssertionError, which reaches the
-    caller: featurize_audio keeps that product, the one BLAS may spread
-    over threads of its own, off the worker threads."""
+    caller: featurize_audio keeps that product off the worker threads."""
 
     def observe(hook=None):
         seen = {"started": 0, "consumed": 0, "lookahead": 0, "depth": None, "threads": None,

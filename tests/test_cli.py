@@ -998,6 +998,16 @@ class TestApply:
         assert not (tmp_path / "o.wav").exists()
 
 
+def _dynamic_arch_openblas() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS that picks its kernels at run
+    time, so that OPENBLAS_CORETYPE selects them."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError, ValueError):
+        return False
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
 class TestFeaturizeAndStats:
     def test_wav_to_features(self, bank_file, input_wav, tmp_path, capsys):
         out = tmp_path / "x.feat"
@@ -1054,9 +1064,8 @@ class TestFeaturizeAndStats:
     def test_bytes_do_not_depend_on_blas_threads(self, random_bank, tmp_path):
         """A 3 s 7-channel recording featurized through a random bank of 9
         directions at n_fft 1024 in fresh interpreters at one and at two
-        BLAS threads. Each run's (18 x 513) @ (513 x 80) mel products are
-        large enough for OpenBLAS to split among its threads, and the runs
-        are steered on every usable core beside them."""
+        BLAS threads, with the runs steered on every usable core beside the
+        calling thread's mel products."""
         rng = np.random.default_rng(3)
         bank = tmp_path / "wide.bbk"
         save_bank(random_bank(rng, 7, 1024, num_looks=8), bank)
@@ -1073,6 +1082,31 @@ class TestFeaturizeAndStats:
             assert done.returncode == 0, done.stderr
             files.append(out.read_bytes())
         assert files[0] == files[1]
+
+    @pytest.mark.skipif(not _dynamic_arch_openblas(),
+                        reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
+    def test_bytes_do_not_depend_on_openblas_core_type(self, random_bank, tmp_path):
+        """A short 7-channel recording featurized through a random bank of 9
+        directions at n_fft 1024 in fresh interpreters under the default
+        kernels and under those OPENBLAS_CORETYPE selects for Haswell,
+        SandyBridge and Prescott, CPUs with and without FMA: the banded mel
+        products round differently there, and the float32 features hide
+        it."""
+        rng = np.random.default_rng(5)
+        bank = tmp_path / "wide.bbk"
+        save_bank(random_bank(rng, 7, 1024, num_looks=8), bank)
+        wav = tmp_path / "rec.wav"
+        write_wav(wav, 0.1 * rng.standard_normal((7, 24000)), 16000)
+        files = {}
+        for core in (None, "Haswell", "SandyBridge", "Prescott"):
+            out = tmp_path / f"{core}.feat"
+            done = _fresh_interpreter(
+                _MODULES_AFTER_MAIN, "featurize", wav, "--bank", bank, "--out", out,
+                env_vars=None if core is None else dict(OPENBLAS_CORETYPE=core),
+            )
+            assert done.returncode == 0, done.stderr
+            files[core] = out.read_bytes()
+        assert all(data == files[None] for data in files.values())
 
     def test_input_shorter_than_n_fft_exits_2_with_one_line(
         self, bank_file, tmp_path, rng, capsys

@@ -12,12 +12,15 @@ from hypothesis import strategies as st
 
 from beambank import dsp, features
 from beambank.beamformer import design_bank
+from beambank.constants import MAX_FS
 from beambank.dsp import _run_frames, apply_bank, stft
 from beambank.errors import DataError, GridMismatchError, ParseError
 from beambank.features import (
     CorpusStats,
+    LOG_FLOOR,
     FeatureTensor,
     _filterbank,
+    _mel_blocks,
     accumulate_stats,
     export_features,
     featurize_audio,
@@ -136,12 +139,26 @@ class TestFilterbankCache:
         np.testing.assert_array_equal(fb, mel_filterbank(80, 512, 16000))
 
     def test_built_once_per_grid(self, rng):
+        """The banded product reads the cached blocks, which are cut once
+        per grid from the cached filterbank."""
         spec = stft(rng.standard_normal(4000), fs=16000, n_fft=256)
         log_mel(spec.data, 16000)
-        before = _filterbank.cache_info()
+        before = _mel_blocks.cache_info(), _filterbank.cache_info()
         log_mel(spec.data, 16000)
-        after = _filterbank.cache_info()
-        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        after = _mel_blocks.cache_info(), _filterbank.cache_info()
+        assert (after[0].hits, after[0].misses) == (before[0].hits + 1, before[0].misses)
+        assert after[1] == before[1]
+
+    def test_cached_blocks_are_read_only_and_cover_every_weight(self):
+        fb = mel_filterbank(80, 512, 16000)
+        covered = np.zeros_like(fb)
+        for first, lo, hi, block in _mel_blocks(512, 16000):
+            assert not block.flags.writeable and block.flags.c_contiguous
+            assert block.shape == (5, hi - lo)
+            with pytest.raises(ValueError):
+                block[0, 0] = 1.0
+            covered[first : first + 5, lo:hi] = block
+        np.testing.assert_array_equal(covered, fb)
 
     def test_public_filterbank_is_fresh_and_writable(self, rng):
         spec = stft(rng.standard_normal(8000), fs=16000, n_fft=512)
@@ -151,6 +168,70 @@ class TestFilterbankCache:
         assert fb is not mel_filterbank(80, 512, 16000)
         fb[:] = 0.0
         np.testing.assert_array_equal(log_mel(spec.data, 16000), expected)
+
+
+def _dense_log_mel(power, n_fft, fs):
+    return np.log(np.maximum(power @ mel_filterbank(80, n_fft, fs).T, LOG_FLOOR))
+
+
+# filters no bin reaches at 16 kHz, on the grids that have any
+EMPTY_FILTERS_16K = {64: 30, 128: 13, 256: 2}
+
+
+class TestBandedProduct:
+    @pytest.mark.parametrize("fs", [8000, 16000, 48000])
+    @pytest.mark.parametrize("n_fft", [64, 128, 256, 512, 1024, 4096, 16384])
+    def test_equals_dense_product(self, rng, n_fft, fs):
+        """Each group's product over its own band of bins equals the dense
+        product with the whole filterbank within 1e-12 relative, and a
+        filter that no bin reaches reads exactly log(LOG_FLOOR)."""
+        power = 0.5 + rng.random((2, 9, n_fft // 2 + 1))
+        dense = power @ mel_filterbank(80, n_fft, fs).T
+        got = log_mel(np.sqrt(power), fs)
+        empty = ~mel_filterbank(80, n_fft, fs).any(axis=1)
+        if fs == 16000:
+            assert int(empty.sum()) == EMPTY_FILTERS_16K.get(n_fft, 0)
+        np.testing.assert_allclose(np.exp(got[..., ~empty]), dense[..., ~empty], rtol=1e-12)
+        assert np.all(got[..., empty] == math.log(LOG_FLOOR))
+
+    @pytest.mark.parametrize("frames", [0, 1, 5])
+    def test_few_frames(self, rng, frames):
+        power = rng.random((3, frames, 257))
+        got = features._power_log_mel(power, 16000)
+        assert got.shape == (3, frames, 80)
+        np.testing.assert_allclose(got, _dense_log_mel(power, 512, 16000), rtol=0, atol=1e-12)
+
+    def test_no_bin_under_more_than_two_filters(self):
+        for n_fft in (64, 512, 16384):
+            assert (mel_filterbank(80, n_fft, 16000) > 0).sum(axis=0).max() <= 2
+
+
+@pytest.mark.filterwarnings("error")
+class TestGridRefused:
+    """An fs outside the banks' own range (0, MAX_FS] or fewer than 2 bins
+    is one DataError, before any arithmetic warns or divides by zero."""
+
+    @pytest.mark.parametrize("fs", [0, -16000, float("nan"), MAX_FS + 1, float("inf")],
+                             ids=["zero", "negative", "nan", "above-max", "inf"])
+    def test_fs_outside_the_banks_range(self, fs):
+        with pytest.raises(DataError, match="fs"):
+            mel_filterbank(80, 512, fs)
+        with pytest.raises(DataError, match="fs"):
+            log_mel(np.ones((3, 257)), fs)
+
+    @pytest.mark.parametrize("bins", [0, 1])
+    def test_log_mel_of_fewer_than_two_bins(self, bins):
+        with pytest.raises(DataError, match="at least 2 frequency bins"):
+            log_mel(np.ones((3, bins)), 16000)
+
+    @pytest.mark.parametrize("n_fft", [0, 1])
+    def test_filterbank_of_fewer_than_two_bins(self, n_fft):
+        with pytest.raises(DataError, match="at least 2 frequency bins, got 1"):
+            mel_filterbank(80, n_fft, 16000)
+
+    def test_max_fs_and_two_bins_accepted(self):
+        assert log_mel(np.ones((3, 257)), MAX_FS).shape == (3, 80)
+        assert log_mel(np.ones((3, 2)), 16000).shape == (3, 80)
 
 
 @pytest.fixture(scope="module")
